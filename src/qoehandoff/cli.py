@@ -112,7 +112,6 @@ def cmd_train_hmm(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    traces, dataset = None, None
     traces = trace_io.read_traces(Path(args.traces).read_text(encoding="utf-8"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -131,13 +130,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare_policies(args) -> int:
+    overrides = {"seed": args.seed, "runs": args.runs,
+                 "duration_epochs": args.duration}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     if args.config:
+        if overrides:
+            print("error: --seed, --runs and --duration cannot be combined with "
+                  "--config; set them in its [scenario] section", file=sys.stderr)
+            return EXIT_USAGE
         cfg = harness.load_config(args.config)
     else:
-        cfg = harness.default_roaming_harness(seed=args.seed, runs=args.runs,
-                                              duration_epochs=args.duration)
-    if args.seed is not None and not args.config:
-        pass  # already threaded through default_roaming_harness
+        cfg = harness.default_roaming_harness(**overrides)
     report = harness.run_comparison(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -235,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-policies", help="evaluate handoff policies")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=12)
-    p.add_argument("--duration", type=int, default=101)
+    p.add_argument("--seed", type=int, help="default 0; not with --config")
+    p.add_argument("--runs", type=int, help="default 12; not with --config")
+    p.add_argument("--duration", type=int, help="default 101; not with --config")
     p.add_argument("--timeline", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare_policies)

@@ -6,6 +6,12 @@ seed; restarts re-seed the means from skewed quantiles and then random
 data points, which guards against poor local optima when state occupancy
 is lopsided, and the best-likelihood restart wins (ties to the lowest
 restart index).
+All restarts of a fit, and the fits of all cross-validation folds, run
+in lock-step: every E-step is one batched kernel call over the rows
+(start, sequence) of the starts that have not yet converged, and a start
+leaves the batch when it converges. Each start keeps its own parameters,
+likelihood history and convergence flag, so the result is the same as
+running the restarts one after another.
 Trained models are canonicalized by sorting states by descending emission
 mean, so state 1 is always the worst-delay state regardless of how the
 optimizer happened to label states.
@@ -83,96 +89,140 @@ def _labeled_init(seqs, labels, k: int, cfg: EmConfig):
     return means, variances
 
 
-def _run_em(seqs, means, variances, prior, tm, cfg: EmConfig):
-    """One EM run from the given starting point. Returns (ll_history, params)."""
-    k = means.size
-    ll_history: list[float] = []
-    best = None
-    prev_ll = -np.inf
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        iterations += 1
-        # E-step: accumulate sufficient statistics over all sequences.
-        ll = 0.0
-        prior_acc = np.zeros(k)
-        xi_acc = np.zeros((k, k))
-        w_acc = np.zeros(k)
-        wx_acc = np.zeros(k)
-        wxx_acc = np.zeros(k)
-        for s in seqs:
-            diff = s[:, None] - means[None, :]
-            flp = -0.5 * (diff * diff / variances + np.log(2.0 * np.pi * variances))
-            gamma, xi_sum, seq_ll = _backend.forward_backward(flp, prior, tm)
-            ll += seq_ll
-            prior_acc += gamma[0]
-            xi_acc += xi_sum
-            w = gamma.sum(axis=0)
-            w_acc += w
-            wx_acc += gamma.T @ s
-            wxx_acc += gamma.T @ (s * s)
-        ll_history.append(ll)
-        if best is None or ll > best[0]:
-            best = (ll, means.copy(), variances.copy(), prior.copy(), tm.copy())
-        if np.isfinite(prev_ll) and ll - prev_ll < cfg.rel_tol * abs(prev_ll):
-            converged = True
-            break
-        prev_ll = ll
-        # M-step.
-        prior = prior_acc / prior_acc.sum()
-        row = xi_acc.sum(axis=1, keepdims=True)
-        tm = np.where(row > 0, xi_acc / np.where(row > 0, row, 1.0),
-                      np.full((k, k), 1.0 / k))
-        means = wx_acc / w_acc
-        variances = np.maximum(wxx_acc / w_acc - means * means, cfg.variance_floor)
-    return ll_history, best, converged, iterations
+class _Pool:
+    """Observation sequences stacked by length, for batched kernel calls."""
+
+    def __init__(self, seqs):
+        self.lengths = np.array([s.size for s in seqs])
+        self.pos = np.empty(len(seqs), dtype=int)
+        self.stacks = {}
+        for length in np.unique(self.lengths):
+            ids = np.flatnonzero(self.lengths == length)
+            self.pos[ids] = np.arange(ids.size)
+            self.stacks[int(length)] = np.stack([seqs[i] for i in ids])
 
 
-def em_train(observations, k: int, config: EmConfig = EmConfig(),
-             scheme: QuantizationScheme | None = None,
-             state_labels_for_init=None) -> tuple[HmmModel, TrainingReport]:
-    """Fit a k-state model to one or more delay sequences.
+def _e_step(pool: _Pool, row_start, row_seq, means, variances, prior, tm):
+    """Sufficient statistics of each row (start, sequence), one kernel call
+    per sequence length.
 
-    Returns the model at the best-likelihood iteration of the best restart,
-    with states sorted by descending emission mean.
+    Returns per-row log-likelihood, first-frame posterior, expected
+    transition counts and the gamma-weighted zeroth, first and second
+    moments of the observations.
     """
-    if k < 1:
-        raise DomainError("state count k must be >= 1")
-    if scheme is not None and scheme.state_count != k:
-        raise DomainError("scheme state count does not match k")
-    seqs = _validate_sequences(observations)
+    n, k = row_seq.size, means.shape[1]
+    ll = np.empty(n)
+    gamma0, w, wx, wxx = (np.empty((n, k)) for _ in range(4))
+    xi = np.empty((n, k, k))
+    row_len = pool.lengths[row_seq]
+    for length, stacked in pool.stacks.items():
+        sel = np.flatnonzero(row_len == length)
+        if sel.size == 0:
+            continue
+        x = stacked[pool.pos[row_seq[sel]]]
+        st = row_start[sel]
+        var = variances[st][:, None, :]
+        diff = x[:, :, None] - means[st][:, None, :]
+        flp = -0.5 * (diff * diff / var + np.log(2.0 * np.pi * var))
+        gamma, xi[sel], ll[sel] = _backend.forward_backward(flp, prior[st], tm[st])
+        gamma0[sel] = gamma[:, 0]
+        w[sel] = gamma.sum(axis=1)
+        wx[sel] = np.einsum("btk,bt->bk", gamma, x)
+        wxx[sel] = np.einsum("btk,bt->bk", gamma, x * x)
+    return ll, gamma0, xi, w, wx, wxx
+
+
+def _lockstep_em(seqs, starts, cfg: EmConfig):
+    """EM from every start at once.
+
+    `starts` holds (seq_ids, means, variances, prior, tm): the indices into
+    `seqs` of the sequences a start is fitted to, and its starting point.
+    Returns, per start, (ll_history, best, converged, iterations), where
+    best is (ll, means, variances, prior, tm) at its best-likelihood
+    iteration.
+    """
+    pool = _Pool([np.asarray(s, dtype=float) for s in seqs])
+    seq_ids = [np.asarray(ids, dtype=int) for ids, *_ in starts]
+    means, variances, prior, tm = (
+        np.array([start[i] for start in starts], dtype=float) for i in range(1, 5))
+    n, k = means.shape
+    histories: list[list[float]] = [[] for _ in range(n)]
+    best = [None] * n
+    prev_ll = np.full(n, -np.inf)
+    converged = np.zeros(n, dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    active = np.arange(n)
+    for _ in range(cfg.max_iterations):
+        if active.size == 0:
+            break
+        iterations[active] += 1
+        # E-step over all rows of the running starts; rows of one start are
+        # contiguous, so reduceat sums them in sequence order.
+        counts = np.array([seq_ids[j].size for j in active])
+        row_start = np.repeat(active, counts)
+        row_seq = np.concatenate([seq_ids[j] for j in active])
+        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        ll, prior_acc, xi_acc, w_acc, wx_acc, wxx_acc = (
+            np.add.reduceat(a, offsets, axis=0)
+            for a in _e_step(pool, row_start, row_seq, means, variances, prior, tm))
+        for j, ll_j in zip(active, ll.tolist()):
+            histories[j].append(ll_j)
+            if best[j] is None or ll_j > best[j][0]:
+                best[j] = (ll_j, means[j].copy(), variances[j].copy(),
+                           prior[j].copy(), tm[j].copy())
+        prev = prev_ll[active]
+        done = np.isfinite(prev) & (ll - prev < cfg.rel_tol * np.abs(prev))
+        converged[active[done]] = True
+        prev_ll[active] = ll
+        # M-step for the starts that go on.
+        go = ~done
+        active = active[go]
+        prior_acc, xi_acc = prior_acc[go], xi_acc[go]
+        w_acc, wx_acc, wxx_acc = w_acc[go], wx_acc[go], wxx_acc[go]
+        prior[active] = prior_acc / prior_acc.sum(axis=1, keepdims=True)
+        row = xi_acc.sum(axis=2, keepdims=True)
+        tm[active] = np.where(row > 0, xi_acc / np.where(row > 0, row, 1.0), 1.0 / k)
+        means[active] = wx_acc / w_acc
+        variances[active] = np.maximum(
+            wxx_acc / w_acc - means[active] * means[active], cfg.variance_floor)
+    return [(histories[j], best[j], bool(converged[j]), int(iterations[j]))
+            for j in range(n)]
+
+
+def _run_em(seqs, means, variances, prior, tm, cfg: EmConfig):
+    """One EM run from the given starting point. Returns (ll_history, best,
+    converged, iterations) as `_lockstep_em` does for one start."""
+    return _lockstep_em(seqs, [(range(len(seqs)), means, variances, prior, tm)],
+                        cfg)[0]
+
+
+def _restart_starts(seqs, k: int, config: EmConfig, state_labels=None) -> list:
+    """Starting (means, variances, prior, tm) of every restart of one fit,
+    drawn in restart order from a generator seeded with `config.seed`."""
     all_obs = np.concatenate(seqs)
-    if np.unique(all_obs).size < k:
-        raise DegenerateModelError(
-            f"{k} states requested but only {np.unique(all_obs).size} distinct values")
-
-    if k == 1:
-        # Closed form: single-state chain with population-moment emission.
-        mean = float(all_obs.mean())
-        var = max(float(all_obs.var()), config.variance_floor)
-        model = HmmModel(prior=np.ones(1), transitions=np.ones((1, 1)),
-                         emissions=(GaussianEmission(mean, var),), scheme=None)
-        ll = sum(forward_filter(model, s)[1] for s in seqs)
-        return model, TrainingReport([ll], iterations=1, converged=True)
-
     prior0 = np.full(k, 1.0 / k)
     tm0 = np.full((k, k), (1.0 - config.self_transition_init) / max(k - 1, 1))
     np.fill_diagonal(tm0, config.self_transition_init)
     var0 = max(float(all_obs.var()) / (k * k), config.variance_floor)
-
     rng = np.random.default_rng(config.seed)
-    winner = None
+    starts = []
     for restart in range(max(config.restarts, 1)):
-        if state_labels_for_init is not None and restart == 0:
-            means, vars_init = _labeled_init(seqs, state_labels_for_init, k, config)
+        if state_labels is not None and restart == 0:
+            means, vars_init = _labeled_init(seqs, state_labels, k, config)
         else:
             means = _restart_means(all_obs, k, restart, rng)
             vars_init = np.full(k, var0)
-        history, best, converged, iters = _run_em(
-            seqs, means, vars_init, prior0.copy(), tm0.copy(), config)
+        starts.append((means, vars_init, prior0, tm0))
+    return starts
+
+
+def _canonical_winner(runs, scheme) -> tuple[HmmModel, TrainingReport]:
+    """Best-likelihood restart (ties to the lowest index), states sorted by
+    descending emission mean."""
+    winner = None
+    for restart, (history, best, converged, iters) in enumerate(runs):
         if winner is None or best[0] > winner[1][0]:
             winner = (restart, best, history, converged, iters)
-
     restart_index, (_, means, variances, prior, tm), history, converged, iters = winner
     order = np.argsort(-means, kind="stable")
     model = HmmModel(
@@ -185,6 +235,60 @@ def em_train(observations, k: int, config: EmConfig = EmConfig(),
     report = TrainingReport(log_likelihoods=history, iterations=iters,
                             converged=converged, restart_index=restart_index)
     return model, report
+
+
+def _fit_single_state(seqs, config: EmConfig) -> tuple[HmmModel, TrainingReport]:
+    """Closed form: single-state chain with population-moment emission."""
+    all_obs = np.concatenate(seqs)
+    mean = float(all_obs.mean())
+    var = max(float(all_obs.var()), config.variance_floor)
+    model = HmmModel(prior=np.ones(1), transitions=np.ones((1, 1)),
+                     emissions=(GaussianEmission(mean, var),), scheme=None)
+    ll = sum(forward_filter(model, s)[1] for s in seqs)
+    return model, TrainingReport([ll], iterations=1, converged=True)
+
+
+def _fit_all(observation_sets, k: int, config: EmConfig,
+             scheme: QuantizationScheme | None = None,
+             state_labels=None) -> list[tuple[HmmModel, TrainingReport]]:
+    """Fit one k-state model per observation set, every restart of every
+    fit in one lock-step EM. `state_labels`, when given, holds one entry
+    (or None) per set and seeds that set's first restart."""
+    if k < 1:
+        raise DomainError("state count k must be >= 1")
+    if scheme is not None and scheme.state_count != k:
+        raise DomainError("scheme state count does not match k")
+    fits = [_validate_sequences(obs) for obs in observation_sets]
+    for seqs in fits:
+        distinct = np.unique(np.concatenate(seqs)).size
+        if distinct < k:
+            raise DegenerateModelError(
+                f"{k} states requested but only {distinct} distinct values")
+    if k == 1:
+        return [_fit_single_state(seqs, config) for seqs in fits]
+
+    pool, starts, spans = [], [], []
+    labels = state_labels if state_labels is not None else [None] * len(fits)
+    for seqs, fit_labels in zip(fits, labels):
+        ids = range(len(pool), len(pool) + len(seqs))
+        pool.extend(seqs)
+        first = len(starts)
+        starts.extend((ids, *start)
+                      for start in _restart_starts(seqs, k, config, fit_labels))
+        spans.append(slice(first, len(starts)))
+    runs = _lockstep_em(pool, starts, config)
+    return [_canonical_winner(runs[span], scheme) for span in spans]
+
+
+def em_train(observations, k: int, config: EmConfig = EmConfig(),
+             scheme: QuantizationScheme | None = None,
+             state_labels_for_init=None) -> tuple[HmmModel, TrainingReport]:
+    """Fit a k-state model to one or more delay sequences.
+
+    Returns the model at the best-likelihood iteration of the best restart,
+    with states sorted by descending emission mean.
+    """
+    return _fit_all([observations], k, config, scheme, [state_labels_for_init])[0]
 
 
 def state_band_map(model: HmmModel, traces, scheme: QuantizationScheme) -> list[int]:
@@ -237,17 +341,18 @@ def cross_validate_folds(dataset, folds: int, k: int, scheme: QuantizationScheme
     """Per-fold (correct, total) one-step prediction scores.
 
     Folds are assigned round-robin by trace index, so every trace is held
-    out exactly once.
+    out exactly once. The folds' fits run in one lock-step EM.
     """
     n = len(dataset)
     if not 2 <= folds <= n:
         raise DomainError(f"folds must be in [2, {n}]")
+    trains = [[dataset[i] for i in range(n) if i % folds != fold]
+              for fold in range(folds)]
+    fits = _fit_all([[obs for obs, _ in train] for train in trains], k, config,
+                    scheme if k == scheme.state_count else None)
     scores = []
-    for fold in range(folds):
-        train = [dataset[i] for i in range(n) if i % folds != fold]
+    for fold, (train, (model, _)) in enumerate(zip(trains, fits)):
         held = [dataset[i] for i in range(n) if i % folds == fold]
-        model, _ = em_train([obs for obs, _ in train], k, config,
-                            scheme=scheme if k == scheme.state_count else None)
         state_map = state_band_map(model, train, scheme)
         scores.append(prediction_accuracy(model, held, scheme, state_map))
     return scores

@@ -13,10 +13,18 @@ def forward_filter(model: HmmModel, observations) -> tuple[np.ndarray, float]:
     """Filtered posteriors over states for each observation.
 
     Returns (beliefs, log_evidence) where beliefs[t] is the normalized
-    posterior P(state_t | obs_0..t), seeded from the model prior.
+    posterior P(state_t | obs_0..t), seeded from the model prior. Raises
+    DomainError when an observation has zero density under every state the
+    chain can be in at that step.
     """
     frame_logprob = model.frame_log_likelihood(observations)
-    return _backend.forward(frame_logprob, model.prior, model.transitions)
+    beliefs, loglik = _backend.forward(frame_logprob[None], model.prior,
+                                       model.transitions)
+    if not np.isfinite(loglik[0]):
+        t = int(np.argmin(np.isfinite(beliefs[0]).all(axis=1)))
+        raise DomainError(f"observation {t} has zero predicted probability "
+                          "under the model")
+    return beliefs[0], float(loglik[0])
 
 
 def predict_belief(model: HmmModel, belief: np.ndarray) -> np.ndarray:

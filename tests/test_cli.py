@@ -103,6 +103,27 @@ class TestComparePolicies:
         assert lines[0].startswith("policy,run,epoch,mos_WLAN,mos_CDMA2000")
         assert len(lines) == 1 + 4 * 2 * 40  # policies x runs x epochs
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--runs", "3"),
+                                            ("--duration", "40")])
+    def test_scenario_flag_with_config_is_usage_error(self, tmp_path, capsys,
+                                                      flag, value):
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text(FAST_CONFIG)
+        out = tmp_path / "cmp"
+        code = main(["compare-policies", "--config", str(cfg), flag, value,
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--config" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_scenario_flags_without_config(self, tmp_path):
+        out = tmp_path / "cmp"
+        code = main(["compare-policies", "--seed", "3", "--runs", "2",
+                     "--duration", "20", "--out", str(out)])
+        assert code == 0
+        meta = json.loads((out / "report.json").read_text())["metadata"]
+        assert (meta["seed"], meta["runs"], meta["duration_epochs"]) == (3, 2, 20)
+
 
 class TestReport:
     def test_merges_reports(self, tmp_path):

@@ -7,8 +7,10 @@ from qoehandoff.errors import DegenerateModelError, DomainError
 from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel,
                             cross_validate, cross_validate_folds, em_train,
                             forward_filter, prediction_accuracy)
-from qoehandoff.hmm.em import state_band_map
+from qoehandoff.hmm.em import (_lockstep_em, _restart_starts, _run_em,
+                               state_band_map)
 from qoehandoff.qoe_model import CONGESTION_SCHEME, ROAMING_SCHEME
+from test_hmm_inference import reference_forward_backward
 
 
 def sample_chain(model, horizon, rng):
@@ -106,6 +108,89 @@ class TestEmTrain:
         assert m1.to_text() == m2.to_text()
 
 
+def reference_em(seqs, means, variances, prior, tm, cfg):
+    """EM one sequence at a time through a per-sequence forward-backward.
+    Returns (ll_history, best, converged, iterations) as `_run_em` does."""
+    k = means.size
+    history, best, prev = [], None, -np.inf
+    for iteration in range(1, cfg.max_iterations + 1):
+        ll = 0.0
+        acc = [np.zeros(k), np.zeros((k, k)), np.zeros(k), np.zeros(k), np.zeros(k)]
+        for s in seqs:
+            diff = s[:, None] - means[None, :]
+            flp = -0.5 * (diff * diff / variances + np.log(2.0 * np.pi * variances))
+            gamma, xi_sum, seq_ll = reference_forward_backward(flp, prior, tm)
+            ll += seq_ll
+            for total, part in zip(acc, (gamma[0], xi_sum, gamma.sum(axis=0),
+                                         gamma.T @ s, gamma.T @ (s * s))):
+                total += part
+        history.append(ll)
+        if best is None or ll > best[0]:
+            best = (ll, means, variances, prior, tm)
+        if np.isfinite(prev) and ll - prev < cfg.rel_tol * abs(prev):
+            return history, best, True, iteration
+        prev = ll
+        prior_acc, xi_acc, w, wx, wxx = acc
+        prior = prior_acc / prior_acc.sum()
+        row = xi_acc.sum(axis=1, keepdims=True)
+        tm = np.where(row > 0, xi_acc / np.where(row > 0, row, 1.0), 1.0 / k)
+        means = wx / w
+        variances = np.maximum(wxx / w - means * means, cfg.variance_floor)
+    return history, best, False, cfg.max_iterations
+
+
+def three_state_model():
+    return HmmModel(
+        prior=np.array([0.2, 0.3, 0.5]),
+        transitions=np.array([[0.8, 0.15, 0.05], [0.1, 0.8, 0.1],
+                              [0.05, 0.15, 0.8]]),
+        emissions=(GaussianEmission(0.6, 0.01), GaussianEmission(0.3, 0.01),
+                   GaussianEmission(0.1, 0.005)),
+        scheme=None)
+
+
+class TestLockStep:
+    """Lock-step EM against running each restart alone."""
+
+    def ragged(self, seed=11):
+        rng = np.random.default_rng(seed)
+        return [sample_chain(three_state_model(), length, rng)[1]
+                for length in (80, 101, 57, 101, 120)]
+
+    def test_every_start_matches_per_sequence_em(self):
+        seqs = self.ragged()
+        cfg = EmConfig(seed=3, max_iterations=60)
+        starts = _restart_starts(seqs, 3, cfg)
+        batched = _lockstep_em(seqs, [(range(len(seqs)), *s) for s in starts], cfg)
+        alone = [reference_em(seqs, *s, cfg) for s in starts]
+        # Restarts stop at different iterations, so starts leave the batch
+        # while others go on.
+        assert len({iters for _, _, _, iters in alone}) > 1
+        for (hist, best, conv, iters), (ref_hist, ref_best, ref_conv, ref_iters) \
+                in zip(batched, alone):
+            assert (conv, iters) == (ref_conv, ref_iters)
+            np.testing.assert_allclose(hist, ref_hist, rtol=1e-12)
+            for got, want in zip(best, ref_best):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_em_train_picks_the_restart_by_restart_winner(self):
+        seqs = self.ragged(seed=12)
+        cfg = EmConfig(seed=5)
+        model, report = em_train(seqs, 3, cfg)
+        alone = [_run_em(seqs, *s, cfg) for s in _restart_starts(seqs, 3, cfg)]
+        winner = max(range(len(alone)), key=lambda r: (alone[r][1][0], -r))
+        history, (_, means, variances, prior, tm), converged, iters = alone[winner]
+        assert report.restart_index == winner
+        assert (report.iterations, report.converged) == (iters, converged)
+        np.testing.assert_allclose(report.log_likelihoods, history, rtol=1e-12)
+        order = np.argsort(-means)
+        np.testing.assert_allclose(model.means(), means[order], rtol=1e-12)
+        np.testing.assert_allclose(model.variances(), variances[order], rtol=1e-12)
+        np.testing.assert_allclose(model.prior, prior[order], atol=1e-12)
+        np.testing.assert_allclose(model.transitions, tm[np.ix_(order, order)],
+                                   atol=1e-12)
+
+
 class TestStateBandMap:
     def test_maps_hidden_states_to_majority_band(self):
         model = well_separated_model()
@@ -158,6 +243,20 @@ class TestCrossValidation:
         dataset = self.make_dataset()
         phi = cross_validate(dataset, 2, 2, ROAMING_SCHEME, EmConfig(seed=0))
         assert 0.0 <= phi <= 1.0
+
+    def test_folds_match_separate_fits(self):
+        # One lock-step EM over all folds scores like fitting each fold alone.
+        dataset = self.make_dataset(n_traces=7, seed=4)
+        cfg = EmConfig(seed=2)
+        expected = []
+        for fold in range(3):
+            train = [d for i, d in enumerate(dataset) if i % 3 != fold]
+            held = [d for i, d in enumerate(dataset) if i % 3 == fold]
+            model, _ = em_train([obs for obs, _ in train], 2, cfg)
+            state_map = state_band_map(model, train, ROAMING_SCHEME)
+            expected.append(prediction_accuracy(model, held, ROAMING_SCHEME,
+                                                state_map))
+        assert cross_validate_folds(dataset, 3, 2, ROAMING_SCHEME, cfg) == expected
 
     def test_fold_bounds(self):
         dataset = self.make_dataset(n_traces=4)

@@ -1,5 +1,5 @@
-"""Forward filtering against independent oracles, backend agreement, and
-one-step prediction."""
+"""Forward filtering against independent oracles, batched kernels against
+a per-sequence reference, and one-step prediction."""
 
 import itertools
 
@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from qoehandoff.errors import DomainError
 from qoehandoff.hmm import (GaussianEmission, HmmModel, forward_filter,
                             predict_belief, predict_next_state)
-from qoehandoff.hmm import _kernels_py
+from qoehandoff.hmm import _backend, _kernels_py
+from qoehandoff.hmm.em import _Pool, _e_step
 
 
 def random_model(rng, n):
@@ -71,35 +72,170 @@ class TestForwardFilterOracle:
         assert np.allclose(beliefs.sum(axis=1), 1.0, atol=1e-12)
         assert (beliefs >= 0).all()
 
+    def test_zero_predicted_mass_raises(self):
+        # The chain starts in and never leaves state 2, whose density at
+        # 1.0 underflows to zero: no state can explain the observation.
+        model = HmmModel(
+            prior=np.array([0.0, 1.0]),
+            transitions=np.eye(2),
+            emissions=(GaussianEmission(1.0, 1e-8), GaussianEmission(0.0, 1e-8)),
+            scheme=None)
+        with pytest.raises(DomainError, match="observation 0"):
+            forward_filter(model, np.array([1.0]))
 
-class TestBackendAgreement:
-    def test_compiled_and_pure_python_agree(self):
-        from qoehandoff.hmm import _backend
-        rng = np.random.default_rng(17)
-        model = random_model(rng, 3)
-        obs = rng.uniform(0, 1, 200)
-        flp = model.frame_log_likelihood(obs)
-        f1, ll1 = _backend.forward(flp, model.prior, model.transitions)
-        f2, ll2 = _kernels_py.forward(flp, model.prior, model.transitions)
-        assert np.abs(f1 - f2).max() <= 1e-12
-        assert ll1 == pytest.approx(ll2, abs=1e-9)
-        g1, x1, e1 = _backend.forward_backward(flp, model.prior, model.transitions)
-        g2, x2, e2 = _kernels_py.forward_backward(flp, model.prior,
-                                                  model.transitions)
-        assert np.abs(g1 - g2).max() <= 1e-12
-        assert np.abs(x1 - x2).max() <= 1e-10
-        assert e1 == pytest.approx(e2, abs=1e-9)
 
-    def test_smoothed_marginals_sum_to_one(self):
-        rng = np.random.default_rng(23)
-        model = random_model(rng, 3)
-        obs = rng.uniform(0, 1, 60)
-        flp = model.frame_log_likelihood(obs)
-        gamma, xi_sum, _ = _kernels_py.forward_backward(flp, model.prior,
-                                                        model.transitions)
-        assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-10)
-        # Expected transition counts total T-1.
-        assert xi_sum.sum() == pytest.approx(len(obs) - 1, abs=1e-8)
+def reference_forward(flp, prior, tm):
+    """Per-sequence scaled forward recursion, one frame at a time."""
+    T, n = flp.shape
+    filtered = np.empty((T, n))
+    loglik = 0.0
+    pred = prior
+    for t in range(T):
+        m = flp[t].max()
+        a = pred * np.exp(flp[t] - m)
+        filtered[t] = a / a.sum()
+        loglik += np.log(a.sum()) + m
+        pred = filtered[t] @ tm
+    return filtered, loglik
+
+
+def reference_forward_backward(flp, prior, tm):
+    """Per-sequence forward-backward with a per-step outer-product xi sum."""
+    T, n = flp.shape
+    m = flp.max(axis=1)
+    b = np.exp(flp - m[:, None])
+    alpha = np.empty((T, n))
+    scale = np.empty(T)
+    pred = prior
+    for t in range(T):
+        a = pred * b[t]
+        scale[t] = a.sum()
+        alpha[t] = a / scale[t]
+        pred = alpha[t] @ tm
+    beta = np.ones((T, n))
+    xi_sum = np.zeros((n, n))
+    for t in range(T - 2, -1, -1):
+        w = b[t + 1] * beta[t + 1]
+        beta[t] = (tm @ w) / scale[t + 1]
+        xi_sum += np.outer(alpha[t], w) * tm / scale[t + 1]
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return gamma, xi_sum, np.log(scale).sum() + m.sum()
+
+
+def brute_log_evidence(flp, prior, tm):
+    T, n = flp.shape
+    dens = np.exp(flp)
+    total = 0.0
+    for path in itertools.product(range(n), repeat=T):
+        p = prior[path[0]] * dens[0, path[0]]
+        for u in range(1, T):
+            p *= tm[path[u - 1], path[u]] * dens[u, path[u]]
+        total += p
+    return np.log(total)
+
+
+def random_batch(seed, rows, length, n):
+    """Emission log-densities (rows, length, n) with a prior and a
+    transition matrix per row; `forward` uses row 0's for every row."""
+    rng = np.random.default_rng(seed)
+    flp = rng.normal(0.0, 3.0, (rows, length, n))
+    prior = rng.dirichlet(np.ones(n), size=rows)
+    tm = rng.dirichlet(np.ones(n), size=(rows, n))
+    return flp, prior, tm
+
+
+batches = st.tuples(st.integers(0, 2 ** 31 - 1), st.integers(1, 5),
+                    st.integers(1, 25), st.integers(2, 4))
+
+
+def close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+class TestBatchedKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(batches)
+    def test_rows_match_per_sequence_reference(self, batch):
+        # Both the NumPy kernels and the loaded backend (the compiled one
+        # when it was built) keep the batched contract.
+        flp, prior, tm = random_batch(*batch)
+        for kernels in (_kernels_py, _backend):
+            filtered, logev = kernels.forward(flp, prior[0], tm[0])
+            gamma, xi_sum, loglik = kernels.forward_backward(flp, prior, tm)
+            for r in range(flp.shape[0]):
+                ref_filtered, ref_logev = reference_forward(flp[r], prior[0], tm[0])
+                ref_gamma, ref_xi, ref_loglik = reference_forward_backward(
+                    flp[r], prior[r], tm[r])
+                close(filtered[r], ref_filtered)
+                close(logev[r], ref_logev)
+                close(gamma[r], ref_gamma)
+                close(xi_sum[r], ref_xi)
+                close(loglik[r], ref_loglik)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.lists(st.integers(2, 15), min_size=1, max_size=6),
+           st.integers(2, 3))
+    def test_ragged_e_step_matches_per_sequence_reference(self, seed, lengths, n):
+        # Rows of several lengths, each under its own start's parameters.
+        rng = np.random.default_rng(seed)
+        seqs = [rng.uniform(0.0, 1.0, size) for size in lengths]
+        starts = 2
+        means = rng.uniform(0.0, 1.0, (starts, n))
+        variances = rng.uniform(0.01, 0.1, (starts, n))
+        prior = rng.dirichlet(np.ones(n), size=starts)
+        tm = rng.dirichlet(np.ones(n), size=(starts, n))
+        row_start = np.repeat(np.arange(starts), len(seqs))
+        row_seq = np.tile(np.arange(len(seqs)), starts)
+        ll, gamma0, xi, w, wx, wxx = _e_step(
+            _Pool(seqs), row_start, row_seq, means, variances, prior, tm)
+        for r, (j, i) in enumerate(zip(row_start, row_seq)):
+            model = HmmModel(prior[j], tm[j],
+                             tuple(GaussianEmission(float(mu), float(v))
+                                   for mu, v in zip(means[j], variances[j])),
+                             scheme=None)
+            x = seqs[i]
+            gamma, ref_xi, ref_ll = reference_forward_backward(
+                model.frame_log_likelihood(x), prior[j], tm[j])
+            close(ll[r], ref_ll)
+            close(gamma0[r], gamma[0])
+            close(xi[r], ref_xi)
+            close(w[r], gamma.sum(axis=0))
+            close(wx[r], gamma.T @ x)
+            close(wxx[r], gamma.T @ (x * x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches)
+    def test_posteriors_are_probability_vectors(self, batch):
+        flp, prior, tm = random_batch(*batch)
+        filtered, _ = _kernels_py.forward(flp, prior[0], tm[0])
+        gamma, _, _ = _kernels_py.forward_backward(flp, prior, tm)
+        for post in (filtered, gamma):
+            assert np.isfinite(post).all()
+            assert (post >= 0).all()
+            assert np.abs(post.sum(axis=2) - 1.0).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches)
+    def test_xi_sum_totals_transition_count(self, batch):
+        flp, prior, tm = random_batch(*batch)
+        _, xi_sum, _ = _kernels_py.forward_backward(flp, prior, tm)
+        length = flp.shape[1]
+        assert np.abs(xi_sum.sum(axis=(1, 2)) - (length - 1)).max() <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(st.integers(0, 2 ** 31 - 1), st.integers(1, 3),
+                     st.integers(1, 6), st.integers(2, 3)))
+    def test_log_evidence_matches_path_enumeration(self, batch):
+        flp, prior, tm = random_batch(*batch)
+        _, logev = _kernels_py.forward(flp, prior[0], tm[0])
+        _, _, loglik = _kernels_py.forward_backward(flp, prior, tm)
+        for r in range(flp.shape[0]):
+            assert logev[r] == pytest.approx(
+                brute_log_evidence(flp[r], prior[0], tm[0]), abs=1e-9)
+            assert loglik[r] == pytest.approx(
+                brute_log_evidence(flp[r], prior[r], tm[r]), abs=1e-9)
 
 
 class TestPrediction:
