@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, netsim, trace_io
-from .errors import DomainError, TraceParseError, TraceValidationError
+from .errors import (DocumentError, DomainError, TraceParseError,
+                     TraceValidationError, parse_document)
 from .hmm import (EmConfig, cross_validate_folds, em_train, forward_filter,
                   load_model, save_model)
 from .hmm.inference import predict_next_state
@@ -159,10 +160,10 @@ def cmd_compare_policies(args) -> int:
 
 
 def _write_timelines(cfg, report, path) -> None:
-    """Plot-ready per-epoch rows for each policy over the evaluation runs."""
-    scenario = cfg.scenario
-    runs = [netsim.generate_run(scenario, r) for r in range(scenario.runs)]
-    labels = [ch.label for ch in scenario.channels]
+    """Plot-ready per-epoch rows for each policy over the evaluation runs
+    that the report kept."""
+    runs = report.runs
+    labels = [ch.label for ch in cfg.scenario.channels]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["policy", "run", "epoch"]
@@ -181,18 +182,32 @@ def _write_timelines(cfg, report, path) -> None:
                                     + [chosen, cum])
 
 
+def _report_row(path) -> dict:
+    """One summary row from a report file; DocumentError when malformed."""
+    doc = parse_document(Path(path).read_text(encoding="utf-8"), f"report {path}")
+    metadata = doc.get("metadata", {})
+    policies = doc.get("policies", {})
+    if not isinstance(metadata, dict) or not isinstance(policies, dict):
+        raise DocumentError(f"report {path}: metadata and policies must be objects")
+    row = {"source": str(path)}
+    for key in ("scenario", "codec", "seed"):
+        row[key] = metadata.get(key)
+    for policy in harness.ALL_POLICIES:
+        entry = policies.get(policy)
+        if not entry:
+            row[f"{policy}_handoffs"] = row[f"{policy}_mean_mos"] = ""
+        elif not (isinstance(entry, dict)
+                  and {"handoff_count", "mean_mos"} <= entry.keys()):
+            raise DocumentError(f"report {path}: policy {policy!r} needs "
+                                "handoff_count and mean_mos")
+        else:
+            row[f"{policy}_handoffs"] = entry["handoff_count"]
+            row[f"{policy}_mean_mos"] = entry["mean_mos"]
+    return row
+
+
 def cmd_report(args) -> int:
-    rows = []
-    for path in args.reports:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        row = {"source": str(path)}
-        for key in ("scenario", "codec", "seed"):
-            row[key] = doc.get("metadata", {}).get(key)
-        for policy in harness.ALL_POLICIES:
-            entry = doc.get("policies", {}).get(policy)
-            row[f"{policy}_handoffs"] = entry["handoff_count"] if entry else ""
-            row[f"{policy}_mean_mos"] = entry["mean_mos"] if entry else ""
-        rows.append(row)
+    rows = [_report_row(path) for path in args.reports]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "summary.csv"
@@ -261,10 +276,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (TraceParseError, TraceValidationError) as exc:
+    except (TraceParseError, TraceValidationError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DomainError, FileNotFoundError, KeyError) as exc:
+    except (DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

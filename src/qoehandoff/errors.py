@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the guard that
+decodes the package's JSON documents (models, Q-tables, reports)."""
+
+import json
 
 
 class DomainError(ValueError):
@@ -7,6 +10,11 @@ class DomainError(ValueError):
 
 class DegenerateModelError(DomainError):
     """Requested model cannot be fit (e.g. more states than the data supports)."""
+
+
+class DocumentError(DomainError):
+    """A model, Q-table or report document is not valid JSON, lacks a key or
+    holds values of the wrong kind."""
 
 
 class TraceParseError(ValueError):
@@ -21,3 +29,15 @@ class TraceParseError(ValueError):
 
 class TraceValidationError(ValueError):
     """A trace file parsed but violates an invariant (units, ordering, ranges)."""
+
+
+def parse_document(text: str, what: str) -> dict:
+    """Decode a JSON document that must be an object, or raise DocumentError
+    naming `what`."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{what} is not a JSON object")
+    return doc

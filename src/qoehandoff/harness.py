@@ -8,20 +8,23 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .hmm import EmConfig, HmmModel, cross_validate, em_train, forward_filter
-from .hmm.inference import predict_belief
+# Unused here; kept bound because perfbench/tracer.py patches this name.
+from .hmm.inference import predict_belief  # noqa: F401
 from .netsim import (ROAMING, ScenarioConfig, SimRun, congestion_scenario,
                      generate_run, roaming_scenario, step_environment)
-from .policies import (HysteresisConfig, JointState, QLearningConfig, QTable,
-                       RewardConfig, count_handoffs, decide_handoff,
-                       epsilon_greedy_action, exploit_action, m4_policy_step,
-                       naive_policy_step, oracle_policy, q_update, reward)
-from .probing import ProbeConfig, ProbeRecord, RnlEstimator, aggregate_epoch
+from .policies import (HysteresisConfig, QLearningConfig, QTable, RewardConfig,
+                       decide_handoff, epsilon_greedy_action, exploit_action,
+                       m4_policy_step, naive_policy_step, oracle_policy,
+                       q_update, reward)
+# Unused here; kept bound because perfbench/tracer.py patches this name.
+from .probing import aggregate_epoch  # noqa: F401
+from .probing import ProbeConfig, RnlEstimator
 from .qoe_model import CODECS, mos_from_delay, quantize_mos
 
 ALL_POLICIES = ("best", "naive", "m4", "proposed")
@@ -30,6 +33,11 @@ ALL_POLICIES = ("best", "naive", "m4", "proposed")
 # evaluation set disjoint for a shared scenario seed.
 _HMM_RUN_OFFSET = 20_000
 _TRAIN_RUN_OFFSET = 10_000
+
+# Q-training episodes are generated and filtered this many runs at a time:
+# a block's beliefs hold runs x epochs x states floats per interface, so a
+# fixed block bounds peak memory whatever the episode count.
+_TRAIN_BLOCK_RUNS = 16
 
 # A small constant step size tracks the bootstrapped targets far better
 # than 1/n visit averaging at gamma=0.95, where early (near-zero) targets
@@ -47,7 +55,6 @@ class HarnessConfig:
     qlearn: QLearningConfig = QLearningConfig()
     hysteresis: HysteresisConfig = HysteresisConfig()
     m4_margin_s: float = 0.02
-    m4_dwell_epochs: int = 2
     policies_enabled: tuple[str, ...] = ALL_POLICIES
     training_episodes: int = 50
     hmm_training_runs: int = 10
@@ -88,6 +95,9 @@ class EvaluationReport:
     policies: dict[str, PolicyResult]
     prediction_accuracy: dict[str, float]
     metadata: dict = field(default_factory=dict)
+    # The evaluation runs behind `PolicyResult.paths`, kept for timeline
+    # exports; never serialized.
+    runs: list[SimRun] = field(default_factory=list, repr=False)
 
     def reductions(self) -> dict[str, float | None]:
         """Handoff-count reduction of the learned policy vs each baseline."""
@@ -146,69 +156,93 @@ def train_interface_models(cfg: HarnessConfig):
     return models, accuracy
 
 
-def _epoch_rtts(run: SimRun, epoch: int, cfg: HarnessConfig) -> list[float]:
-    rtts = []
-    for i in range(run.n_interfaces):
-        records = [ProbeRecord(epoch_t=epoch, interface=i, rtt_s=float(rtt))
-                   for rtt in [run.delays_s[i][epoch]] * cfg.probe.probes_per_second]
-        value, _ = aggregate_epoch(records, cfg.probe)
-        rtts.append(value)
-    return rtts
+@dataclass(frozen=True)
+class RunFeatures:
+    """Per-epoch features of a block of B equal-length runs that no policy
+    action can change: probing is multi-homed and always on, so every
+    interface is observed (and filtered) whichever one is attached.
+
+    `observations[b, i, t]` is interface i's epoch-t probe RTT: every
+    lossless probe of an epoch carries that epoch's delay sample.
+    `joint_base[b, t]` is the Q-table row for the QoE bands predicted
+    after epoch t with interface 0 attached; add the attached interface's
+    index for its row. `rnl[b][t]` holds each interface's load estimate
+    after epoch t, None while the estimator warms up.
+    """
+
+    observations: np.ndarray
+    joint_base: np.ndarray | None = None
+    rnl: list | None = None
 
 
-def _joint_state(models, beliefs, qoe_maps, current: int, n_states: int) -> JointState:
-    predicted = []
-    for model, belief, qmap in zip(models, beliefs, qoe_maps):
-        next_belief = predict_belief(model, belief)
-        predicted.append(qmap[int(np.argmax(next_belief))])
-    return JointState(tuple(predicted), current)
+def run_features(runs: list[SimRun], models=None, qoe_maps=None,
+                 n_states: int = 0, with_rnl: bool = False) -> RunFeatures:
+    """Compute a block's action-independent features in one pass.
+
+    With `models` (one HMM per interface, and its state -> QoE band map)
+    each interface's beliefs come from one batched `forward_filter` call;
+    the predicted band is the map of the argmax of the one-step-ahead
+    belief, folded row-major into `joint_base` as `JointState.index`
+    folds it. `with_rnl` adds the load-metric series of the m4 baseline.
+    """
+    observations = np.array([run.delays_s for run in runs])
+    n_runs, n_if, _ = observations.shape
+    joint_base = rnl = None
+    if models is not None:
+        joint_base = np.zeros((n_runs, observations.shape[2]), dtype=int)
+        for i, (model, qmap) in enumerate(zip(models, qoe_maps)):
+            beliefs, _ = forward_filter(model, observations[:, i])
+            predicted = np.argmax(beliefs @ model.transitions, axis=2)
+            joint_base = joint_base * n_states + np.asarray(qmap)[predicted] - 1
+        joint_base *= n_if
+    if with_rnl:
+        rnl = []
+        for run_obs in observations.tolist():
+            estimators = [RnlEstimator(h=5, c=5.0) for _ in range(n_if)]
+            series = []
+            for epoch_obs in zip(*run_obs):
+                for est, rtt in zip(estimators, epoch_obs):
+                    est.update(rtt)
+                series.append([est.rnl if est.initialized else None
+                               for est in estimators])
+            rnl.append(series)
+    return RunFeatures(observations, joint_base, rnl)
 
 
-def _filter_step(model: HmmModel, belief, observation: float):
-    """One forward-filter update of a single interface belief."""
-    flp = model.frame_log_likelihood(np.array([observation]))[0]
-    pred = predict_belief(model, belief) if belief is not None else model.prior
-    post = pred * np.exp(flp - flp.max())
-    return post / post.sum()
+def run_q_policy(cfg: HarnessConfig, run: SimRun, joint_base: np.ndarray,
+                 qtable: QTable, train: bool, epsilon: float,
+                 rng: np.random.Generator | None) -> PolicyResult:
+    """Drive one run with the Q-agent, optionally updating the table.
 
-
-def run_q_policy(cfg: HarnessConfig, run: SimRun, models, qoe_maps, qtable: QTable,
-                 train: bool, epsilon: float,
-                 rng: np.random.Generator) -> PolicyResult:
-    """Drive one run with the Q-agent, optionally updating the table."""
+    `joint_base` is the run's row of `RunFeatures.joint_base`; `rng` drives
+    exploration and is only used when training.
+    """
     scenario = cfg.scenario
-    n_states = scenario.scheme.state_count
+    base = joint_base.tolist()
     result = PolicyResult()
     current = 0
     path = [current]
     epochs_since_handoff = cfg.hysteresis.dwell_epochs
-    beliefs = [_filter_step(m, None, run.delays_s[i][0])
-               for i, m in enumerate(models)]
     result.mos_sum += float(run.mos[current][0])
     result.mos_epochs += 1
     result.reward_sum += reward(float(run.mos[current][0]), cfg.reward_cfg.cost_min,
                                 cfg.reward_cfg)
     for t in range(1, run.duration):
-        s = _joint_state(models, beliefs, qoe_maps, current, n_states)
+        s = base[t - 1] + current
         if train:
-            action = epsilon_greedy_action(qtable, s, cfg.qlearn, epsilon, rng)
+            action = epsilon_greedy_action(qtable, s, epsilon, rng)
         else:
             proposed = exploit_action(qtable, s)
-            gain = qtable.row(s)[proposed] - qtable.row(s)[current]
+            gain = qtable.values[s, proposed] - qtable.values[s, current]
             action = decide_handoff(proposed, current, gain, cfg.hysteresis,
                                     epochs_since_handoff)
         step = step_environment(run, t, current, action,
-                                scenario.handoff_penalty_mos,
-                                cfg.probe.probes_per_second)
+                                scenario.handoff_penalty_mos)
         cost = cfg.reward_cfg.handoff_cost if step.handoff_occurred \
             else cfg.reward_cfg.cost_min
         r = reward(step.realized_mos, cost, cfg.reward_cfg)
-        rtts = _epoch_rtts(run, t, cfg)
-        beliefs = [_filter_step(m, b, rtts[i])
-                   for i, (m, b) in enumerate(zip(models, beliefs))]
         if train:
-            s_next = _joint_state(models, beliefs, qoe_maps, action, n_states)
-            q_update(qtable, s, action, r, s_next, cfg.qlearn)
+            q_update(qtable, s, action, r, base[t] + action, cfg.qlearn)
         if step.handoff_occurred:
             result.handoff_count += 1
             epochs_since_handoff = 0
@@ -223,7 +257,10 @@ def run_q_policy(cfg: HarnessConfig, run: SimRun, models, qoe_maps, qtable: QTab
     return result
 
 
-def _run_baseline(cfg: HarnessConfig, run: SimRun, kind: str) -> PolicyResult:
+def _run_baseline(cfg: HarnessConfig, run: SimRun, kind: str,
+                  observations: np.ndarray, rnl) -> PolicyResult:
+    """Drive one run with a baseline; `observations` and `rnl` are the run's
+    entries of its block's `RunFeatures`."""
     scenario = cfg.scenario
     result = PolicyResult()
     current = 0
@@ -232,31 +269,24 @@ def _run_baseline(cfg: HarnessConfig, run: SimRun, kind: str) -> PolicyResult:
     result.mos_epochs += 1
     result.reward_sum += reward(float(run.mos[current][0]), cfg.reward_cfg.cost_min,
                                 cfg.reward_cfg)
-    rnl = [RnlEstimator(h=5, c=5.0) for _ in range(run.n_interfaces)]
-    m4_hys = HysteresisConfig(margin=cfg.m4_margin_s, dwell_epochs=cfg.m4_dwell_epochs)
-    oracle_path = None
     if kind == "best":
         oracle_path = oracle_policy([run.states[i] for i in range(run.n_interfaces)],
                                     start=0)
-    last_rtts = _epoch_rtts(run, 0, cfg)
-    for v, est in zip(last_rtts, rnl):
-        est.update(v)
+    elif kind == "naive":
+        # Delay-only weighted-QoS scoring on the latest measurements.
+        owds = (observations.T / 2.0).tolist()
+    elif kind != "m4":
+        raise DomainError(f"unknown baseline {kind!r}")
     for t in range(1, run.duration):
         if kind == "best":
             action = oracle_path[t]
         elif kind == "naive":
-            # Delay-only weighted-QoS scoring on the latest measurements.
-            qos = [{"delay": owd} for owd in
-                   (np.asarray(last_rtts) / 2.0).tolist()]
-            action = naive_policy_step(qos, {"delay": 1.0}, current)
-        elif kind == "m4":
-            values = [est.rnl if est.initialized else None for est in rnl]
-            action = m4_policy_step(values, current, m4_hys)
+            action = naive_policy_step([{"delay": owd} for owd in owds[t - 1]],
+                                       {"delay": 1.0}, current)
         else:
-            raise DomainError(f"unknown baseline {kind!r}")
+            action = m4_policy_step(rnl[t - 1], current, cfg.m4_margin_s)
         step = step_environment(run, t, current, action,
-                                scenario.handoff_penalty_mos,
-                                cfg.probe.probes_per_second)
+                                scenario.handoff_penalty_mos)
         cost = cfg.reward_cfg.handoff_cost if step.handoff_occurred \
             else cfg.reward_cfg.cost_min
         if step.handoff_occurred:
@@ -266,9 +296,6 @@ def _run_baseline(cfg: HarnessConfig, run: SimRun, kind: str) -> PolicyResult:
         result.mos_sum += step.realized_mos
         result.mos_epochs += 1
         result.reward_sum += reward(step.realized_mos, cost, cfg.reward_cfg)
-        last_rtts = _epoch_rtts(run, t, cfg)
-        for v, est in zip(last_rtts, rnl):
-            est.update(v)
     result.paths.append(path)
     return result
 
@@ -295,30 +322,38 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
 
     results = {name: PolicyResult() for name in cfg.policies_enabled}
     accuracy: dict[str, float] = {}
+    n_states = scenario.scheme.state_count
     models = qoe_maps = qtable = None
     if "proposed" in cfg.policies_enabled:
         models, accuracy = train_interface_models(cfg)
         qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
                                      scenario.scheme)
                     for m, ch in zip(models, scenario.channels)]
-        qtable = QTable(scenario.scheme.state_count, len(scenario.channels))
+        qtable = QTable(n_states, len(scenario.channels))
         rng = np.random.default_rng([scenario.seed, 0xA11CE])
         epsilon = cfg.qlearn.epsilon
-        for episode in range(cfg.training_episodes):
-            train_run = generate_run(scenario, _TRAIN_RUN_OFFSET + episode)
-            run_q_policy(cfg, train_run, models, qoe_maps, qtable,
-                         train=True, epsilon=epsilon, rng=rng)
-            epsilon = max(epsilon * cfg.qlearn.epsilon_decay,
-                          cfg.qlearn.epsilon_floor)
+        for first in range(0, cfg.training_episodes, _TRAIN_BLOCK_RUNS):
+            block = [generate_run(scenario, _TRAIN_RUN_OFFSET + episode)
+                     for episode in range(first, min(first + _TRAIN_BLOCK_RUNS,
+                                                     cfg.training_episodes))]
+            features = run_features(block, models, qoe_maps, n_states)
+            for train_run, joint_base in zip(block, features.joint_base):
+                run_q_policy(cfg, train_run, joint_base, qtable,
+                             train=True, epsilon=epsilon, rng=rng)
+                epsilon = max(epsilon * cfg.qlearn.epsilon_decay,
+                              cfg.qlearn.epsilon_floor)
 
-    for run in eval_runs:
+    # All policies share one feature block over the evaluation runs.
+    features = run_features(eval_runs, models, qoe_maps, n_states,
+                            with_rnl="m4" in cfg.policies_enabled)
+    for b, run in enumerate(eval_runs):
         for name in cfg.policies_enabled:
             if name == "proposed":
-                part = run_q_policy(cfg, run, models, qoe_maps, qtable,
-                                    train=False, epsilon=0.0,
-                                    rng=np.random.default_rng(0))
+                part = run_q_policy(cfg, run, features.joint_base[b], qtable,
+                                    train=False, epsilon=0.0, rng=None)
             else:
-                part = _run_baseline(cfg, run, name)
+                part = _run_baseline(cfg, run, name, features.observations[b],
+                                     features.rnl[b] if features.rnl else None)
             _merge(results[name], part)
 
     metadata = {
@@ -330,7 +365,7 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
         "training_episodes": cfg.training_episodes if qtable is not None else 0,
     }
     return EvaluationReport(policies=results, prediction_accuracy=accuracy,
-                            metadata=metadata)
+                            metadata=metadata, runs=eval_runs)
 
 
 def load_config(path) -> HarnessConfig:
@@ -405,7 +440,6 @@ def load_config(path) -> HarnessConfig:
         scenario=scenario, probe=probe, reward_cfg=reward_cfg, qlearn=qlearn,
         hysteresis=hysteresis,
         m4_margin_s=float(ha.get("m4_margin_s", 0.02)),
-        m4_dwell_epochs=int(ha.get("m4_dwell_epochs", 2)),
         policies_enabled=policies,
         training_episodes=int(ha.get("training_episodes", 150)),
         hmm_training_runs=int(ha.get("hmm_training_runs", 10)),

@@ -300,9 +300,7 @@ def state_band_map(model: HmmModel, traces, scheme: QuantizationScheme) -> list[
     counts = np.zeros((model.n_states, scheme.state_count), dtype=int)
     for obs, mos in traces:
         beliefs, _ = forward_filter(model, obs)
-        map_states = beliefs.argmax(axis=1)
-        for t, s in enumerate(map_states):
-            counts[s, quantize_mos(mos[t], scheme) - 1] += 1
+        np.add.at(counts, (beliefs.argmax(axis=1), quantize_mos(mos, scheme) - 1), 1)
     mapping = []
     for s in range(model.n_states):
         if counts[s].sum() == 0:
@@ -328,9 +326,10 @@ def prediction_accuracy(model: HmmModel, traces, scheme: QuantizationScheme,
     total = 0
     for obs, mos in traces:
         beliefs, _ = forward_filter(model, obs)
+        bands = quantize_mos(mos, scheme)
         for t in range(len(obs) - 1):
             pred, _ = predict_next_state(model, beliefs[t])
-            if state_map[pred - 1] == quantize_mos(mos[t + 1], scheme):
+            if state_map[pred - 1] == bands[t + 1]:
                 correct += 1
             total += 1
     return correct, total

@@ -9,22 +9,35 @@ from . import _backend
 from .model import HmmModel
 
 
-def forward_filter(model: HmmModel, observations) -> tuple[np.ndarray, float]:
+def forward_filter(model: HmmModel,
+                   observations) -> tuple[np.ndarray, np.ndarray | float]:
     """Filtered posteriors over states for each observation.
 
-    Returns (beliefs, log_evidence) where beliefs[t] is the normalized
-    posterior P(state_t | obs_0..t), seeded from the model prior. Raises
-    DomainError when an observation has zero density under every state the
-    chain can be in at that step.
+    `observations` is one sequence (T,) or a block of equal-length
+    sequences (B, T), all filtered in one pass. Returns (beliefs,
+    log_evidence): beliefs[..., t, :] is the normalized posterior
+    P(state_t | obs_0..t), seeded from the model prior, and the evidence
+    is a float for one sequence or one value per row (B,) for a block.
+    Raises DomainError when an observation has zero density under every
+    state the chain can be in at that step.
     """
-    frame_logprob = model.frame_log_likelihood(observations)
-    beliefs, loglik = _backend.forward(frame_logprob[None], model.prior,
-                                       model.transitions)
-    if not np.isfinite(loglik[0]):
-        t = int(np.argmin(np.isfinite(beliefs[0]).all(axis=1)))
-        raise DomainError(f"observation {t} has zero predicted probability "
-                          "under the model")
-    return beliefs[0], float(loglik[0])
+    obs = np.asarray(observations, dtype=float)
+    if obs.ndim not in (1, 2):
+        raise DomainError("observations must be a sequence (T,) or a block (B, T)")
+    block = obs if obs.ndim == 2 else obs[None]
+    frame_logprob = model.frame_log_likelihood(block.reshape(-1))
+    beliefs, loglik = _backend.forward(
+        frame_logprob.reshape(*block.shape, model.n_states), model.prior,
+        model.transitions)
+    bad = np.flatnonzero(~np.isfinite(loglik))
+    if bad.size:
+        row = int(bad[0])
+        t = int(np.argmin(np.isfinite(beliefs[row]).all(axis=1)))
+        where = f"row {row}, observation {t}" if obs.ndim == 2 else f"observation {t}"
+        raise DomainError(f"{where} has zero predicted probability under the model")
+    if obs.ndim == 1:
+        return beliefs[0], float(loglik[0])
+    return beliefs, loglik
 
 
 def predict_belief(model: HmmModel, belief: np.ndarray) -> np.ndarray:

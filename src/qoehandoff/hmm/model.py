@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DocumentError, DomainError, parse_document
 from ..qoe_model import QuantizationScheme
 
 PROB_TOL = 1e-9
@@ -92,20 +92,25 @@ class HmmModel:
 
     @classmethod
     def from_text(cls, text: str) -> "HmmModel":
-        doc = json.loads(text)
+        doc = parse_document(text, "model document")
         if doc.get("format") != "qoehandoff-hmm/1":
-            raise DomainError("not a recognized model document")
-        scheme = None
-        if doc.get("scheme") is not None:
-            scheme = QuantizationScheme(tuple(doc["scheme"]["boundaries"]))
-        return cls(
-            prior=np.array(doc["prior"], dtype=float),
-            transitions=np.array(doc["transitions"], dtype=float),
-            emissions=tuple(GaussianEmission(e["mean"], e["variance"])
-                            for e in doc["emissions"]),
-            scheme=scheme,
-            metadata=doc.get("metadata", {}),
-        )
+            raise DocumentError("not a recognized model document")
+        try:
+            scheme = None
+            if doc.get("scheme") is not None:
+                scheme = QuantizationScheme(tuple(doc["scheme"]["boundaries"]))
+            return cls(
+                prior=np.array(doc["prior"], dtype=float),
+                transitions=np.array(doc["transitions"], dtype=float),
+                emissions=tuple(GaussianEmission(float(e["mean"]), float(e["variance"]))
+                                for e in doc["emissions"]),
+                scheme=scheme,
+                metadata=doc.get("metadata", {}),
+            )
+        except KeyError as exc:
+            raise DocumentError(f"model document lacks key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"malformed model document: {exc}") from exc
 
 
 def save_model(model: HmmModel, path) -> None:

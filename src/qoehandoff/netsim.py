@@ -10,7 +10,7 @@ interface alternates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class ScenarioConfig:
     scheme: QuantizationScheme
     handoff_penalty_mos: float = 0.3
     dwell_mean_epochs: float = 40.0
-    probes_per_second: int = 5
 
     def __post_init__(self):
         if self.kind not in (WLAN_CONGESTION, ROAMING):
@@ -95,18 +94,26 @@ class SimRun:
 
 @dataclass(frozen=True)
 class StepResult:
-    probe_rtt_s: tuple[tuple[float, ...], ...]  # per interface, every epoch
     realized_mos: float
     handoff_occurred: bool
     handoff_penalty_mos: float
 
 
 def _sample_chain(model: HmmModel, horizon: int, rng: np.random.Generator) -> np.ndarray:
+    """A state path drawn as `rng.choice(n, p=row)` would draw it step by
+    step: one uniform per step, inverted through the normalized cumulative
+    row, so the stream and the states are the same."""
+    u = rng.random(horizon)
+    cdf = np.cumsum(np.vstack([model.prior, model.transitions]), axis=1)
+    cdf /= cdf[:, -1:]
+    # nxt[i, t]: the state drawn at step t from row i (row 0 is the prior).
+    nxt = np.array([np.searchsorted(row, u, side="right") for row in cdf]).tolist()
     states = np.empty(horizon, dtype=int)
-    states[0] = rng.choice(model.n_states, p=model.prior)
-    tm = model.transitions
+    s = nxt[0][0]
+    states[0] = s
     for t in range(1, horizon):
-        states[t] = rng.choice(model.n_states, p=tm[states[t - 1]])
+        s = nxt[s + 1][t]
+        states[t] = s
     return states
 
 
@@ -116,12 +123,10 @@ def generate_run(cfg: ScenarioConfig, run_index: int) -> SimRun:
     regime = None
     if cfg.kind == ROAMING:
         rng = np.random.default_rng([cfg.seed, run_index, 0xFF])
-        regime = np.empty(horizon, dtype=int)
-        regime[0] = 0
-        flip_p = 1.0 / cfg.dwell_mean_epochs
-        flips = rng.random(horizon) < flip_p
-        for t in range(1, horizon):
-            regime[t] = (1 - regime[t - 1]) if flips[t] else regime[t - 1]
+        flips = rng.random(horizon) < 1.0 / cfg.dwell_mean_epochs
+        flips[0] = False
+        # The regime starts at 0 and toggles at every flip.
+        regime = np.cumsum(flips) % 2
 
     delays, owds, moss, states = [], [], [], []
     for ci, channel in enumerate(cfg.channels):
@@ -136,9 +141,8 @@ def generate_run(cfg: ScenarioConfig, run_index: int) -> SimRun:
         delay = np.clip(rng.normal(mu, sigma), MIN_DELAY_S, None)
         owd = delay / 2.0 if channel.delay_is_rtt else delay
         loss = np.asarray(channel.loss_per_state)[hidden]
-        mos = np.array([mos_from_delay(o, l, cfg.codec)
-                        for o, l in zip(owd, loss)])
-        state = np.array([quantize_mos(m, cfg.scheme) for m in mos], dtype=int)
+        mos = mos_from_delay(owd, loss, cfg.codec)
+        state = quantize_mos(mos, cfg.scheme)
         delays.append(delay)
         owds.append(owd)
         moss.append(mos)
@@ -149,11 +153,9 @@ def generate_run(cfg: ScenarioConfig, run_index: int) -> SimRun:
 
 
 def step_environment(run: SimRun, epoch: int, current: int, action: int,
-                     handoff_penalty_mos: float = 0.3,
-                     probes_per_second: int = 5) -> StepResult:
-    """Apply an action at an epoch: report probes for every interface (the
-    probing channel is multi-homed and always on), the realized MOS on the
-    interface after the action, and whether a handoff happened.
+                     handoff_penalty_mos: float = 0.3) -> StepResult:
+    """Apply an action at an epoch: the realized MOS on the interface after
+    the action, and whether a handoff happened.
 
     A switching epoch pays the configured MOS penalty, floored at 1.0.
     """
@@ -161,14 +163,11 @@ def step_environment(run: SimRun, epoch: int, current: int, action: int,
         raise DomainError("epoch out of range")
     if not 0 <= action < run.n_interfaces or not 0 <= current < run.n_interfaces:
         raise DomainError("interface index out of range")
-    probes = tuple(tuple([float(run.delays_s[i][epoch])] * probes_per_second)
-                   for i in range(run.n_interfaces))
     handoff = action != current
     mos = float(run.mos[action][epoch])
     if handoff:
         mos = max(mos - handoff_penalty_mos, 1.0)
-    return StepResult(probe_rtt_s=probes, realized_mos=mos,
-                      handoff_occurred=handoff,
+    return StepResult(realized_mos=mos, handoff_occurred=handoff,
                       handoff_penalty_mos=handoff_penalty_mos if handoff else 0.0)
 
 

@@ -7,7 +7,8 @@ reference for Q-learning convergence checks.
 
 Actions are interface indices; selecting the current interface means
 staying. Joint agent states are indexed row-major over
-(state_if0, ..., state_if{n-1}, current_interface).
+(state_if0, ..., state_if{n-1}, current_interface), as `JointState.index`
+computes; the Q-table functions take that row index.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DocumentError, DomainError, parse_document
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,6 @@ class QTable:
         self.values = np.zeros((n_joint, n_interfaces))
         self.visit_counts = np.zeros((n_joint, n_interfaces), dtype=int)
 
-    def row(self, s: JointState) -> np.ndarray:
-        return self.values[s.index(self.n_states)]
-
     def to_text(self) -> str:
         doc = {
             "format": "qoehandoff-qtable/1",
@@ -121,12 +119,21 @@ class QTable:
 
     @classmethod
     def from_text(cls, text: str) -> "QTable":
-        doc = json.loads(text)
+        doc = parse_document(text, "Q-table document")
         if doc.get("format") != "qoehandoff-qtable/1":
-            raise DomainError("not a recognized Q-table document")
-        table = cls(doc["n_states"], doc["n_interfaces"])
-        table.values = np.array(doc["values"], dtype=float)
-        table.visit_counts = np.array(doc["visit_counts"], dtype=int)
+            raise DocumentError("not a recognized Q-table document")
+        try:
+            table = cls(int(doc["n_states"]), int(doc["n_interfaces"]))
+            values = np.array(doc["values"], dtype=float)
+            visit_counts = np.array(doc["visit_counts"], dtype=int)
+        except KeyError as exc:
+            raise DocumentError(f"Q-table document lacks key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"malformed Q-table document: {exc}") from exc
+        if values.shape != table.values.shape or visit_counts.shape != values.shape:
+            raise DocumentError(f"Q-table document needs {table.values.shape} "
+                                "values and visit counts")
+        table.values, table.visit_counts = values, visit_counts
         return table
 
 
@@ -151,34 +158,34 @@ def reward(qoe_value: float, cost: float, cfg: RewardConfig) -> float:
     return cfg.w_qoe * f_qoe + (1.0 - cfg.w_qoe) * f_cost
 
 
-def q_update(q: QTable, s: JointState, a: int, r: float, s_next: JointState,
+def q_update(q: QTable, s: int, a: int, r: float, s_next: int,
              cfg: QLearningConfig) -> QTable:
-    """One temporal-difference backup; increments the (s, a) visit count."""
-    si = s.index(q.n_states)
-    ni = s_next.index(q.n_states)
+    """One temporal-difference backup between joint-state rows `s` and
+    `s_next`; increments the (s, a) visit count."""
     if cfg.alpha_decay == "inverse_visit":
-        alpha = 1.0 / (1.0 + q.visit_counts[si, a])
+        alpha = 1.0 / (1.0 + q.visit_counts[s, a])
     else:
         alpha = cfg.alpha
-    target = r + cfg.gamma * q.values[ni].max()
-    q.values[si, a] += alpha * (target - q.values[si, a])
-    q.visit_counts[si, a] += 1
+    target = r + cfg.gamma * q.values[s_next].max()
+    q.values[s, a] += alpha * (target - q.values[s, a])
+    q.visit_counts[s, a] += 1
     return q
 
 
-def exploit_action(q: QTable, s: JointState) -> int:
-    """Greedy action; ties prefer staying on the current interface, then the
-    lowest index (anti ping-pong)."""
-    row = q.row(s)
+def exploit_action(q: QTable, s: int) -> int:
+    """Greedy action in joint-state row `s`; ties prefer staying on the
+    current interface (the row's last index digit), then the lowest index
+    (anti ping-pong)."""
+    row = q.values[s]
     best = row.max()
     candidates = [a for a in range(q.n_interfaces) if row[a] == best]
-    if s.current_interface in candidates:
-        return s.current_interface
+    current = s % q.n_interfaces
+    if current in candidates:
+        return current
     return candidates[0]
 
 
-def select_action(q: QTable, s: JointState, cfg: QLearningConfig, mode: str,
-                  rng: np.random.Generator) -> int:
+def select_action(q: QTable, s: int, mode: str, rng: np.random.Generator) -> int:
     if mode == "explore":
         return int(rng.integers(q.n_interfaces))
     if mode == "exploit":
@@ -186,10 +193,10 @@ def select_action(q: QTable, s: JointState, cfg: QLearningConfig, mode: str,
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def epsilon_greedy_action(q: QTable, s: JointState, cfg: QLearningConfig,
-                          epsilon: float, rng: np.random.Generator) -> int:
+def epsilon_greedy_action(q: QTable, s: int, epsilon: float,
+                          rng: np.random.Generator) -> int:
     mode = "explore" if rng.random() < epsilon else "exploit"
-    return select_action(q, s, cfg, mode, rng)
+    return select_action(q, s, mode, rng)
 
 
 def decide_handoff(proposed: int, current: int, expected_gain: float,
@@ -202,15 +209,15 @@ def decide_handoff(proposed: int, current: int, expected_gain: float,
     return proposed
 
 
-def m4_policy_step(rnl_per_interface, current: int, hys: HysteresisConfig) -> int:
-    """Move to the lowest-load interface when its advantage beats the margin
+def m4_policy_step(rnl_per_interface, current: int, margin: float) -> int:
+    """Move to the lowest-load interface when its advantage beats `margin`
     (in seconds). Stays put while any estimator is still warming up."""
     if any(v is None for v in rnl_per_interface):
         return current
     target = int(np.argmin(rnl_per_interface))
     if target == current:
         return current
-    if rnl_per_interface[current] - rnl_per_interface[target] > hys.margin:
+    if rnl_per_interface[current] - rnl_per_interface[target] > margin:
         return target
     return current
 

@@ -9,8 +9,9 @@ usual cubic and clamped to [1, 5].
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -76,33 +77,45 @@ CONGESTION_SCHEME = QuantizationScheme((2.0, 3.0))
 ROAMING_SCHEME = QuantizationScheme((2.0, 4.0))
 
 
-def mos_from_delay(owd_s: float, loss_fraction: float, codec: CodecProfile) -> float:
-    """MOS for a one-way delay (seconds) and loss fraction under the codec.
+def mos_from_delay(owd_s, loss_fraction, codec: CodecProfile):
+    """MOS for one-way delays (seconds) and loss fractions under the codec.
 
-    Deterministic and monotone non-increasing in both impairments.
+    Works elementwise on scalars or broadcastable arrays; a scalar input
+    gives a float. Deterministic and monotone non-increasing in both
+    impairments.
     """
-    if owd_s < 0:
+    owd = np.asarray(owd_s, dtype=float)
+    loss = np.asarray(loss_fraction, dtype=float)
+    if (owd < 0).any():
         raise DomainError("one-way delay must be >= 0")
-    if not 0.0 <= loss_fraction <= 1.0:
+    if not ((0.0 <= loss) & (loss <= 1.0)).all():
         raise DomainError("loss fraction must be in [0, 1]")
-    d_ms = owd_s * 1000.0
+    d_ms = owd * 1000.0
     delay_impairment = 0.024 * d_ms
-    if owd_s > DELAY_KNEE_S:
-        delay_impairment += 0.11 * (d_ms - DELAY_KNEE_S * 1000.0)
+    delay_impairment = np.where(owd > DELAY_KNEE_S,
+                                delay_impairment + 0.11 * (d_ms - DELAY_KNEE_S * 1000.0),
+                                delay_impairment)
     ie = codec.equipment_impairment
-    loss_impairment = ie + (95.0 - ie) * loss_fraction / (loss_fraction + codec.loss_robustness)
+    loss_impairment = ie + (95.0 - ie) * loss / (loss + codec.loss_robustness)
     r = R0 - delay_impairment - loss_impairment
     return mos_from_r(r)
 
 
-def mos_from_r(r: float) -> float:
-    """Cubic R-factor to MOS map, with R clamped to [0, 100] and MOS to [1, 5]."""
-    r = min(max(r, 0.0), 100.0)
-    mos = 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r)
-    return min(max(mos, MOS_MIN), MOS_MAX)
+def mos_from_r(r):
+    """Cubic R-factor to MOS map, with R clamped to [0, 100] and MOS to [1, 5].
+
+    Elementwise like `mos_from_delay`."""
+    r = np.clip(r, 0.0, 100.0)
+    mos = np.clip(1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r),
+                  MOS_MIN, MOS_MAX)
+    return float(mos) if mos.ndim == 0 else mos
 
 
-def quantize_mos(mos: float, scheme: QuantizationScheme) -> int:
-    """1-based QoE state index of the band containing `mos`."""
-    mos = min(max(mos, MOS_MIN), MOS_MAX)
-    return bisect.bisect_right(scheme.boundaries, mos) + 1
+def quantize_mos(mos, scheme: QuantizationScheme):
+    """1-based QoE state index of the band containing `mos`.
+
+    Elementwise on arrays (an int array out); a scalar gives an int.
+    """
+    state = np.searchsorted(scheme.boundaries, np.clip(mos, MOS_MIN, MOS_MAX),
+                            side="right") + 1
+    return int(state) if state.ndim == 0 else state

@@ -179,7 +179,7 @@ def test_criterion_07_q_learning_vs_bellman():
     # The 6 MDP states are embedded in the joint-state table as
     # (band in 1..3, fixed second band, attachment in 0..1).
     def joint(s):
-        return JointState((s % 3 + 1, 1), s // 3)
+        return JointState((s % 3 + 1, 1), s // 3).index(3)
 
     table = QTable(3, 2)
     cfg = QLearningConfig(alpha=1.0, gamma=gamma, alpha_decay="inverse_visit")
@@ -190,7 +190,7 @@ def test_criterion_07_q_learning_vs_bellman():
         s_next = int(behavior.choice(S, p=tm[a, s]))
         q_update(table, joint(s), a, float(rewards[s]), joint(s_next), cfg)
         s = s_next
-    learned = np.array([[table.values[joint(st).index(3), a]
+    learned = np.array([[table.values[joint(st), a]
                          for a in range(A)] for st in range(S)])
     err = float(np.abs(learned - optimal).max())
     u_err = float(np.abs(learned.max(axis=1) - u).max())

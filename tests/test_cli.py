@@ -6,6 +6,7 @@ import pytest
 
 from qoehandoff.cli import EXIT_DATA, EXIT_USAGE, main
 from qoehandoff.hmm import load_model
+from qoehandoff.netsim import roaming_cdma_g729_model
 
 FAST_CONFIG = """
 [scenario]
@@ -164,3 +165,42 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestMalformedDocuments:
+    """Malformed model and report files are data errors, reported on one line."""
+
+    def assert_data_error(self, argv, capsys, needle):
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_predict_with_non_json_model(self, tmp_path, sim_dir, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("not json")
+        self.assert_data_error(["predict", "--model", str(model), "--traces",
+                                str(sim_dir / "traces.csv"), "--out", str(tmp_path)],
+                               capsys, "not valid JSON")
+
+    def test_predict_with_model_missing_prior(self, tmp_path, sim_dir, capsys):
+        doc = json.loads(roaming_cdma_g729_model().to_text())
+        del doc["prior"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        self.assert_data_error(["predict", "--model", str(model), "--traces",
+                                str(sim_dir / "traces.csv"), "--out", str(tmp_path)],
+                               capsys, "'prior'")
+
+    @pytest.mark.parametrize("text,needle", [
+        ("not json", "not valid JSON"),
+        ("[]", "not a JSON object"),
+        ('{"policies": {"naive": {"mean_mos": 3.0}}}', "handoff_count"),
+        ('{"metadata": 5}', "must be objects"),
+    ])
+    def test_report_with_malformed_file(self, tmp_path, capsys, text, needle):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        self.assert_data_error(["report", str(bad), "--out", str(tmp_path / "out")],
+                               capsys, needle)
+        assert not (tmp_path / "out" / "summary.csv").exists()

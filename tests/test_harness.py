@@ -6,14 +6,21 @@ import json
 import numpy as np
 import pytest
 
+from qoehandoff import harness
 from qoehandoff.errors import DomainError
 from qoehandoff.harness import (ALL_POLICIES, EvaluationReport, HarnessConfig,
                                 PolicyResult, default_roaming_harness,
-                                load_config, run_comparison,
+                                load_config, run_comparison, run_features,
                                 state_to_qoe_map, train_interface_models)
-from qoehandoff.hmm import EmConfig
-from qoehandoff.netsim import (roaming_cdma_g729_model, roaming_scenario,
-                               roaming_wlan_g729_model)
+from qoehandoff.hmm import EmConfig, predict_belief
+from qoehandoff.netsim import (generate_run, roaming_cdma_g729_model,
+                               roaming_scenario, roaming_wlan_g729_model,
+                               step_environment)
+from qoehandoff.policies import (JointState, QTable, decide_handoff,
+                                 epsilon_greedy_action, exploit_action,
+                                 m4_policy_step, naive_policy_step, q_update,
+                                 reward)
+from qoehandoff.probing import RnlEstimator
 from qoehandoff.qoe_model import G729, ROAMING_SCHEME
 
 
@@ -85,6 +92,167 @@ class TestTrainInterfaceModels:
             assert 0.0 <= phi <= 1.0
 
 
+def filter_step(model, belief, observation):
+    """One forward-filter update of one interface's belief, one sample at a
+    time; `belief` None starts from the prior."""
+    flp = model.frame_log_likelihood(np.array([observation]))[0]
+    pred = model.prior if belief is None else predict_belief(model, belief)
+    post = pred * np.exp(flp - flp.max())
+    return post / post.sum()
+
+
+def joint_row(models, beliefs, qoe_maps, current, n_states):
+    bands = tuple(qmap[int(np.argmax(predict_belief(m, b)))]
+                  for m, b, qmap in zip(models, beliefs, qoe_maps))
+    return JointState(bands, current).index(n_states)
+
+
+def reference_features(run, models, qoe_maps, n_states):
+    """Joint-state rows (interface 0 attached) and load series, epoch by
+    epoch."""
+    beliefs = [None] * run.n_interfaces
+    estimators = [RnlEstimator(h=5, c=5.0) for _ in range(run.n_interfaces)]
+    joint_base, rnl = [], []
+    for t in range(run.duration):
+        beliefs = [filter_step(m, b, float(run.delays_s[i][t]))
+                   for i, (m, b) in enumerate(zip(models, beliefs))]
+        joint_base.append(joint_row(models, beliefs, qoe_maps, 0, n_states))
+        for est, delays in zip(estimators, run.delays_s):
+            est.update(float(delays[t]))
+        rnl.append([est.rnl if est.initialized else None for est in estimators])
+    return joint_base, rnl
+
+
+def reference_q_policy(cfg, run, models, qoe_maps, qtable, train, epsilon, rng):
+    """The Q-agent epoch by epoch: its state is looked up from beliefs
+    filtered through the previous epoch, and its backup target from beliefs
+    filtered through the current one. Returns the attachment path."""
+    n_states = cfg.scenario.scheme.state_count
+    beliefs = [filter_step(m, None, float(run.delays_s[i][0]))
+               for i, m in enumerate(models)]
+    current, path = 0, [0]
+    since_handoff = cfg.hysteresis.dwell_epochs
+    for t in range(1, run.duration):
+        s = joint_row(models, beliefs, qoe_maps, current, n_states)
+        if train:
+            action = epsilon_greedy_action(qtable, s, epsilon, rng)
+        else:
+            proposed = exploit_action(qtable, s)
+            gain = qtable.values[s][proposed] - qtable.values[s][current]
+            action = decide_handoff(proposed, current, gain, cfg.hysteresis,
+                                    since_handoff)
+        step = step_environment(run, t, current, action,
+                                cfg.scenario.handoff_penalty_mos)
+        cost = cfg.reward_cfg.handoff_cost if step.handoff_occurred \
+            else cfg.reward_cfg.cost_min
+        r = reward(step.realized_mos, cost, cfg.reward_cfg)
+        beliefs = [filter_step(m, b, float(run.delays_s[i][t]))
+                   for i, (m, b) in enumerate(zip(models, beliefs))]
+        if train:
+            q_update(qtable, s, action, r,
+                     joint_row(models, beliefs, qoe_maps, action, n_states),
+                     cfg.qlearn)
+        since_handoff = 0 if step.handoff_occurred else since_handoff + 1
+        current = action
+        path.append(current)
+    return path
+
+
+def reference_baseline_path(cfg, run, kind):
+    """The naive and m4 baselines epoch by epoch, each deciding on the
+    measurements up to the previous epoch."""
+    estimators = [RnlEstimator(h=5, c=5.0) for _ in range(run.n_interfaces)]
+    current, path = 0, [0]
+    for t in range(1, run.duration):
+        last = [float(d[t - 1]) for d in run.delays_s]
+        for est, rtt in zip(estimators, last):
+            est.update(rtt)
+        if kind == "naive":
+            current = naive_policy_step([{"delay": rtt / 2.0} for rtt in last],
+                                        {"delay": 1.0}, current)
+        else:
+            current = m4_policy_step([e.rnl if e.initialized else None
+                                      for e in estimators], current, cfg.m4_margin_s)
+        path.append(current)
+    return path
+
+
+def flipped(model):
+    """The model with each transition row reversed, so that a one-step
+    prediction often leaves the filtered state."""
+    return dataclasses.replace(model, transitions=model.transitions[:, ::-1])
+
+
+class TestRunFeatures:
+    def test_block_matches_per_epoch_reference(self):
+        cfg = small_harness()
+        scenario = cfg.scenario
+        n_states = scenario.scheme.state_count
+        fitted, _ = train_interface_models(cfg)
+        generators = [ch.generator for ch in scenario.channels]
+        runs = [generate_run(scenario, r) for r in range(5)]
+        for models in (fitted, generators, [flipped(m) for m in generators]):
+            qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
+                                         scenario.scheme)
+                        for m, ch in zip(models, scenario.channels)]
+            features = run_features(runs, models, qoe_maps, n_states,
+                                    with_rnl=True)
+            for b, run in enumerate(runs):
+                joint_base, rnl = reference_features(run, models, qoe_maps,
+                                                     n_states)
+                assert features.joint_base[b].tolist() == joint_base
+                assert features.rnl[b] == rnl
+
+    def test_baseline_only_block_skips_filtering(self):
+        runs = [generate_run(roaming_scenario(duration_epochs=20), r)
+                for r in range(2)]
+        features = run_features(runs)
+        assert features.observations.shape == (2, 2, 20)
+        assert features.joint_base is None and features.rnl is None
+
+    def test_report_independent_of_training_block_size(self, monkeypatch):
+        cfg = small_harness()
+        expected = run_comparison(cfg).to_json()
+        for block in (1, 3, 1000):
+            monkeypatch.setattr(harness, "_TRAIN_BLOCK_RUNS", block)
+            assert run_comparison(cfg).to_json() == expected
+
+
+class TestPolicyLoopsMatchPerEpochReference:
+    def test_q_agent_trains_and_acts_as_reference(self):
+        cfg = small_harness()
+        scenario = cfg.scenario
+        n_states = scenario.scheme.state_count
+        models = [flipped(ch.generator) for ch in scenario.channels]
+        qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
+                                     scenario.scheme)
+                    for m, ch in zip(models, scenario.channels)]
+        runs = [generate_run(scenario, r) for r in range(6)]
+        features = run_features(runs, models, qoe_maps, n_states)
+        table = QTable(n_states, len(scenario.channels))
+        ref_table = QTable(n_states, len(scenario.channels))
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for train, epsilon in ((True, 0.5), (True, 0.2), (False, 0.0)):
+            for run, joint_base in zip(runs, features.joint_base):
+                got = harness.run_q_policy(cfg, run, joint_base, table,
+                                           train=train, epsilon=epsilon, rng=rng)
+                expected = reference_q_policy(cfg, run, models, qoe_maps,
+                                              ref_table, train, epsilon, ref_rng)
+                assert got.paths == [expected]
+                assert np.array_equal(table.values, ref_table.values)
+
+    def test_baselines_act_as_reference(self):
+        cfg = small_harness()
+        runs = [generate_run(cfg.scenario, r) for r in range(6)]
+        features = run_features(runs, with_rnl=True)
+        for b, run in enumerate(runs):
+            for kind in ("naive", "m4"):
+                got = harness._run_baseline(cfg, run, kind,
+                                            features.observations[b],
+                                            features.rnl[b])
+                assert got.paths == [reference_baseline_path(cfg, run, kind)]
+
+
 class TestRunComparison:
     def test_all_policies_reported(self):
         report = run_comparison(small_harness())
@@ -98,6 +266,15 @@ class TestRunComparison:
         a = run_comparison(small_harness())
         b = run_comparison(small_harness())
         assert a.to_json() == b.to_json()
+
+    def test_report_keeps_its_evaluation_runs(self):
+        cfg = small_harness()
+        report = run_comparison(cfg)
+        assert [run.run_index for run in report.runs] == [0, 1]
+        for run in report.runs:
+            again = generate_run(cfg.scenario, run.run_index)
+            assert all(np.array_equal(a, b) for a, b in zip(run.mos, again.mos))
+        assert "runs" not in json.loads(report.to_json())
 
     def test_policy_subset(self):
         cfg = small_harness(policies_enabled=("best", "m4"))

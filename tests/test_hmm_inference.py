@@ -83,6 +83,36 @@ class TestForwardFilterOracle:
         with pytest.raises(DomainError, match="observation 0"):
             forward_filter(model, np.array([1.0]))
 
+    def test_block_rows_equal_single_sequence_calls(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3):
+            model = random_model(rng, n)
+            block = rng.uniform(0.0, 1.0, (7, 25))
+            beliefs, logev = forward_filter(model, block)
+            assert beliefs.shape == (7, 25, n) and logev.shape == (7,)
+            for row, obs in enumerate(block):
+                one, one_logev = forward_filter(model, obs)
+                assert np.array_equal(beliefs[row], one)
+                # The per-step log normalizers are summed in a different
+                # order for a block than for one row.
+                assert logev[row] == pytest.approx(one_logev, rel=1e-13)
+
+    def test_zero_mass_row_is_named(self):
+        model = HmmModel(
+            prior=np.array([0.0, 1.0]),
+            transitions=np.eye(2),
+            emissions=(GaussianEmission(1.0, 1e-8), GaussianEmission(0.0, 1e-8)),
+            scheme=None)
+        block = np.zeros((3, 4))
+        block[1, 2] = 1.0
+        with pytest.raises(DomainError, match="row 1, observation 2"):
+            forward_filter(model, block)
+
+    def test_rejects_higher_rank_blocks(self):
+        model = random_model(np.random.default_rng(0), 2)
+        with pytest.raises(DomainError):
+            forward_filter(model, np.zeros((2, 3, 4)))
+
 
 def reference_forward(flp, prior, tm):
     """Per-sequence scaled forward recursion, one frame at a time."""

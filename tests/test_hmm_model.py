@@ -1,9 +1,11 @@
 """Model container validation and text serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
-from qoehandoff.errors import DomainError
+from qoehandoff.errors import DocumentError, DomainError
 from qoehandoff.hmm import GaussianEmission, HmmModel, load_model, save_model
 from qoehandoff.qoe_model import CONGESTION_SCHEME
 
@@ -99,3 +101,12 @@ class TestSerialization:
     def test_rejects_foreign_document(self):
         with pytest.raises(DomainError):
             HmmModel.from_text('{"format": "something-else"}')
+
+    def test_malformed_document_is_document_error(self):
+        doc = json.loads(two_state_model().to_text())
+        for text in ("not json", "[]",
+                     json.dumps({k: v for k, v in doc.items() if k != "prior"}),
+                     json.dumps({**doc, "emissions": [{"mean": 0.1}] * 2}),
+                     json.dumps({**doc, "prior": [0.5, 0.2]})):
+            with pytest.raises(DocumentError):
+                HmmModel.from_text(text)

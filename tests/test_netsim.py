@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from qoehandoff.errors import DomainError
-from qoehandoff.netsim import (MIN_DELAY_S, ChannelModel, ScenarioConfig,
-                               congestion_scenario, congestion_wlan_g711_model,
-                               generate_run, roaming_cdma_g729_model,
-                               roaming_scenario, roaming_wlan_g729_model,
-                               step_environment)
+from qoehandoff.harness import run_features
+from qoehandoff.netsim import (MIN_DELAY_S, ROAMING, ChannelModel,
+                               ScenarioConfig, congestion_scenario,
+                               congestion_wlan_g711_model, generate_run,
+                               roaming_cdma_g729_model, roaming_scenario,
+                               roaming_wlan_g729_model, step_environment)
 from qoehandoff.qoe_model import quantize_mos
+from test_qoe_model import reference_band, reference_mos
 
 
 def stationary_distribution(tm):
@@ -18,6 +20,41 @@ def stationary_distribution(tm):
     idx = np.argmin(np.abs(values - 1.0))
     pi = np.real(vectors[:, idx])
     return pi / pi.sum()
+
+
+def reference_run(cfg, run_index):
+    """`generate_run` step by step: one `rng.choice` per chain step, one
+    regime flip per epoch, and the MOS chain and band of each sample."""
+    horizon = cfg.duration_epochs
+    regime = None
+    if cfg.kind == ROAMING:
+        rng = np.random.default_rng([cfg.seed, run_index, 0xFF])
+        flips = rng.random(horizon) < 1.0 / cfg.dwell_mean_epochs
+        regime = [0]
+        for t in range(1, horizon):
+            regime.append(1 - regime[-1] if flips[t] else regime[-1])
+    columns = []
+    for ci, channel in enumerate(cfg.channels):
+        rng = np.random.default_rng([cfg.seed, run_index, ci])
+        gen = channel.generator
+        if regime is not None and channel.regime_states is not None:
+            dominant, recessive = channel.regime_states
+            hidden = [dominant - 1 if r == ci else recessive - 1 for r in regime]
+        else:
+            hidden = [int(rng.choice(gen.n_states, p=gen.prior))]
+            for t in range(1, horizon):
+                hidden.append(int(rng.choice(gen.n_states,
+                                             p=gen.transitions[hidden[-1]])))
+        hidden = np.array(hidden)
+        delay = np.clip(rng.normal(gen.means()[hidden],
+                                   np.sqrt(gen.variances()[hidden])),
+                        MIN_DELAY_S, None)
+        owd = delay / 2.0 if channel.delay_is_rtt else delay
+        mos = [reference_mos(o, channel.loss_per_state[h], cfg.codec)
+               for o, h in zip(owd.tolist(), hidden.tolist())]
+        columns.append((delay.tolist(), owd.tolist(), mos,
+                        [reference_band(m, cfg.scheme) for m in mos]))
+    return columns
 
 
 class TestGroundTruthModels:
@@ -95,6 +132,20 @@ class TestGenerateRun:
         assert 1 in wlan_bands and 3 in wlan_bands
 
 
+class TestMatchesStepwiseReference:
+    @pytest.mark.parametrize("make", [roaming_scenario, congestion_scenario])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_arrays_equal_stepwise_draws(self, make, seed):
+        cfg = make(seed=seed, runs=4, duration_epochs=60)
+        for r in range(4):
+            run = generate_run(cfg, r)
+            for i, (delay, owd, mos, state) in enumerate(reference_run(cfg, r)):
+                assert run.delays_s[i].tolist() == delay
+                assert run.owds_s[i].tolist() == owd
+                assert run.mos[i].tolist() == mos
+                assert run.states[i].tolist() == state
+
+
 class TestStepEnvironment:
     def make_run(self):
         cfg = roaming_scenario(seed=5, runs=1, duration_epochs=30)
@@ -124,12 +175,13 @@ class TestStepEnvironment:
         assert step.realized_mos >= 1.0
 
     def test_probes_cover_all_interfaces(self):
+        # Probing is multi-homed and always on: every epoch observes every
+        # interface, and a lossless probe carries the epoch's delay sample.
         run = self.make_run()
-        step = step_environment(run, 0, 0, 0, probes_per_second=5)
-        assert len(step.probe_rtt_s) == run.n_interfaces
-        for i, probes in enumerate(step.probe_rtt_s):
-            assert len(probes) == 5
-            assert probes[0] == float(run.delays_s[i][0])
+        observations = run_features([run]).observations[0]
+        assert observations.shape == (run.n_interfaces, run.duration)
+        for i in range(run.n_interfaces):
+            assert observations[i].tolist() == run.delays_s[i].tolist()
 
     def test_bounds_checked(self):
         run = self.make_run()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qoehandoff.errors import DomainError
+from qoehandoff.errors import DocumentError, DomainError
 from qoehandoff.policies import (HysteresisConfig, JointState, QLearningConfig,
                                  QTable, RewardConfig, count_handoffs,
                                  decide_handoff, epsilon_greedy_action,
@@ -93,33 +93,32 @@ class TestQUpdate:
     def test_golden_backup(self):
         # Q <- 0.2 + 0.8 * (0.5 + 0.95*0.6 - 0.2) = 0.896
         q = QTable(3, 2)
-        s = JointState((1, 1), 0)
-        s_next = JointState((2, 1), 1)
-        q.values[s.index(3), 0] = 0.2
-        q.values[s_next.index(3)] = [0.1, 0.6]
+        s = JointState((1, 1), 0).index(3)
+        s_next = JointState((2, 1), 1).index(3)
+        q.values[s, 0] = 0.2
+        q.values[s_next] = [0.1, 0.6]
         cfg = QLearningConfig(alpha=0.8, gamma=0.95)
         q_update(q, s, 0, 0.5, s_next, cfg)
-        assert q.values[s.index(3), 0] == pytest.approx(0.896, abs=1e-12)
+        assert q.values[s, 0] == pytest.approx(0.896, abs=1e-12)
 
     def test_alpha_one_gamma_zero_writes_reward(self):
         q = QTable(3, 2)
-        s = JointState((1, 1), 0)
+        s = JointState((1, 1), 0).index(3)
         cfg = QLearningConfig(alpha=1.0, gamma=0.0)
-        q_update(q, s, 1, 0.7, JointState((3, 3), 1), cfg)
-        assert q.values[s.index(3), 1] == 0.7
+        q_update(q, s, 1, 0.7, JointState((3, 3), 1).index(3), cfg)
+        assert q.values[s, 1] == 0.7
 
     def test_inverse_visit_averages_rewards(self):
         # With gamma=0 and rewards r_1..r_n, 1/(1+visits) steps produce the
         # running mean.
         q = QTable(3, 2)
-        s = JointState((2, 2), 0)
+        s = JointState((2, 2), 0).index(3)
         cfg = QLearningConfig(alpha=1.0, gamma=0.0, alpha_decay="inverse_visit")
         rewards = [0.2, 0.6, 0.1, 0.9]
         for r in rewards:
             q_update(q, s, 0, r, s, cfg)
-        assert q.values[s.index(3), 0] == pytest.approx(np.mean(rewards),
-                                                        abs=1e-12)
-        assert q.visit_counts[s.index(3), 0] == len(rewards)
+        assert q.values[s, 0] == pytest.approx(np.mean(rewards), abs=1e-12)
+        assert q.visit_counts[s, 0] == len(rewards)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -133,46 +132,45 @@ class TestQUpdate:
 class TestActionSelection:
     def test_exploit_prefers_max(self):
         q = QTable(3, 2)
-        s = JointState((1, 1), 0)
-        q.values[s.index(3)] = [0.1, 0.9]
+        s = JointState((1, 1), 0).index(3)
+        q.values[s] = [0.1, 0.9]
         assert exploit_action(q, s) == 1
 
     def test_tie_prefers_current_interface(self):
         q = QTable(3, 2)
-        s = JointState((1, 1), 1)
+        s = JointState((1, 1), 1).index(3)
         assert exploit_action(q, s) == 1  # all-zero row, stay put
 
     def test_tie_without_current_prefers_lowest(self):
         q = QTable(3, 3)
-        s = JointState((1, 1, 1), 2)
-        q.values[s.index(3)] = [0.5, 0.5, 0.1]
+        s = JointState((1, 1, 1), 2).index(3)
+        q.values[s] = [0.5, 0.5, 0.1]
         assert exploit_action(q, s) == 0
 
     def test_select_action_modes(self):
         q = QTable(3, 2)
-        s = JointState((1, 1), 0)
-        cfg = QLearningConfig()
+        s = JointState((1, 1), 0).index(3)
         rng = np.random.default_rng(0)
-        assert select_action(q, s, cfg, "exploit", rng) == exploit_action(q, s)
-        assert select_action(q, s, cfg, "explore", rng) in (0, 1)
+        assert select_action(q, s, "exploit", rng) == exploit_action(q, s)
+        assert select_action(q, s, "explore", rng) in (0, 1)
         with pytest.raises(DomainError):
-            select_action(q, s, cfg, "greedy", rng)
+            select_action(q, s, "greedy", rng)
 
     def test_epsilon_zero_is_greedy(self):
         q = QTable(3, 2)
-        s = JointState((1, 2), 0)
-        q.values[s.index(3)] = [0.3, 0.8]
+        s = JointState((1, 2), 0).index(3)
+        q.values[s] = [0.3, 0.8]
         rng = np.random.default_rng(0)
-        picks = {epsilon_greedy_action(q, s, QLearningConfig(), 0.0, rng)
+        picks = {epsilon_greedy_action(q, s, 0.0, rng)
                  for _ in range(20)}
         assert picks == {1}
 
     def test_epsilon_one_explores_uniformly(self):
         q = QTable(3, 2)
-        s = JointState((1, 2), 0)
-        q.values[s.index(3)] = [0.3, 0.8]
+        s = JointState((1, 2), 0).index(3)
+        q.values[s] = [0.3, 0.8]
         rng = np.random.default_rng(0)
-        picks = [epsilon_greedy_action(q, s, QLearningConfig(), 1.0, rng)
+        picks = [epsilon_greedy_action(q, s, 1.0, rng)
                  for _ in range(2000)]
         frac = np.mean(np.array(picks) == 0)
         assert 0.4 < frac < 0.6
@@ -202,20 +200,16 @@ class TestHysteresis:
 
 class TestM4Policy:
     def test_warmup_stays_put(self):
-        hys = HysteresisConfig(margin=0.02, dwell_epochs=0)
-        assert m4_policy_step([None, 0.1], 0, hys) == 0
+        assert m4_policy_step([None, 0.1], 0, 0.02) == 0
 
     def test_switches_past_margin(self):
-        hys = HysteresisConfig(margin=0.02, dwell_epochs=0)
-        assert m4_policy_step([0.20, 0.10], 0, hys) == 1
+        assert m4_policy_step([0.20, 0.10], 0, 0.02) == 1
 
     def test_within_margin_stays(self):
-        hys = HysteresisConfig(margin=0.02, dwell_epochs=0)
-        assert m4_policy_step([0.11, 0.10], 0, hys) == 0
+        assert m4_policy_step([0.11, 0.10], 0, 0.02) == 0
 
     def test_already_on_best_stays(self):
-        hys = HysteresisConfig(margin=0.02, dwell_epochs=0)
-        assert m4_policy_step([0.10, 0.30], 0, hys) == 0
+        assert m4_policy_step([0.10, 0.30], 0, 0.02) == 0
 
 
 class TestNaivePolicy:
@@ -363,3 +357,14 @@ class TestQTableSerialization:
     def test_rejects_foreign_document(self):
         with pytest.raises(DomainError):
             QTable.from_text('{"format": "other"}')
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        "[1, 2]",
+        '{"format": "qoehandoff-qtable/1", "n_states": 3}',
+        '{"format": "qoehandoff-qtable/1", "n_states": 3, "n_interfaces": 2, '
+        '"values": [[0.0, 0.0]], "visit_counts": [[0, 0]]}',
+    ])
+    def test_malformed_document_is_document_error(self, text):
+        with pytest.raises(DocumentError):
+            QTable.from_text(text)

@@ -4,16 +4,37 @@ Golden values were hand-derived from the R-factor formulas (see the
 inline arithmetic next to each constant).
 """
 
+import bisect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qoehandoff.errors import DomainError
-from qoehandoff.qoe_model import (CONGESTION_SCHEME, G711, G729, MOS_MAX,
-                                  MOS_MIN, ROAMING_SCHEME, CodecProfile,
-                                  QuantizationScheme, mos_from_delay,
-                                  mos_from_r, quantize_mos)
+from qoehandoff.qoe_model import (CONGESTION_SCHEME, DELAY_KNEE_S, G711, G729,
+                                  MOS_MAX, MOS_MIN, R0, ROAMING_SCHEME,
+                                  CodecProfile, QuantizationScheme,
+                                  mos_from_delay, mos_from_r, quantize_mos)
+
+
+def reference_mos(owd_s, loss_fraction, codec):
+    """The MOS chain for one sample, in Python floats with min/max clamps."""
+    d_ms = owd_s * 1000.0
+    delay_impairment = 0.024 * d_ms
+    if owd_s > DELAY_KNEE_S:
+        delay_impairment += 0.11 * (d_ms - DELAY_KNEE_S * 1000.0)
+    ie = codec.equipment_impairment
+    loss_impairment = ie + (95.0 - ie) * loss_fraction / (loss_fraction
+                                                         + codec.loss_robustness)
+    r = min(max(R0 - delay_impairment - loss_impairment, 0.0), 100.0)
+    mos = 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r)
+    return min(max(mos, MOS_MIN), MOS_MAX)
+
+
+def reference_band(mos, scheme):
+    """The band of one MOS value by `bisect_right` over the boundaries."""
+    return bisect.bisect_right(scheme.boundaries, min(max(mos, MOS_MIN), MOS_MAX)) + 1
 
 
 class TestMosFromDelay:
@@ -146,3 +167,41 @@ class TestQuantization:
     def test_monotone_in_mos(self, a, b):
         lo, hi = sorted((a, b))
         assert quantize_mos(lo, CONGESTION_SCHEME) <= quantize_mos(hi, CONGESTION_SCHEME)
+
+
+class TestArrayForms:
+    """The array forms equal the per-sample chain element by element."""
+
+    def test_mos_matches_scalar_chain(self):
+        knee = DELAY_KNEE_S
+        edges = [0.0, knee, np.nextafter(knee, 0.0), np.nextafter(knee, 1.0),
+                 0.3, 5.0]
+        rng = np.random.default_rng(3)
+        owd = np.concatenate([edges, rng.uniform(0.0, 1.2, 400)])
+        loss = np.concatenate([np.zeros(len(edges)),
+                               rng.choice([0.0, 0.15, 0.25, 1.0], 400)])
+        for codec in (G711, G729):
+            expected = [reference_mos(o, l, codec)
+                        for o, l in zip(owd.tolist(), loss.tolist())]
+            assert mos_from_delay(owd, loss, codec).tolist() == expected
+            assert [mos_from_delay(o, l, codec)
+                    for o, l in zip(owd.tolist(), loss.tolist())] == expected
+        # The knee itself is still on the linear branch.
+        assert mos_from_delay(knee, 0.0, G711) == mos_from_r(R0 - 0.024 * (knee * 1000.0))
+
+    def test_band_matches_bisect_at_boundaries(self):
+        for scheme in (CONGESTION_SCHEME, ROAMING_SCHEME):
+            mos = [0.5, MOS_MIN, MOS_MAX, 6.0]
+            for b in scheme.boundaries:
+                mos += [b, np.nextafter(b, 0.0), np.nextafter(b, 6.0)]
+            expected = [reference_band(m, scheme) for m in mos]
+            assert quantize_mos(np.array(mos), scheme).tolist() == expected
+            scalar = [quantize_mos(m, scheme) for m in mos]
+            assert scalar == expected
+            assert all(type(v) is int for v in scalar)
+
+    def test_array_rejects_any_bad_element(self):
+        with pytest.raises(DomainError):
+            mos_from_delay(np.array([0.1, -0.001]), 0.0, G711)
+        with pytest.raises(DomainError):
+            mos_from_delay(np.array([0.1, 0.2]), np.array([0.0, 1.5]), G711)
