@@ -22,10 +22,12 @@ import numpy as np
 
 from . import harness, netsim, trace_io
 from .errors import (DocumentError, DomainError, TraceParseError,
-                     TraceValidationError, parse_document)
+                     TraceValidationError, ZeroProbabilityError, parse_document)
 from .hmm import (EmConfig, cross_validate_folds, em_train, forward_filter,
                   load_model, save_model)
-from .hmm.inference import predict_next_state
+from .hmm.inference import length_blocks, predict_next_states
+# Unused here; kept bound because perfbench/tracer.py patches this name.
+from .hmm.inference import predict_next_state  # noqa: F401
 from .qoe_model import CODECS, CONGESTION_SCHEME, ROAMING_SCHEME
 
 EXIT_USAGE = 2
@@ -114,18 +116,28 @@ def cmd_train_hmm(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     traces = trace_io.read_traces(Path(args.traces).read_text(encoding="utf-8"))
+    states = [None] * len(traces)
+    for ids, block in length_blocks([trace.rtts() for trace in traces]):
+        try:
+            beliefs, _ = forward_filter(model, block)
+        except ZeroProbabilityError as exc:
+            trace = traces[ids[exc.row]]
+            epoch = trace.samples[exc.observation][0]
+            raise DomainError(
+                f"run {trace.run_id}/{trace.interface_label} observation "
+                f"{exc.observation} (epoch {epoch}) has zero predicted probability "
+                "under the model") from None
+        for i, row in zip(ids, predict_next_states(model, beliefs[:, :-1]).tolist()):
+            states[i] = row
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "predictions.csv"
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["run_id", "interface", "epoch", "predicted_state"])
-        for trace in traces:
-            beliefs, _ = forward_filter(model, np.asarray(trace.rtts()))
-            for t in range(len(trace.samples) - 1):
-                state, _ = predict_next_state(model, beliefs[t])
-                writer.writerow([trace.run_id, trace.interface_label,
-                                 trace.samples[t + 1][0], state])
+        for trace, predicted in zip(traces, states):
+            writer.writerows([trace.run_id, trace.interface_label, sample[0], state]
+                             for sample, state in zip(trace.samples[1:], predicted))
     print(f"wrote {out_path}")
     return 0
 

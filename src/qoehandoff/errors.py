@@ -12,6 +12,19 @@ class DegenerateModelError(DomainError):
     """Requested model cannot be fit (e.g. more states than the data supports)."""
 
 
+class ZeroProbabilityError(DomainError):
+    """An observation has zero density under every state the chain can be in
+    at its step. `row` is its row in a (B, T) block (None for one sequence)
+    and `observation` its index in the sequence."""
+
+    def __init__(self, observation: int, row: int | None = None):
+        where = f"observation {observation}" if row is None else \
+            f"row {row}, observation {observation}"
+        super().__init__(f"{where} has zero predicted probability under the model")
+        self.observation = observation
+        self.row = row
+
+
 class DocumentError(DomainError):
     """A model, Q-table or report document is not valid JSON, lacks a key or
     holds values of the wrong kind."""

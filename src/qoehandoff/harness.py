@@ -369,12 +369,25 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
 
 
 def load_config(path) -> HarnessConfig:
-    """Build a harness configuration from a sectioned key=value file."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise DomainError(f"cannot read config file {path}")
+    """Build a harness configuration from a sectioned key=value file.
 
+    Raises DomainError when the file cannot be read or parsed, or holds a
+    value of the wrong kind.
+    """
+    parser = configparser.ConfigParser()
+    try:
+        if not parser.read(path):
+            raise DomainError(f"cannot read config file {path}")
+        return _config_from(parser)
+    except DomainError:
+        raise
+    except (ValueError, configparser.Error) as exc:
+        # configparser messages span lines; the CLI prints one error line.
+        raise DomainError(f"config file {path}: {' '.join(str(exc).split())}") \
+            from None
+
+
+def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
     sc = parser["scenario"] if parser.has_section("scenario") else {}
     kind = sc.get("kind", "roaming")
     codec = CODECS.get(sc.get("codec", "g729" if kind == "roaming" else "g711"))

@@ -3,7 +3,8 @@
 from ._backend import BACKEND
 from .em import (EmConfig, TrainingReport, cross_validate,
                  cross_validate_folds, em_train, prediction_accuracy)
-from .inference import forward_filter, predict_belief, predict_next_state
+from .inference import (forward_filter, predict_belief, predict_next_state,
+                        predict_next_states)
 from .model import GaussianEmission, HmmModel, load_model, save_model
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "load_model",
     "predict_belief",
     "predict_next_state",
+    "predict_next_states",
     "prediction_accuracy",
     "save_model",
 ]

@@ -26,7 +26,9 @@ import numpy as np
 from ..errors import DegenerateModelError, DomainError
 from ..qoe_model import QuantizationScheme, quantize_mos
 from . import _backend
-from .inference import forward_filter, predict_next_state
+from .inference import forward_filter, length_blocks, predict_next_states
+# Unused here; kept bound because perfbench/tracer.py patches this name.
+from .inference import predict_next_state  # noqa: F401
 from .model import VARIANCE_FLOOR, GaussianEmission, HmmModel
 
 
@@ -96,10 +98,9 @@ class _Pool:
         self.lengths = np.array([s.size for s in seqs])
         self.pos = np.empty(len(seqs), dtype=int)
         self.stacks = {}
-        for length in np.unique(self.lengths):
-            ids = np.flatnonzero(self.lengths == length)
+        for ids, block in length_blocks(seqs):
             self.pos[ids] = np.arange(ids.size)
-            self.stacks[int(length)] = np.stack([seqs[i] for i in ids])
+            self.stacks[block.shape[1]] = block
 
 
 def _e_step(pool: _Pool, row_start, row_seq, means, variances, prior, tm):
@@ -291,6 +292,15 @@ def em_train(observations, k: int, config: EmConfig = EmConfig(),
     return _fit_all([observations], k, config, scheme, [state_labels_for_init])[0]
 
 
+def _filtered_blocks(model: HmmModel, traces, scheme: QuantizationScheme):
+    """Per length group of (observations, mos) traces: (beliefs (B, T, N),
+    QoE bands (B, T)), each group filtered in one `forward_filter` call."""
+    for ids, block in length_blocks([obs for obs, _ in traces]):
+        beliefs, _ = forward_filter(model, block)
+        mos = np.array([traces[i][1] for i in ids], dtype=float)
+        yield beliefs, quantize_mos(mos, scheme)
+
+
 def state_band_map(model: HmmModel, traces, scheme: QuantizationScheme) -> list[int]:
     """Majority QoE band observed while each hidden state was the MAP state.
 
@@ -298,9 +308,8 @@ def state_band_map(model: HmmModel, traces, scheme: QuantizationScheme) -> list[
     2-state fit of 3-band data) still be scored against quantized MOS.
     """
     counts = np.zeros((model.n_states, scheme.state_count), dtype=int)
-    for obs, mos in traces:
-        beliefs, _ = forward_filter(model, obs)
-        np.add.at(counts, (beliefs.argmax(axis=1), quantize_mos(mos, scheme) - 1), 1)
+    for beliefs, bands in _filtered_blocks(model, traces, scheme):
+        np.add.at(counts, (beliefs.argmax(axis=-1), bands - 1), 1)
     mapping = []
     for s in range(model.n_states):
         if counts[s].sum() == 0:
@@ -320,18 +329,14 @@ def prediction_accuracy(model: HmmModel, traces, scheme: QuantizationScheme,
     `state_map` translates hidden-state indices to QoE bands; identity when
     omitted (model states must then coincide with the scheme's bands).
     """
-    if state_map is None:
-        state_map = list(range(1, model.n_states + 1))
+    band_of = np.arange(1, model.n_states + 1) if state_map is None \
+        else np.asarray(state_map)
     correct = 0
     total = 0
-    for obs, mos in traces:
-        beliefs, _ = forward_filter(model, obs)
-        bands = quantize_mos(mos, scheme)
-        for t in range(len(obs) - 1):
-            pred, _ = predict_next_state(model, beliefs[t])
-            if state_map[pred - 1] == bands[t + 1]:
-                correct += 1
-            total += 1
+    for beliefs, bands in _filtered_blocks(model, traces, scheme):
+        predicted = band_of[predict_next_states(model, beliefs[:, :-1]) - 1]
+        correct += int((predicted == bands[:, 1:]).sum())
+        total += predicted.size
     return correct, total
 
 

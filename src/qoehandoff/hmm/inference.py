@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, ZeroProbabilityError
 from . import _backend
 from .model import HmmModel
 
@@ -18,8 +18,9 @@ def forward_filter(model: HmmModel,
     log_evidence): beliefs[..., t, :] is the normalized posterior
     P(state_t | obs_0..t), seeded from the model prior, and the evidence
     is a float for one sequence or one value per row (B,) for a block.
-    Raises DomainError when an observation has zero density under every
-    state the chain can be in at that step.
+    Raises ZeroProbabilityError (a DomainError) naming the row and step
+    when an observation has zero density under every state the chain can
+    be in at that step.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim not in (1, 2):
@@ -33,20 +34,29 @@ def forward_filter(model: HmmModel,
     if bad.size:
         row = int(bad[0])
         t = int(np.argmin(np.isfinite(beliefs[row]).all(axis=1)))
-        where = f"row {row}, observation {t}" if obs.ndim == 2 else f"observation {t}"
-        raise DomainError(f"{where} has zero predicted probability under the model")
+        raise ZeroProbabilityError(t, row if obs.ndim == 2 else None)
     if obs.ndim == 1:
         return beliefs[0], float(loglik[0])
     return beliefs, loglik
 
 
+def _probability_vectors(model: HmmModel, beliefs) -> np.ndarray:
+    """`beliefs` as a float array (..., N), or DomainError unless every
+    vector is non-negative and sums to 1 within 1e-9."""
+    beliefs = np.asarray(beliefs, dtype=float)
+    if beliefs.shape[-1:] != (model.n_states,):
+        raise DomainError("belief length does not match state count")
+    if not ((beliefs >= 0).all()
+            and (np.abs(beliefs.sum(axis=-1) - 1.0) <= 1e-9).all()):
+        raise DomainError("belief is not a probability vector")
+    return beliefs
+
+
 def predict_belief(model: HmmModel, belief: np.ndarray) -> np.ndarray:
     """One-step-ahead belief: current posterior pushed through the chain."""
-    belief = np.asarray(belief, dtype=float)
-    if belief.shape != (model.n_states,):
-        raise DomainError("belief length does not match state count")
-    if (belief < 0).any() or abs(belief.sum() - 1.0) > 1e-9:
-        raise DomainError("belief is not a probability vector")
+    belief = _probability_vectors(model, belief)
+    if belief.ndim != 1:
+        raise DomainError("belief must be one vector (N,)")
     return belief @ model.transitions
 
 
@@ -54,3 +64,21 @@ def predict_next_state(model: HmmModel, belief: np.ndarray) -> tuple[int, np.nda
     """MAP state (1-based) for the next epoch, ties toward the lower index."""
     predicted = predict_belief(model, belief)
     return int(np.argmax(predicted)) + 1, predicted
+
+
+def predict_next_states(model: HmmModel, beliefs) -> np.ndarray:
+    """`predict_next_state` for a block of beliefs (..., N) in one product:
+    the 1-based MAP next states, shape (...), ties toward the lower index."""
+    beliefs = _probability_vectors(model, beliefs)
+    return np.argmax(beliefs @ model.transitions, axis=-1) + 1
+
+
+def length_blocks(sequences) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sequences grouped by length, for one block call per length: a list
+    of (indices, block) pairs in order of first appearance, where `block`
+    stacks the sequences at `indices` as rows (B, T)."""
+    by_length: dict[int, list[int]] = {}
+    for i, seq in enumerate(sequences):
+        by_length.setdefault(len(seq), []).append(i)
+    return [(np.array(ids), np.array([sequences[i] for i in ids], dtype=float))
+            for ids in by_length.values()]

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from qoehandoff.cli import EXIT_DATA, EXIT_USAGE, main
-from qoehandoff.hmm import load_model
+from qoehandoff.hmm import (GaussianEmission, HmmModel, forward_filter,
+                            load_model, predict_next_state, save_model)
 from qoehandoff.netsim import roaming_cdma_g729_model
+from qoehandoff.trace_io import read_traces
 
 FAST_CONFIG = """
 [scenario]
@@ -81,6 +85,68 @@ class TestTrainHmmAndPredict:
         assert len(lines) == 1 + 2 * 2 * (20 - 1)
 
 
+def reference_predictions(model, traces_text):
+    """Per-trace filter and per-epoch `predict_next_state`, in trace order."""
+    rows = []
+    for trace in read_traces(traces_text):
+        beliefs, _ = forward_filter(model, np.asarray(trace.rtts()))
+        for t in range(len(trace.samples) - 1):
+            state, _ = predict_next_state(model, beliefs[t])
+            rows.append([trace.run_id, trace.interface_label,
+                         str(trace.samples[t + 1][0]), str(state)])
+    return rows
+
+
+class TestPredictBlocks:
+    """`predict` filters each equal-length group of traces as one block."""
+
+    def test_ragged_traces_match_per_trace_reference(self, tmp_path):
+        model = roaming_cdma_g729_model()
+        save_model(model, tmp_path / "model.json")
+        rng = np.random.default_rng(4)
+        lines = ["run_id,interface,epoch,rtt_s,mos"]
+        # Lengths interleaved so that each length group spans scattered
+        # traces; the length-1 traces write no rows.
+        for r, length in enumerate((101, 1, 5, 2, 101, 5, 1, 2, 101, 5)):
+            for label in ("CDMA2000", "WLAN"):
+                for epoch, rtt in enumerate(rng.uniform(0.05, 0.6, length)):
+                    lines.append(f"r{r:02d},{label},{3 * epoch + r},{rtt:.9g},")
+        traces = tmp_path / "traces.csv"
+        traces.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--traces", str(traces), "--out", str(tmp_path / "pred")])
+        assert code == 0
+        with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["run_id", "interface", "epoch", "predicted_state"]
+        expected = reference_predictions(model, traces.read_text())
+        assert len(expected) == 2 * (3 * 100 + 3 * 4 + 2 * 1)
+        assert rows[1:] == expected
+
+    @pytest.mark.parametrize("good", [
+        "r0,WLAN,0,0.5,\nr0,WLAN,1,0.5,\n",
+        # Same length as the bad trace: one block, where it is row 1.
+        "r0,WLAN,0,0.5,\nr0,WLAN,1,0.5,\nr0,WLAN,2,0.5,\n"
+        "r1,WLAN,0,0.5,\nr1,WLAN,1,0.5,\n",
+    ])
+    def test_zero_mass_names_the_trace(self, tmp_path, capsys, good):
+        # The chain stays in state 2; an observation at state 1's mean has
+        # zero density there.
+        save_model(HmmModel(prior=np.array([0.0, 1.0]), transitions=np.eye(2),
+                            emissions=(GaussianEmission(1.0, 1e-8),
+                                       GaussianEmission(0.5, 1e-8)),
+                            scheme=None), tmp_path / "model.json")
+        traces = tmp_path / "traces.csv"
+        traces.write_text("run_id,interface,epoch,rtt_s,mos\n" + good
+                          + "r9,WLAN,0,0.5,\nr9,WLAN,4,0.5,\nr9,WLAN,7,1.0,\n")
+        code = main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--traces", str(traces), "--out", str(tmp_path / "pred")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: run r9/WLAN observation 2 (epoch 7) has zero")
+        assert err.count("\n") == 1 and "row" not in err
+
+
 class TestComparePolicies:
     def test_report_written(self, tmp_path, capsys):
         cfg = tmp_path / "fast.ini"
@@ -115,6 +181,21 @@ class TestComparePolicies:
                      "--out", str(out)])
         assert code == EXIT_USAGE
         assert "--config" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("text,needle", [
+        ("[scenario]\nruns = abc\n", "invalid literal for int()"),
+        ("runs = 2\n", "no section headers"),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, needle):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        out = tmp_path / "cmp"
+        code = main(["compare-policies", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
+        assert needle in err
         assert not (out / "report.json").exists()
 
     def test_scenario_flags_without_config(self, tmp_path):

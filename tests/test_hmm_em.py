@@ -6,10 +6,11 @@ import pytest
 from qoehandoff.errors import DegenerateModelError, DomainError
 from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel,
                             cross_validate, cross_validate_folds, em_train,
-                            forward_filter, prediction_accuracy)
+                            forward_filter, predict_next_state,
+                            prediction_accuracy)
 from qoehandoff.hmm.em import (_lockstep_em, _restart_starts, _run_em,
                                state_band_map)
-from qoehandoff.qoe_model import CONGESTION_SCHEME, ROAMING_SCHEME
+from qoehandoff.qoe_model import CONGESTION_SCHEME, ROAMING_SCHEME, quantize_mos
 from test_hmm_inference import reference_forward_backward
 
 
@@ -272,3 +273,69 @@ class TestCrossValidation:
                                              state_map=[1, 3])
         assert total == 49
         assert 0 <= correct <= total
+
+
+def reference_band_map(model, traces, scheme):
+    """`state_band_map` one trace and one epoch at a time."""
+    counts = np.zeros((model.n_states, scheme.state_count), dtype=int)
+    for obs, mos in traces:
+        beliefs, _ = forward_filter(model, obs)
+        for t in range(len(obs)):
+            counts[int(np.argmax(beliefs[t])), quantize_mos(mos[t], scheme) - 1] += 1
+    return [int(c.argmax()) + 1 if c.sum() else
+            max(1, scheme.state_count - (model.n_states - 1 - s))
+            for s, c in enumerate(counts)]
+
+
+def reference_accuracy(model, traces, scheme, state_map):
+    """`prediction_accuracy` one trace and one epoch at a time."""
+    correct = total = 0
+    for obs, mos in traces:
+        beliefs, _ = forward_filter(model, obs)
+        for t in range(len(obs) - 1):
+            pred, _ = predict_next_state(model, beliefs[t])
+            correct += state_map[pred - 1] == quantize_mos(mos[t + 1], scheme)
+            total += 1
+    return correct, total
+
+
+class TestBlockScoring:
+    """CV scoring filters each equal-length group of traces as one block;
+    it must score like per-trace, per-epoch loops."""
+
+    def ragged_dataset(self, seed=6):
+        rng = np.random.default_rng(seed)
+        model = three_state_model()
+        dataset = []
+        for length in (101, 1, 5, 2, 101, 57, 5, 2, 101, 1, 57, 5):
+            states, obs = sample_chain(model, length, rng)
+            mos = np.array([4.4, 3.5, 1.8])[states] + rng.normal(0, 0.3, length)
+            dataset.append((obs, np.clip(mos, 1.0, 5.0)))
+        return dataset
+
+    @pytest.mark.parametrize("scheme", [ROAMING_SCHEME, CONGESTION_SCHEME])
+    def test_scores_match_per_epoch_reference(self, scheme):
+        dataset = self.ragged_dataset()
+        model = three_state_model()
+        state_map = state_band_map(model, dataset, scheme)
+        assert state_map == reference_band_map(model, dataset, scheme)
+        for mapping in (state_map, None, [3, 1, 2]):
+            ref_map = mapping if mapping is not None else [1, 2, 3]
+            got = prediction_accuracy(model, dataset, scheme, mapping)
+            assert got == reference_accuracy(model, dataset, scheme, ref_map)
+        assert got[1] == sum(len(obs) - 1 for obs, _ in dataset)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cross_validation_matches_per_epoch_reference(self, k):
+        dataset = self.ragged_dataset(seed=8)
+        cfg = EmConfig(seed=1, max_iterations=40)
+        expected = []
+        for fold in range(3):
+            train = [d for i, d in enumerate(dataset) if i % 3 != fold]
+            held = [d for i, d in enumerate(dataset) if i % 3 == fold]
+            model, _ = em_train([obs for obs, _ in train], k, cfg,
+                                ROAMING_SCHEME if k == 3 else None)
+            state_map = reference_band_map(model, train, ROAMING_SCHEME)
+            expected.append(reference_accuracy(model, held, ROAMING_SCHEME,
+                                               state_map))
+        assert cross_validate_folds(dataset, 3, k, ROAMING_SCHEME, cfg) == expected

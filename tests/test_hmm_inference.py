@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from qoehandoff.errors import DomainError
 from qoehandoff.hmm import (GaussianEmission, HmmModel, forward_filter,
-                            predict_belief, predict_next_state)
+                            predict_belief, predict_next_state,
+                            predict_next_states)
 from qoehandoff.hmm import _backend, _kernels_py
 from qoehandoff.hmm.em import _Pool, _e_step
 
@@ -302,6 +303,44 @@ class TestPrediction:
             predict_belief(model, np.array([0.7, 0.7]))
         with pytest.raises(DomainError):
             predict_belief(model, np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_block_equals_per_belief_calls(self, n):
+        rng = np.random.default_rng(n)
+        model = random_model(rng, n)
+        beliefs = rng.dirichlet(np.ones(n), size=(4, 7))
+        states = predict_next_states(model, beliefs)
+        assert states.shape == (4, 7)
+        expected = [[predict_next_state(model, b)[0] for b in row] for row in beliefs]
+        assert states.tolist() == expected
+        assert predict_next_states(model, beliefs[0, 0]) == expected[0][0]
+
+    @pytest.mark.parametrize("tm", [
+        [[0.7, 0.3], [0.3, 0.7]],
+        # Symmetric circulant: every column holds the same dyadic entries.
+        [[0.5, 0.125, 0.25, 0.125], [0.125, 0.5, 0.125, 0.25],
+         [0.25, 0.125, 0.5, 0.125], [0.125, 0.25, 0.125, 0.5]],
+    ])
+    def test_block_ties_prefer_lower_state(self, tm):
+        n = len(tm)
+        model = HmmModel(np.full(n, 1.0 / n), np.array(tm),
+                         tuple(GaussianEmission(float(n - i), 0.01)
+                               for i in range(n)), scheme=None)
+        uniform = np.full((3, 5, n), 1.0 / n)
+        assert (predict_next_states(model, uniform) == 1).all()
+        assert predict_next_state(model, uniform[0, 0])[0] == 1
+
+    @pytest.mark.parametrize("bad", [
+        [[0.5, 0.5], [1.2, -0.2]],         # a negative entry
+        [[0.5, 0.5], [0.6, 0.6]],          # a row summing to 1.2
+        [[0.5, 0.5], [np.nan, 0.5]],       # a NaN
+        [[1 / 3, 1 / 3, 1 / 3]],           # wrong state count
+        0.5,                               # no state axis
+    ])
+    def test_block_rejects_invalid_beliefs(self, bad):
+        model = random_model(np.random.default_rng(2), 2)
+        with pytest.raises(DomainError):
+            predict_next_states(model, bad)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
