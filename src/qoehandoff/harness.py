@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .hmm import EmConfig, HmmModel, cross_validate, em_train, forward_filter
+from .hmm import (EmConfig, HmmModel, cross_validate, em_train, forward_filter,
+                  predict_next_states)
 # Unused here; kept bound because perfbench/tracer.py patches this name.
 from .hmm.inference import predict_belief  # noqa: F401
 from .netsim import (ROAMING, ScenarioConfig, SimRun, congestion_scenario,
@@ -24,7 +25,7 @@ from .policies import (HysteresisConfig, QLearningConfig, QTable, RewardConfig,
                        q_update, reward)
 # Unused here; kept bound because perfbench/tracer.py patches this name.
 from .probing import aggregate_epoch  # noqa: F401
-from .probing import ProbeConfig, RnlEstimator
+from .probing import RnlEstimator
 from .qoe_model import CODECS, mos_from_delay, quantize_mos
 
 ALL_POLICIES = ("best", "naive", "m4", "proposed")
@@ -50,7 +51,6 @@ _DEFAULT_HARNESS_QLEARN = QLearningConfig(
 @dataclass(frozen=True)
 class HarnessConfig:
     scenario: ScenarioConfig
-    probe: ProbeConfig = ProbeConfig()
     reward_cfg: RewardConfig = RewardConfig()
     qlearn: QLearningConfig = QLearningConfig()
     hysteresis: HysteresisConfig = HysteresisConfig()
@@ -181,9 +181,9 @@ def run_features(runs: list[SimRun], models=None, qoe_maps=None,
 
     With `models` (one HMM per interface, and its state -> QoE band map)
     each interface's beliefs come from one batched `forward_filter` call;
-    the predicted band is the map of the argmax of the one-step-ahead
-    belief, folded row-major into `joint_base` as `JointState.index`
-    folds it. `with_rnl` adds the load-metric series of the m4 baseline.
+    the predicted band is the map of `predict_next_states` (the MAP state
+    of the one-step-ahead belief), folded row-major into `joint_base` as
+    `JointState.index` folds it. `with_rnl` adds the load-metric series of the m4 baseline.
     """
     observations = np.array([run.delays_s for run in runs])
     n_runs, n_if, _ = observations.shape
@@ -192,7 +192,7 @@ def run_features(runs: list[SimRun], models=None, qoe_maps=None,
         joint_base = np.zeros((n_runs, observations.shape[2]), dtype=int)
         for i, (model, qmap) in enumerate(zip(models, qoe_maps)):
             beliefs, _ = forward_filter(model, observations[:, i])
-            predicted = np.argmax(beliefs @ model.transitions, axis=2)
+            predicted = predict_next_states(model, beliefs) - 1
             joint_base = joint_base * n_states + np.asarray(qmap)[predicted] - 1
         joint_base *= n_if
     if with_rnl:
@@ -412,13 +412,6 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
     def section(name):
         return parser[name] if parser.has_section(name) else {}
 
-    pr = section("probe")
-    probe = ProbeConfig(
-        probes_per_second=int(pr.get("probes_per_second", 5)),
-        ba_packet_bytes=int(pr.get("ba_packet_bytes", 24)),
-        late_threshold_s=float(pr.get("late_threshold_s", codec.late_threshold_s)),
-        imputation=pr.get("imputation", "threshold_clamp"),
-    )
     rw = section("reward")
     reward_cfg = RewardConfig(
         w_qoe=float(rw.get("w_qoe", 1.0)),
@@ -450,7 +443,7 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
     if not hmm_states and kind == "roaming":
         hmm_states = (2, 3)
     return HarnessConfig(
-        scenario=scenario, probe=probe, reward_cfg=reward_cfg, qlearn=qlearn,
+        scenario=scenario, reward_cfg=reward_cfg, qlearn=qlearn,
         hysteresis=hysteresis,
         m4_margin_s=float(ha.get("m4_margin_s", 0.02)),
         policies_enabled=policies,

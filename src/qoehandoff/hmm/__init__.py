@@ -1,6 +1,6 @@
 """Gaussian-emission hidden Markov models over delay observations."""
 
-from ._backend import BACKEND
+from ._kernels_py import BACKEND
 from .em import (EmConfig, TrainingReport, cross_validate,
                  cross_validate_folds, em_train, prediction_accuracy)
 from .inference import (forward_filter, predict_belief, predict_next_state,

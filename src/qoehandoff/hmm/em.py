@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import DegenerateModelError, DomainError
 from ..qoe_model import QuantizationScheme, quantize_mos
-from . import _backend
+from . import _kernels_py
 from .inference import forward_filter, length_blocks, predict_next_states
 # Unused here; kept bound because perfbench/tracer.py patches this name.
 from .inference import predict_next_state  # noqa: F401
@@ -125,7 +125,7 @@ def _e_step(pool: _Pool, row_start, row_seq, means, variances, prior, tm):
         var = variances[st][:, None, :]
         diff = x[:, :, None] - means[st][:, None, :]
         flp = -0.5 * (diff * diff / var + np.log(2.0 * np.pi * var))
-        gamma, xi[sel], ll[sel] = _backend.forward_backward(flp, prior[st], tm[st])
+        gamma, xi[sel], ll[sel] = _kernels_py.forward_backward(flp, prior[st], tm[st])
         gamma0[sel] = gamma[:, 0]
         w[sel] = gamma.sum(axis=1)
         wx[sel] = np.einsum("btk,bt->bk", gamma, x)

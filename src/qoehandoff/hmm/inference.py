@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError, ZeroProbabilityError
-from . import _backend
+from . import _kernels_py
 from .model import HmmModel
 
 
@@ -27,7 +27,7 @@ def forward_filter(model: HmmModel,
         raise DomainError("observations must be a sequence (T,) or a block (B, T)")
     block = obs if obs.ndim == 2 else obs[None]
     frame_logprob = model.frame_log_likelihood(block.reshape(-1))
-    beliefs, loglik = _backend.forward(
+    beliefs, loglik = _kernels_py.forward(
         frame_logprob.reshape(*block.shape, model.n_states), model.prior,
         model.transitions)
     bad = np.flatnonzero(~np.isfinite(loglik))

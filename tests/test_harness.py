@@ -334,7 +334,6 @@ hmm_states = 2, 3
         cfg = load_config(path)
         assert cfg.scenario.codec.name == "G729"
         assert cfg.hmm_states == (2, 3)
-        assert cfg.probe.probes_per_second == 5
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DomainError):
@@ -345,6 +344,16 @@ hmm_states = 2, 3
         path.write_text("[scenario]\ncodec = opus\n")
         with pytest.raises(DomainError):
             load_config(path)
+
+    def test_probe_section_is_ignored(self, tmp_path):
+        # No harness stage reads probe settings, so a [probe] section
+        # leaves the configuration as it is.
+        bare = tmp_path / "bare.ini"
+        bare.write_text("[scenario]\nkind = roaming\n")
+        probed = tmp_path / "probed.ini"
+        probed.write_text("[scenario]\nkind = roaming\n[probe]\n"
+                          "probes_per_second = 10\nimputation = carry_forward\n")
+        assert repr(load_config(probed)) == repr(load_config(bare))
 
     def test_matches_default_harness(self, tmp_path):
         path = tmp_path / "defaults.ini"

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qoehandoff.errors import DomainError
+from qoehandoff.errors import DomainError, ZeroProbabilityError
 from qoehandoff.hmm import (GaussianEmission, HmmModel, forward_filter,
                             predict_belief, predict_next_state,
                             predict_next_states)
-from qoehandoff.hmm import _backend, _kernels_py
+from qoehandoff.hmm import _kernels_py
 from qoehandoff.hmm.em import _Pool, _e_step
+from qoehandoff.hmm.model import VARIANCE_FLOOR
 
 
 def random_model(rng, n):
@@ -188,21 +189,18 @@ class TestBatchedKernels:
     @settings(max_examples=60, deadline=None)
     @given(batches)
     def test_rows_match_per_sequence_reference(self, batch):
-        # Both the NumPy kernels and the loaded backend (the compiled one
-        # when it was built) keep the batched contract.
         flp, prior, tm = random_batch(*batch)
-        for kernels in (_kernels_py, _backend):
-            filtered, logev = kernels.forward(flp, prior[0], tm[0])
-            gamma, xi_sum, loglik = kernels.forward_backward(flp, prior, tm)
-            for r in range(flp.shape[0]):
-                ref_filtered, ref_logev = reference_forward(flp[r], prior[0], tm[0])
-                ref_gamma, ref_xi, ref_loglik = reference_forward_backward(
-                    flp[r], prior[r], tm[r])
-                close(filtered[r], ref_filtered)
-                close(logev[r], ref_logev)
-                close(gamma[r], ref_gamma)
-                close(xi_sum[r], ref_xi)
-                close(loglik[r], ref_loglik)
+        filtered, logev = _kernels_py.forward(flp, prior[0], tm[0])
+        gamma, xi_sum, loglik = _kernels_py.forward_backward(flp, prior, tm)
+        for r in range(flp.shape[0]):
+            ref_filtered, ref_logev = reference_forward(flp[r], prior[0], tm[0])
+            ref_gamma, ref_xi, ref_loglik = reference_forward_backward(
+                flp[r], prior[r], tm[r])
+            close(filtered[r], ref_filtered)
+            close(logev[r], ref_logev)
+            close(gamma[r], ref_gamma)
+            close(xi_sum[r], ref_xi)
+            close(loglik[r], ref_loglik)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1),
@@ -267,6 +265,58 @@ class TestBatchedKernels:
                 brute_log_evidence(flp[r], prior[0], tm[0]), abs=1e-9)
             assert loglik[r] == pytest.approx(
                 brute_log_evidence(flp[r], prior[r], tm[r]), abs=1e-9)
+
+
+@st.composite
+def sparse_filter_cases(draw):
+    """A model with zero entries in its prior and transition rows and
+    variances down to VARIANCE_FLOOR, and observations (T,) or (B, T)
+    drawn both near its means and anywhere in the delay range."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    support = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+
+    def stochastic(mask):
+        weights = rng.uniform(0.01, 1.0, n) * np.array(mask)
+        return weights / weights.sum()
+
+    prior = stochastic(draw(support))
+    tm = np.array([stochastic(draw(support)) for _ in range(n)])
+    variances = draw(st.lists(
+        st.sampled_from([VARIANCE_FLOOR, 1e-6, 1e-4, 1e-2, 0.1]),
+        min_size=n, max_size=n))
+    means = rng.uniform(0.0, 1.0, n)
+    model = HmmModel(prior, tm, tuple(GaussianEmission(float(m), v)
+                                      for m, v in zip(means, variances)),
+                     scheme=None)
+    shape = draw(st.one_of(st.tuples(st.integers(1, 30)),
+                           st.tuples(st.integers(1, 4), st.integers(1, 30))))
+    near = means[rng.integers(0, n, shape)] + \
+        rng.normal(0.0, 1.0, shape) * np.sqrt(VARIANCE_FLOOR)
+    anywhere = rng.uniform(-0.2, 1.2, shape)
+    obs = np.where(rng.random(shape) < draw(st.floats(0.0, 1.0)), near, anywhere)
+    return model, obs
+
+
+class TestSparseModels:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_filter_cases())
+    def test_filter_is_defined_or_raises(self, case):
+        # Zero prior or transition entries and floor variances either give
+        # probability vectors with a finite evidence or a named
+        # zero-probability step, never NaN.
+        model, obs = case
+        try:
+            beliefs, logev = forward_filter(model, obs)
+        except ZeroProbabilityError as exc:
+            assert 0 <= exc.observation < obs.shape[-1]
+            assert exc.row is None if obs.ndim == 1 else 0 <= exc.row < obs.shape[0]
+            return
+        assert beliefs.shape == obs.shape + (model.n_states,)
+        assert np.isfinite(beliefs).all()
+        assert (beliefs >= 0).all()
+        assert np.abs(beliefs.sum(axis=-1) - 1.0).max() <= 1e-9
+        assert np.isfinite(logev).all()
 
 
 class TestPrediction:
