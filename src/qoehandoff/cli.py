@@ -23,10 +23,11 @@ import numpy as np
 from . import harness, netsim, trace_io
 from .errors import (DocumentError, DomainError, TraceParseError,
                      TraceValidationError, ZeroProbabilityError, parse_document)
-from .hmm import (EmConfig, cross_validate_folds, em_train, forward_filter,
-                  load_model, save_model)
+from .hmm import (EmConfig, cross_validate_folds, forward_filter, load_model,
+                  save_model)
+# Unused here; kept bound because perfbench/tracer.py patches these names.
+from .hmm import em_train  # noqa: F401
 from .hmm.inference import length_blocks, predict_next_states
-# Unused here; kept bound because perfbench/tracer.py patches this name.
 from .hmm.inference import predict_next_state  # noqa: F401
 from .qoe_model import CODECS, CONGESTION_SCHEME, ROAMING_SCHEME
 
@@ -94,17 +95,16 @@ def cmd_train_hmm(args) -> int:
     scheme = SCHEMES[args.scheme]
     _, dataset = _load_dataset(args.traces, halve_rtt=False)
     config = EmConfig(seed=args.seed)
-    model, report = em_train([obs for obs, _ in dataset], args.states, config,
-                             scheme=scheme if args.states == scheme.state_count
-                             else None)
-    scores = cross_validate_folds(dataset, args.folds, args.states, scheme, config)
+    (model, report), scores = cross_validate_folds(dataset, args.folds, args.states,
+                                                   scheme, config)
     for i, (c, t) in enumerate(scores):
         print(f"fold {i + 1}: accuracy {c / t:.4f} ({c}/{t})")
     total_c = sum(c for c, _ in scores)
     total_t = sum(t for _, t in scores)
     print(f"mean accuracy: {total_c / total_t:.4f}")
     print(f"final log-likelihood: {report.log_likelihoods[-1]:.6f} "
-          f"({report.iterations} iterations, converged={report.converged})")
+          f"({report.iterations} iterations, converged={report.converged}, "
+          f"restart {report.restart_index})")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.json"

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .hmm import (EmConfig, HmmModel, cross_validate, em_train, forward_filter,
-                  predict_next_states)
+from .hmm import (EmConfig, HmmModel, cross_validate_folds, em_train,
+                  forward_filter, predict_next_states)
 # Unused here; kept bound because perfbench/tracer.py patches this name.
 from .hmm.inference import predict_belief  # noqa: F401
 from .netsim import (ROAMING, ScenarioConfig, SimRun, congestion_scenario,
@@ -136,8 +136,10 @@ def state_to_qoe_map(model: HmmModel, delay_is_rtt: bool, codec, scheme) -> list
 
 
 def train_interface_models(cfg: HarnessConfig):
-    """Fit one delay HMM per interface on held-out runs; also returns the
-    2-fold cross-validated one-step prediction accuracy per interface."""
+    """Fit one delay HMM per interface on held-out runs; with two or more
+    runs, also returns the 2-fold cross-validated one-step prediction
+    accuracy per interface, its folds fitted in the same lock-step EM as
+    the model."""
     scenario = cfg.scenario
     runs = [generate_run(scenario, _HMM_RUN_OFFSET + r)
             for r in range(cfg.hmm_training_runs)]
@@ -146,13 +148,16 @@ def train_interface_models(cfg: HarnessConfig):
     for i, channel in enumerate(scenario.channels):
         k = cfg.hmm_states[i] if cfg.hmm_states else scenario.scheme.state_count
         dataset = [(run.delays_s[i], run.mos[i]) for run in runs]
-        model, _ = em_train([obs for obs, _ in dataset], k, cfg.em,
-                            scheme=scenario.scheme if k == scenario.scheme.state_count
-                            else None)
-        models.append(model)
         if len(dataset) >= 2:
-            accuracy[channel.label] = cross_validate(
-                dataset, 2, k, scenario.scheme, cfg.em)
+            (model, _), scores = cross_validate_folds(dataset, 2, k, scenario.scheme,
+                                                      cfg.em)
+            accuracy[channel.label] = sum(c for c, _ in scores) \
+                / sum(t for _, t in scores)
+        else:
+            model, _ = em_train([obs for obs, _ in dataset], k, cfg.em,
+                                scheme=scenario.scheme
+                                if k == scenario.scheme.state_count else None)
+        models.append(model)
     return models, accuracy
 
 
@@ -368,23 +373,53 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
                             metadata=metadata, runs=eval_runs)
 
 
+# Every key `_config_from` reads, per section. Any other section or key is
+# rejected, so a misspelt setting cannot silently keep its default.
+_CONFIG_KEYS = {
+    "scenario": {"kind", "codec", "duration_epochs", "runs", "seed",
+                 "dwell_mean_epochs", "handoff_penalty_mos"},
+    "reward": {"w_qoe", "qoe_min", "qoe_max", "cost_min", "cost_max",
+               "handoff_cost"},
+    "qlearn": {"alpha", "gamma", "epsilon", "epsilon_decay", "epsilon_floor",
+               "alpha_decay"},
+    "hysteresis": {"margin", "dwell_epochs"},
+    "harness": {"policies", "hmm_states", "m4_margin_s", "training_episodes",
+                "hmm_training_runs", "em_seed"},
+}
+_ROAMING_ONLY_KEYS = {"dwell_mean_epochs", "handoff_penalty_mos"}
+
+
 def load_config(path) -> HarnessConfig:
     """Build a harness configuration from a sectioned key=value file.
 
-    Raises DomainError when the file cannot be read or parsed, or holds a
-    value of the wrong kind.
+    Raises DomainError when the file cannot be read or parsed, or holds an
+    unknown section or key or a value of the wrong kind.
     """
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
-            raise DomainError(f"cannot read config file {path}")
-        return _config_from(parser)
-    except DomainError:
-        raise
+        if parser.read(path):
+            return _config_from(parser)
     except (ValueError, configparser.Error) as exc:
         # configparser messages span lines; the CLI prints one error line.
         raise DomainError(f"config file {path}: {' '.join(str(exc).split())}") \
             from None
+    raise DomainError(f"cannot read config file {path}")
+
+
+def _check_keys(parser: configparser.ConfigParser, kind: str) -> None:
+    if parser.defaults():
+        raise DomainError(f"unknown config section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in _CONFIG_KEYS:
+            raise DomainError(f"unknown config section [{name}]")
+        known = _CONFIG_KEYS[name]
+        if name == "scenario" and kind != "roaming":
+            known = known - _ROAMING_ONLY_KEYS
+        for key in parser[name]:
+            if key not in known:
+                where = f"[{name}] for kind {kind}" if key in _ROAMING_ONLY_KEYS \
+                    else f"[{name}]"
+                raise DomainError(f"unknown config key {key!r} in {where}")
 
 
 def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
@@ -408,6 +443,7 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
         scenario = congestion_scenario(**common)
     else:
         raise DomainError(f"unknown scenario kind {kind!r}")
+    _check_keys(parser, kind)
 
     def section(name):
         return parser[name] if parser.has_section(name) else {}

@@ -1,8 +1,8 @@
 """Gaussian-emission hidden Markov models over delay observations."""
 
 from ._kernels_py import BACKEND
-from .em import (EmConfig, TrainingReport, cross_validate,
-                 cross_validate_folds, em_train, prediction_accuracy)
+from .em import (EmConfig, TrainingReport, cross_validate_folds, em_train,
+                 prediction_accuracy)
 from .inference import (forward_filter, predict_belief, predict_next_state,
                         predict_next_states)
 from .model import GaussianEmission, HmmModel, load_model, save_model
@@ -13,7 +13,6 @@ __all__ = [
     "TrainingReport",
     "GaussianEmission",
     "HmmModel",
-    "cross_validate",
     "cross_validate_folds",
     "em_train",
     "forward_filter",

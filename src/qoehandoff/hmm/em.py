@@ -4,14 +4,18 @@ cross-validated one-step prediction accuracy.
 Initialization is quantile-based and therefore deterministic for a given
 seed; restarts re-seed the means from skewed quantiles and then random
 data points, which guards against poor local optima when state occupancy
-is lopsided, and the best-likelihood restart wins (ties to the lowest
-restart index).
+is lopsided.
 All restarts of a fit, and the fits of all cross-validation folds, run
 in lock-step: every E-step is one batched kernel call over the rows
-(start, sequence) of the starts that have not yet converged, and a start
-leaves the batch when it converges. Each start keeps its own parameters,
-likelihood history and convergence flag, so the result is the same as
-running the restarts one after another.
+(start, sequence) of the starts still running, and a start leaves the
+batch when it converges. Restarts are screened ("short runs, then one
+long run"): after `SCREEN_ITERATIONS` lock-step iterations, each fit
+keeps running only its leader, the start with the highest likelihood so
+far (ties to the lowest restart); its other unconverged starts stop
+there, and starts that converged earlier keep their result. A start's
+best likelihood so far never falls, so the fit's winner (the
+best-likelihood iteration of any start, ties to the lowest restart) is
+always its leader. A fit with one start runs exactly as EM on its own.
 Trained models are canonicalized by sorting states by descending emission
 mean, so state 1 is always the worst-delay state regardless of how the
 optimizer happened to label states.
@@ -91,6 +95,10 @@ def _labeled_init(seqs, labels, k: int, cfg: EmConfig):
     return means, variances
 
 
+# Lock-step iterations after which each fit runs only its leading start.
+SCREEN_ITERATIONS = 20
+
+
 class _Pool:
     """Observation sequences stacked by length, for batched kernel calls."""
 
@@ -134,18 +142,23 @@ def _e_step(pool: _Pool, row_start, row_seq, means, variances, prior, tm):
 
 
 def _lockstep_em(seqs, starts, cfg: EmConfig):
-    """EM from every start at once.
+    """EM from every start at once, with restart screening.
 
-    `starts` holds (seq_ids, means, variances, prior, tm): the indices into
-    `seqs` of the sequences a start is fitted to, and its starting point.
+    `starts` holds (fit, seq_ids, means, variances, prior, tm): the index
+    of the fit the start belongs to, the indices into `seqs` of the
+    sequences it is fitted to, and its starting point; a fit's starts come
+    in restart order. After `SCREEN_ITERATIONS` iterations each fit's
+    leader (highest best-so-far likelihood, ties to the lowest start) goes
+    on, and its other unconverged starts stop there.
     Returns, per start, (ll_history, best, converged, iterations), where
     best is (ll, means, variances, prior, tm) at its best-likelihood
     iteration.
     """
     pool = _Pool([np.asarray(s, dtype=float) for s in seqs])
-    seq_ids = [np.asarray(ids, dtype=int) for ids, *_ in starts]
+    fit = [start[0] for start in starts]
+    seq_ids = [np.asarray(start[1], dtype=int) for start in starts]
     means, variances, prior, tm = (
-        np.array([start[i] for start in starts], dtype=float) for i in range(1, 5))
+        np.array([start[i] for start in starts], dtype=float) for i in range(2, 6))
     n, k = means.shape
     histories: list[list[float]] = [[] for _ in range(n)]
     best = [None] * n
@@ -153,7 +166,7 @@ def _lockstep_em(seqs, starts, cfg: EmConfig):
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     active = np.arange(n)
-    for _ in range(cfg.max_iterations):
+    for iteration in range(1, cfg.max_iterations + 1):
         if active.size == 0:
             break
         iterations[active] += 1
@@ -175,8 +188,14 @@ def _lockstep_em(seqs, starts, cfg: EmConfig):
         done = np.isfinite(prev) & (ll - prev < cfg.rel_tol * np.abs(prev))
         converged[active[done]] = True
         prev_ll[active] = ll
-        # M-step for the starts that go on.
         go = ~done
+        if iteration == SCREEN_ITERATIONS:
+            leaders = {}
+            for j in range(n):
+                if fit[j] not in leaders or best[j][0] > best[leaders[fit[j]]][0]:
+                    leaders[fit[j]] = j
+            go &= np.isin(active, list(leaders.values()))
+        # M-step for the starts that go on.
         active = active[go]
         prior_acc, xi_acc = prior_acc[go], xi_acc[go]
         w_acc, wx_acc, wxx_acc = w_acc[go], wx_acc[go], wxx_acc[go]
@@ -193,7 +212,7 @@ def _lockstep_em(seqs, starts, cfg: EmConfig):
 def _run_em(seqs, means, variances, prior, tm, cfg: EmConfig):
     """One EM run from the given starting point. Returns (ll_history, best,
     converged, iterations) as `_lockstep_em` does for one start."""
-    return _lockstep_em(seqs, [(range(len(seqs)), means, variances, prior, tm)],
+    return _lockstep_em(seqs, [(0, range(len(seqs)), means, variances, prior, tm)],
                         cfg)[0]
 
 
@@ -270,11 +289,11 @@ def _fit_all(observation_sets, k: int, config: EmConfig,
 
     pool, starts, spans = [], [], []
     labels = state_labels if state_labels is not None else [None] * len(fits)
-    for seqs, fit_labels in zip(fits, labels):
+    for fit, (seqs, fit_labels) in enumerate(zip(fits, labels)):
         ids = range(len(pool), len(pool) + len(seqs))
         pool.extend(seqs)
         first = len(starts)
-        starts.extend((ids, *start)
+        starts.extend((fit, ids, *start)
                       for start in _restart_starts(seqs, k, config, fit_labels))
         spans.append(slice(first, len(starts)))
     runs = _lockstep_em(pool, starts, config)
@@ -286,8 +305,9 @@ def em_train(observations, k: int, config: EmConfig = EmConfig(),
              state_labels_for_init=None) -> tuple[HmmModel, TrainingReport]:
     """Fit a k-state model to one or more delay sequences.
 
-    Returns the model at the best-likelihood iteration of the best restart,
-    with states sorted by descending emission mean.
+    Returns the model at the best-likelihood iteration of the best restart
+    (restarts screened as the module describes), with states sorted by
+    descending emission mean.
     """
     return _fit_all([observations], k, config, scheme, [state_labels_for_init])[0]
 
@@ -341,31 +361,25 @@ def prediction_accuracy(model: HmmModel, traces, scheme: QuantizationScheme,
 
 
 def cross_validate_folds(dataset, folds: int, k: int, scheme: QuantizationScheme,
-                         config: EmConfig = EmConfig()) -> list[tuple[int, int]]:
-    """Per-fold (correct, total) one-step prediction scores.
+                         config: EmConfig = EmConfig()):
+    """Fit the all-data model and score it by cross-validation.
 
-    Folds are assigned round-robin by trace index, so every trace is held
-    out exactly once. The folds' fits run in one lock-step EM.
+    Returns ((model, report), scores): the `em_train` fit of every trace,
+    and each fold's (correct, total) one-step prediction score. Folds are
+    assigned round-robin by trace index, so every trace is held out
+    exactly once. The all-data fit and the folds' fits run in one
+    lock-step EM.
     """
     n = len(dataset)
     if not 2 <= folds <= n:
         raise DomainError(f"folds must be in [2, {n}]")
     trains = [[dataset[i] for i in range(n) if i % folds != fold]
               for fold in range(folds)]
-    fits = _fit_all([[obs for obs, _ in train] for train in trains], k, config,
-                    scheme if k == scheme.state_count else None)
+    full, *fits = _fit_all([[obs for obs, _ in train] for train in [dataset, *trains]],
+                           k, config, scheme if k == scheme.state_count else None)
     scores = []
     for fold, (train, (model, _)) in enumerate(zip(trains, fits)):
         held = [dataset[i] for i in range(n) if i % folds == fold]
         state_map = state_band_map(model, train, scheme)
         scores.append(prediction_accuracy(model, held, scheme, state_map))
-    return scores
-
-
-def cross_validate(dataset, folds: int, k: int, scheme: QuantizationScheme,
-                   config: EmConfig = EmConfig()) -> float:
-    """Micro-averaged one-step prediction accuracy over all folds."""
-    scores = cross_validate_folds(dataset, folds, k, scheme, config)
-    correct = sum(c for c, _ in scores)
-    total = sum(t for _, t in scores)
-    return correct / total
+    return full, scores

@@ -23,12 +23,6 @@ from .errors import DocumentError, DomainError, parse_document
 
 
 @dataclass(frozen=True)
-class InterfaceId:
-    index: int
-    label: str
-
-
-@dataclass(frozen=True)
 class RewardConfig:
     """Weights and clamp ranges for the blended QoE/cost reward."""
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from qoehandoff.cli import main
 from qoehandoff.harness import default_roaming_harness, run_comparison
-from qoehandoff.hmm import (EmConfig, cross_validate, em_train, forward_filter,
-                            prediction_accuracy)
+from qoehandoff.hmm import (EmConfig, cross_validate_folds, em_train,
+                            forward_filter, prediction_accuracy)
 from qoehandoff.hmm.em import _run_em, state_band_map
 from qoehandoff.hmm.model import GaussianEmission, HmmModel
 from qoehandoff.netsim import (congestion_wlan_g711_model,
@@ -129,7 +129,8 @@ def test_criterion_04_prediction_near_bayes():
     correct, total = prediction_accuracy(true, dataset, ROAMING_SCHEME,
                                          bayes_map)
     phi_bayes = correct / total
-    phi_cv = cross_validate(dataset, 2, 3, ROAMING_SCHEME, EmConfig(seed=0))
+    _, scores = cross_validate_folds(dataset, 2, 3, ROAMING_SCHEME, EmConfig(seed=0))
+    phi_cv = sum(c for c, _ in scores) / sum(t for _, t in scores)
     gap = abs(phi_cv - phi_bayes)
     _verdict(4, f"CV accuracy {phi_cv:.4f} vs Bayes {phi_bayes:.4f} "
                 f"(gap {100 * gap:.2f} pp)", gap <= 0.02)

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from qoehandoff.cli import EXIT_DATA, EXIT_USAGE, main
-from qoehandoff.hmm import (GaussianEmission, HmmModel, forward_filter,
-                            load_model, predict_next_state, save_model)
+from qoehandoff.cli import EXIT_DATA, EXIT_USAGE, _load_dataset, main
+from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, em_train,
+                            forward_filter, load_model, predict_next_state,
+                            save_model)
+from qoehandoff.qoe_model import ROAMING_SCHEME
 from qoehandoff.netsim import roaming_cdma_g729_model
 from qoehandoff.trace_io import read_traces
 
@@ -100,6 +102,25 @@ def reference_predictions(model, traces_text):
 class TestPredictBlocks:
     """`predict` filters each equal-length group of traces as one block."""
 
+    def test_train_reports_the_winning_restart(self, tmp_path, sim_dir, capsys):
+        # The final line describes the all-data fit as em_train makes it,
+        # winning restart included.
+        code = main(["train-hmm", "--traces", str(sim_dir / "traces.csv"),
+                     "--states", "3", "--folds", "2", "--scheme", "roaming",
+                     "--seed", "4", "--out", str(tmp_path / "model")])
+        assert code == 0
+        final = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("final log-likelihood")]
+        _, dataset = _load_dataset(sim_dir / "traces.csv", halve_rtt=False)
+        model, report = em_train([obs for obs, _ in dataset], 3, EmConfig(seed=4),
+                                 scheme=ROAMING_SCHEME)
+        assert final == [f"final log-likelihood: {report.log_likelihoods[-1]:.6f} "
+                         f"({report.iterations} iterations, "
+                         f"converged={report.converged}, "
+                         f"restart {report.restart_index})"]
+        assert load_model(tmp_path / "model" / "model.json").to_text() == \
+            model.to_text()
+
     def test_ragged_traces_match_per_trace_reference(self, tmp_path):
         model = roaming_cdma_g729_model()
         save_model(model, tmp_path / "model.json")
@@ -186,6 +207,8 @@ class TestComparePolicies:
     @pytest.mark.parametrize("text,needle", [
         ("[scenario]\nruns = abc\n", "invalid literal for int()"),
         ("runs = 2\n", "no section headers"),
+        ("[harness]\ntrainig_episodes = 5\n",
+         "unknown config key 'trainig_episodes' in [harness]"),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, needle):
         cfg = tmp_path / "bad.ini"

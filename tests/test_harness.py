@@ -345,15 +345,77 @@ hmm_states = 2, 3
         with pytest.raises(DomainError):
             load_config(path)
 
-    def test_probe_section_is_ignored(self, tmp_path):
-        # No harness stage reads probe settings, so a [probe] section
-        # leaves the configuration as it is.
-        bare = tmp_path / "bare.ini"
-        bare.write_text("[scenario]\nkind = roaming\n")
-        probed = tmp_path / "probed.ini"
-        probed.write_text("[scenario]\nkind = roaming\n[probe]\n"
-                          "probes_per_second = 10\nimputation = carry_forward\n")
-        assert repr(load_config(probed)) == repr(load_config(bare))
+    def test_probe_section_is_rejected(self, tmp_path):
+        # No harness stage reads probe settings, so [probe] is unknown.
+        path = tmp_path / "probed.ini"
+        path.write_text("[scenario]\nkind = roaming\n[probe]\n"
+                        "probes_per_second = 10\nimputation = carry_forward\n")
+        with pytest.raises(DomainError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"config file {path}: unknown config section [probe]"
+
+    @pytest.mark.parametrize("text,needle", [
+        ("[scenario]\nkind = roaming\n[qlern]\nalpha = 0.9\n",
+         "unknown config section [qlern]"),
+        ("[harness]\ntrainig_episodes = 5\n",
+         "unknown config key 'trainig_episodes' in [harness]"),
+        ("[reward]\nw_qoe = 1.0\nhandof_cost = 2\n",
+         "unknown config key 'handof_cost' in [reward]"),
+        ("[scenario]\nkind = wlan_congestion\ndwell_mean_epochs = 10\n",
+         "unknown config key 'dwell_mean_epochs' in [scenario] for kind "
+         "wlan_congestion"),
+        ("[DEFAULT]\nseed = 3\n[scenario]\nkind = roaming\n",
+         "unknown config section [DEFAULT]"),
+    ], ids=["section", "harness-key", "reward-key", "roaming-only-key", "default"])
+    def test_unknown_section_or_key_is_rejected(self, tmp_path, text, needle):
+        path = tmp_path / "misspelt.ini"
+        path.write_text(text)
+        with pytest.raises(DomainError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"config file {path}: {needle}"
+
+    def test_every_read_key_is_known(self, tmp_path):
+        # Every key and section the parser reads loads, roaming-only
+        # scenario keys included.
+        path = tmp_path / "full.ini"
+        path.write_text("""
+[scenario]
+kind = roaming
+codec = g711
+duration_epochs = 30
+runs = 2
+seed = 4
+dwell_mean_epochs = 20
+handoff_penalty_mos = 0.2
+[reward]
+w_qoe = 0.9
+qoe_min = 1.5
+qoe_max = 4.5
+cost_min = 0.1
+cost_max = 0.9
+handoff_cost = 0.8
+[qlearn]
+alpha = 0.3
+gamma = 0.8
+epsilon = 0.4
+epsilon_decay = 0.9
+epsilon_floor = 0.05
+alpha_decay = constant
+[hysteresis]
+margin = 0.2
+dwell_epochs = 3
+[harness]
+policies = best, proposed
+hmm_states = 2, 2
+m4_margin_s = 0.03
+training_episodes = 6
+hmm_training_runs = 2
+em_seed = 7
+""")
+        cfg = load_config(path)
+        assert (cfg.scenario.seed, cfg.reward_cfg.handoff_cost, cfg.qlearn.alpha,
+                cfg.hysteresis.dwell_epochs, cfg.m4_margin_s, cfg.em.seed) == \
+            (4, 0.8, 0.3, 3, 0.03, 7)
 
     def test_matches_default_harness(self, tmp_path):
         path = tmp_path / "defaults.ini"

@@ -5,11 +5,10 @@ import pytest
 
 from qoehandoff.errors import DegenerateModelError, DomainError
 from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel,
-                            cross_validate, cross_validate_folds, em_train,
-                            forward_filter, predict_next_state,
-                            prediction_accuracy)
-from qoehandoff.hmm.em import (_lockstep_em, _restart_starts, _run_em,
-                               state_band_map)
+                            cross_validate_folds, em_train, forward_filter,
+                            predict_next_state, prediction_accuracy)
+from qoehandoff.hmm.em import (SCREEN_ITERATIONS, _lockstep_em,
+                               _restart_starts, state_band_map)
 from qoehandoff.qoe_model import CONGESTION_SCHEME, ROAMING_SCHEME, quantize_mos
 from test_hmm_inference import reference_forward_backward
 
@@ -150,6 +149,21 @@ def three_state_model():
         scheme=None)
 
 
+def assert_same_fit(model, report, want):
+    """`model` and `report` are the canonical form of `want`, a restart
+    index and its EM run (ll_history, best, converged, iterations)."""
+    restart, (history, (_, means, variances, prior, tm), converged, iters) = want
+    assert report.restart_index == restart
+    assert (report.iterations, report.converged) == (iters, converged)
+    np.testing.assert_allclose(report.log_likelihoods, history, rtol=1e-12)
+    order = np.argsort(-means)
+    np.testing.assert_allclose(model.means(), means[order], rtol=1e-12)
+    np.testing.assert_allclose(model.variances(), variances[order], rtol=1e-12)
+    np.testing.assert_allclose(model.prior, prior[order], atol=1e-12)
+    np.testing.assert_allclose(model.transitions, tm[np.ix_(order, order)],
+                               atol=1e-12)
+
+
 class TestLockStep:
     """Lock-step EM against running each restart alone."""
 
@@ -159,14 +173,17 @@ class TestLockStep:
                 for length in (80, 101, 57, 101, 120)]
 
     def test_every_start_matches_per_sequence_em(self):
+        # Each start is its own fit, so screening leaves every one running.
         seqs = self.ragged()
         cfg = EmConfig(seed=3, max_iterations=60)
         starts = _restart_starts(seqs, 3, cfg)
-        batched = _lockstep_em(seqs, [(range(len(seqs)), *s) for s in starts], cfg)
+        batched = _lockstep_em(
+            seqs, [(fit, range(len(seqs)), *s) for fit, s in enumerate(starts)], cfg)
         alone = [reference_em(seqs, *s, cfg) for s in starts]
         # Restarts stop at different iterations, so starts leave the batch
-        # while others go on.
+        # while others go on, some of them past the screening iteration.
         assert len({iters for _, _, _, iters in alone}) > 1
+        assert max(iters for _, _, _, iters in alone) > SCREEN_ITERATIONS
         for (hist, best, conv, iters), (ref_hist, ref_best, ref_conv, ref_iters) \
                 in zip(batched, alone):
             assert (conv, iters) == (ref_conv, ref_iters)
@@ -174,22 +191,61 @@ class TestLockStep:
             for got, want in zip(best, ref_best):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_em_train_picks_the_restart_by_restart_winner(self):
-        seqs = self.ragged(seed=12)
-        cfg = EmConfig(seed=5)
+    # The leader converges before the screen, at it or after it, or is a
+    # later restart that runs past it. In each case, running every restart
+    # to the end would pick another winner.
+    @pytest.mark.parametrize("data_seed, em_seed", [(12, 5), (18, 1), (14, 0),
+                                                    (15, 2)],
+                             ids=["before", "at", "after", "later-restart"])
+    def test_em_train_runs_the_screened_leader(self, data_seed, em_seed):
+        # Brute force of the screening rule: run each restart alone for
+        # SCREEN_ITERATIONS iterations, take the best-so-far leader (ties to
+        # the lowest restart) and run it alone to the end.
+        seqs = self.ragged(seed=data_seed)
+        cfg = EmConfig(seed=em_seed)
+        starts = _restart_starts(seqs, 3, cfg)
+        short = EmConfig(seed=em_seed, max_iterations=SCREEN_ITERATIONS)
+        screened = [reference_em(seqs, *s, short) for s in starts]
+        leader = max(range(len(starts)), key=lambda r: (screened[r][1][0], -r))
+        full = [reference_em(seqs, *s, cfg) for s in starts]
+        assert leader != max(range(len(starts)), key=lambda r: (full[r][1][0], -r))
         model, report = em_train(seqs, 3, cfg)
-        alone = [_run_em(seqs, *s, cfg) for s in _restart_starts(seqs, 3, cfg)]
-        winner = max(range(len(alone)), key=lambda r: (alone[r][1][0], -r))
-        history, (_, means, variances, prior, tm), converged, iters = alone[winner]
-        assert report.restart_index == winner
-        assert (report.iterations, report.converged) == (iters, converged)
-        np.testing.assert_allclose(report.log_likelihoods, history, rtol=1e-12)
-        order = np.argsort(-means)
-        np.testing.assert_allclose(model.means(), means[order], rtol=1e-12)
-        np.testing.assert_allclose(model.variances(), variances[order], rtol=1e-12)
-        np.testing.assert_allclose(model.prior, prior[order], atol=1e-12)
-        np.testing.assert_allclose(model.transitions, tm[np.ix_(order, order)],
-                                   atol=1e-12)
+        assert_same_fit(model, report, (leader, full[leader]))
+
+    @pytest.mark.parametrize("data_seed, em_seed", [(14, 0), (18, 1)],
+                             ids=["all-stopped", "some-converged"])
+    def test_screening_stops_the_other_unconverged_starts(self, data_seed, em_seed):
+        # Each start runs as alone until the screen; after it only the
+        # leader goes on, and converged starts keep their result.
+        seqs = self.ragged(seed=data_seed)
+        cfg = EmConfig(seed=em_seed)
+        starts = _restart_starts(seqs, 3, cfg)
+        runs = _lockstep_em(seqs, [(0, range(len(seqs)), *s) for s in starts], cfg)
+        short = EmConfig(seed=em_seed, max_iterations=SCREEN_ITERATIONS)
+        screened = [reference_em(seqs, *s, short) for s in starts]
+        leader = max(range(len(starts)), key=lambda r: (screened[r][1][0], -r))
+        expected = [reference_em(seqs, *s, cfg) if r == leader else screened[r]
+                    for r, s in enumerate(starts)]
+        assert any(not conv for _, _, conv, _ in expected)
+        for (hist, best, conv, iters), (ref_hist, ref_best, ref_conv, ref_iters) \
+                in zip(runs, expected):
+            assert (conv, iters) == (ref_conv, ref_iters)
+            np.testing.assert_allclose(hist, ref_hist, rtol=1e-12)
+            for got, want in zip(best, ref_best):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_tied_leader_is_the_lowest_start(self):
+        # Two copies of one slow start tie at every iteration: the first
+        # runs on, the second stops at the screen.
+        seqs = self.ragged(seed=14)
+        cfg = EmConfig(seed=0)
+        start = _restart_starts(seqs, 3, cfg)[1]
+        first, second = _lockstep_em(
+            seqs, [(0, range(len(seqs)), *start), (0, range(len(seqs)), *start)], cfg)
+        assert first[2:] == reference_em(seqs, *start, cfg)[2:]
+        assert first[3] > SCREEN_ITERATIONS
+        assert second[2:] == (False, SCREEN_ITERATIONS)
+        assert second[0] == first[0][:SCREEN_ITERATIONS]
 
 
 class TestStateBandMap:
@@ -214,6 +270,10 @@ class TestStateBandMap:
         assert 1 <= mapping[0] <= 3
 
 
+def micro_average(scores):
+    return sum(c for c, _ in scores) / sum(t for _, t in scores)
+
+
 class TestCrossValidation:
     def make_dataset(self, n_traces=6, length=120, seed=0):
         model = well_separated_model()
@@ -227,8 +287,8 @@ class TestCrossValidation:
 
     def test_every_trace_held_out_once(self):
         dataset = self.make_dataset()
-        scores = cross_validate_folds(dataset, 3, 2, ROAMING_SCHEME,
-                                      EmConfig(seed=0))
+        _, scores = cross_validate_folds(dataset, 3, 2, ROAMING_SCHEME,
+                                         EmConfig(seed=0))
         assert len(scores) == 3
         total = sum(t for _, t in scores)
         # Each held-out trace contributes length-1 scored predictions.
@@ -236,19 +296,27 @@ class TestCrossValidation:
 
     def test_accuracy_high_on_separable_data(self):
         dataset = self.make_dataset()
-        phi = cross_validate(dataset, 2, 2, ROAMING_SCHEME, EmConfig(seed=0))
-        assert phi > 0.75
+        _, scores = cross_validate_folds(dataset, 2, 2, ROAMING_SCHEME,
+                                         EmConfig(seed=0))
+        assert micro_average(scores) > 0.75
 
     def test_mismatched_state_count_supported(self):
         # 2-state model scored against the 3-band scheme via the band map.
         dataset = self.make_dataset()
-        phi = cross_validate(dataset, 2, 2, ROAMING_SCHEME, EmConfig(seed=0))
-        assert 0.0 <= phi <= 1.0
+        _, scores = cross_validate_folds(dataset, 2, 2, ROAMING_SCHEME,
+                                         EmConfig(seed=0))
+        assert 0.0 <= micro_average(scores) <= 1.0
 
     def test_folds_match_separate_fits(self):
-        # One lock-step EM over all folds scores like fitting each fold alone.
+        # One lock-step EM over the all-data fit and all folds fits each as
+        # em_train fits it alone.
         dataset = self.make_dataset(n_traces=7, seed=4)
         cfg = EmConfig(seed=2)
+        (model, report), scores = cross_validate_folds(dataset, 3, 2,
+                                                       ROAMING_SCHEME, cfg)
+        alone_model, alone_report = em_train([obs for obs, _ in dataset], 2, cfg)
+        assert model.to_text() == alone_model.to_text()
+        assert report == alone_report
         expected = []
         for fold in range(3):
             train = [d for i, d in enumerate(dataset) if i % 3 != fold]
@@ -257,7 +325,7 @@ class TestCrossValidation:
             state_map = state_band_map(model, train, ROAMING_SCHEME)
             expected.append(prediction_accuracy(model, held, ROAMING_SCHEME,
                                                 state_map))
-        assert cross_validate_folds(dataset, 3, 2, ROAMING_SCHEME, cfg) == expected
+        assert scores == expected
 
     def test_fold_bounds(self):
         dataset = self.make_dataset(n_traces=4)
@@ -338,4 +406,4 @@ class TestBlockScoring:
             state_map = reference_band_map(model, train, ROAMING_SCHEME)
             expected.append(reference_accuracy(model, held, ROAMING_SCHEME,
                                                state_map))
-        assert cross_validate_folds(dataset, 3, k, ROAMING_SCHEME, cfg) == expected
+        assert cross_validate_folds(dataset, 3, k, ROAMING_SCHEME, cfg)[1] == expected
