@@ -149,21 +149,6 @@ def three_state_model():
         scheme=None)
 
 
-def assert_same_fit(model, report, want):
-    """`model` and `report` are the canonical form of `want`, a restart
-    index and its EM run (ll_history, best, converged, iterations)."""
-    restart, (history, (_, means, variances, prior, tm), converged, iters) = want
-    assert report.restart_index == restart
-    assert (report.iterations, report.converged) == (iters, converged)
-    np.testing.assert_allclose(report.log_likelihoods, history, rtol=1e-12)
-    order = np.argsort(-means)
-    np.testing.assert_allclose(model.means(), means[order], rtol=1e-12)
-    np.testing.assert_allclose(model.variances(), variances[order], rtol=1e-12)
-    np.testing.assert_allclose(model.prior, prior[order], atol=1e-12)
-    np.testing.assert_allclose(model.transitions, tm[np.ix_(order, order)],
-                               atol=1e-12)
-
-
 class TestLockStep:
     """Lock-step EM against running each restart alone."""
 
@@ -210,12 +195,21 @@ class TestLockStep:
         full = [reference_em(seqs, *s, cfg) for s in starts]
         assert leader != max(range(len(starts)), key=lambda r: (full[r][1][0], -r))
         model, report = em_train(seqs, 3, cfg)
-        assert_same_fit(model, report, (leader, full[leader]))
+        history, (_, means, variances, prior, tm), converged, iters = full[leader]
+        assert report.restart_index == leader
+        assert (report.iterations, report.converged) == (iters, converged)
+        np.testing.assert_allclose(report.log_likelihoods, history, rtol=1e-12)
+        order = np.argsort(-means)
+        np.testing.assert_allclose(model.means(), means[order], rtol=1e-12)
+        np.testing.assert_allclose(model.variances(), variances[order], rtol=1e-12)
+        np.testing.assert_allclose(model.prior, prior[order], atol=1e-12)
+        np.testing.assert_allclose(model.transitions, tm[np.ix_(order, order)],
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("data_seed, em_seed", [(14, 0), (18, 1)],
                              ids=["all-stopped", "some-converged"])
     def test_screening_stops_the_other_unconverged_starts(self, data_seed, em_seed):
-        # Each start runs as alone until the screen; after it only the
+        # Each start runs as it would alone until the screen; after it only the
         # leader goes on, and converged starts keep their result.
         seqs = self.ragged(seed=data_seed)
         cfg = EmConfig(seed=em_seed)
