@@ -174,8 +174,11 @@ def cmd_compare_policies(args) -> int:
 def _write_timelines(cfg, report, path) -> None:
     """Plot-ready per-epoch rows for each policy over the evaluation runs
     that the report kept."""
-    runs = report.runs
     labels = [ch.label for ch in cfg.scenario.channels]
+    # mos_cells[r][t]: run r's MOS columns at epoch t, formatted once.
+    mos_cells = [[[format(m, ".9g") for m in epoch]
+                  for epoch in np.asarray(run.mos).T.tolist()]
+                 for run in report.runs]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["policy", "run", "epoch"]
@@ -183,15 +186,10 @@ def _write_timelines(cfg, report, path) -> None:
                         + ["chosen_interface", "cumulative_handoffs"])
         for name, result in report.policies.items():
             for r, path_seq in enumerate(result.paths):
-                run = runs[r]
                 cum = 0
-                for t, chosen in enumerate(path_seq):
-                    if t > 0 and path_seq[t] != path_seq[t - 1]:
-                        cum += 1
-                    writer.writerow([name, r, t]
-                                    + [format(float(run.mos[i][t]), ".9g")
-                                       for i in range(len(labels))]
-                                    + [chosen, cum])
+                for t, (chosen, cells) in enumerate(zip(path_seq, mos_cells[r])):
+                    cum += t > 0 and chosen != path_seq[t - 1]
+                    writer.writerow([name, r, t, *cells, chosen, cum])
 
 
 def _report_row(path) -> dict:

@@ -18,7 +18,9 @@ from .hmm import (EmConfig, HmmModel, cross_validate_folds, em_train,
 # Unused here; kept bound because perfbench/tracer.py patches this name.
 from .hmm.inference import predict_belief  # noqa: F401
 from .netsim import (ROAMING, ScenarioConfig, SimRun, congestion_scenario,
-                     generate_run, roaming_scenario, step_environment)
+                     generate_run, roaming_scenario)
+# Unused here; kept bound because perfbench/tracer.py patches this name.
+from .netsim import step_environment  # noqa: F401
 from .policies import (HysteresisConfig, QLearningConfig, QTable, RewardConfig,
                        decide_handoff, epsilon_greedy_action, exploit_action,
                        m4_policy_step, naive_policy_step, oracle_policy,
@@ -214,95 +216,91 @@ def run_features(runs: list[SimRun], models=None, qoe_maps=None,
     return RunFeatures(observations, joint_base, rnl)
 
 
+def account(cfg: HarnessConfig, run: SimRun, path: list[int]) -> PolicyResult:
+    """Handoffs, realized MOS and rewards of one run driven along `path`.
+
+    Epoch t > 0 is a handoff when `path[t] != path[t-1]`: it pays the MOS
+    penalty (floored at 1.0) and the handoff cost, any other epoch the
+    minimum cost. The sums run in epoch order, as a per-epoch loop adds
+    them, so they do not depend on NumPy's summation order.
+    """
+    rc = cfg.reward_cfg
+    mos = np.asarray(run.mos)[path, np.arange(run.duration)]
+    handoff = np.diff(path, prepend=path[0]) != 0
+    realized = np.where(handoff,
+                        np.maximum(mos - cfg.scenario.handoff_penalty_mos, 1.0), mos)
+    rewards = reward(realized, np.where(handoff, rc.handoff_cost, rc.cost_min), rc)
+    mos_sum = reward_sum = 0.0
+    for m, r in zip(realized.tolist(), rewards.tolist()):
+        mos_sum += m
+        reward_sum += r
+    return PolicyResult(handoff_count=int(handoff.sum()), mos_sum=mos_sum,
+                        mos_epochs=run.duration, reward_sum=reward_sum, paths=[path])
+
+
 def run_q_policy(cfg: HarnessConfig, run: SimRun, joint_base: np.ndarray,
                  qtable: QTable, train: bool, epsilon: float,
-                 rng: np.random.Generator | None) -> PolicyResult:
-    """Drive one run with the Q-agent, optionally updating the table.
+                 rng: np.random.Generator | None) -> list[int]:
+    """Drive one run with the Q-agent, optionally updating the table, and
+    return its attachment path.
 
     `joint_base` is the run's row of `RunFeatures.joint_base`; `rng` drives
-    exploration and is only used when training.
+    exploration and is only used when training. A training step reads its
+    reward from the run's tables of staying on, or switching to, each
+    interface at each epoch.
     """
-    scenario = cfg.scenario
     base = joint_base.tolist()
-    result = PolicyResult()
     current = 0
     path = [current]
+    if train:
+        mos = np.asarray(run.mos)
+        rc = cfg.reward_cfg
+        stay = reward(mos, rc.cost_min, rc).tolist()
+        switch = reward(np.maximum(mos - cfg.scenario.handoff_penalty_mos, 1.0),
+                        rc.handoff_cost, rc).tolist()
     epochs_since_handoff = cfg.hysteresis.dwell_epochs
-    result.mos_sum += float(run.mos[current][0])
-    result.mos_epochs += 1
-    result.reward_sum += reward(float(run.mos[current][0]), cfg.reward_cfg.cost_min,
-                                cfg.reward_cfg)
     for t in range(1, run.duration):
         s = base[t - 1] + current
         if train:
             action = epsilon_greedy_action(qtable, s, epsilon, rng)
+            r = (stay if action == current else switch)[action][t]
+            q_update(qtable, s, action, r, base[t] + action, cfg.qlearn)
         else:
             proposed = exploit_action(qtable, s)
-            gain = qtable.values[s, proposed] - qtable.values[s, current]
-            action = decide_handoff(proposed, current, gain, cfg.hysteresis,
-                                    epochs_since_handoff)
-        step = step_environment(run, t, current, action,
-                                scenario.handoff_penalty_mos)
-        cost = cfg.reward_cfg.handoff_cost if step.handoff_occurred \
-            else cfg.reward_cfg.cost_min
-        r = reward(step.realized_mos, cost, cfg.reward_cfg)
-        if train:
-            q_update(qtable, s, action, r, base[t] + action, cfg.qlearn)
-        if step.handoff_occurred:
-            result.handoff_count += 1
-            epochs_since_handoff = 0
-        else:
-            epochs_since_handoff += 1
+            row = qtable.values[s].tolist()
+            action = decide_handoff(proposed, current, row[proposed] - row[current],
+                                    cfg.hysteresis, epochs_since_handoff)
+            epochs_since_handoff = 0 if action != current else epochs_since_handoff + 1
         current = action
         path.append(current)
-        result.mos_sum += step.realized_mos
-        result.mos_epochs += 1
-        result.reward_sum += r
-    result.paths.append(path)
-    return result
+    return path
 
 
-def _run_baseline(cfg: HarnessConfig, run: SimRun, kind: str,
-                  observations: np.ndarray, rnl) -> PolicyResult:
-    """Drive one run with a baseline; `observations` and `rnl` are the run's
-    entries of its block's `RunFeatures`."""
-    scenario = cfg.scenario
-    result = PolicyResult()
-    current = 0
-    path = [current]
-    result.mos_sum += float(run.mos[current][0])
-    result.mos_epochs += 1
-    result.reward_sum += reward(float(run.mos[current][0]), cfg.reward_cfg.cost_min,
-                                cfg.reward_cfg)
+def _baseline_path(cfg: HarnessConfig, run: SimRun, kind: str,
+                   observations: np.ndarray, rnl) -> list[int]:
+    """Drive one run with a baseline and return its attachment path;
+    `observations` and `rnl` are the run's entries of its block's
+    `RunFeatures`."""
     if kind == "best":
-        oracle_path = oracle_policy([run.states[i] for i in range(run.n_interfaces)],
-                                    start=0)
-    elif kind == "naive":
+        # Every run starts attached to interface 0, whatever the oracle's
+        # first pick; a move off it counts from epoch 1.
+        return [0] + oracle_policy([run.states[i] for i in range(run.n_interfaces)],
+                                   start=0)[1:]
+    if kind == "naive":
         # Delay-only weighted-QoS scoring on the latest measurements.
         owds = (observations.T / 2.0).tolist()
     elif kind != "m4":
         raise DomainError(f"unknown baseline {kind!r}")
+    current = 0
+    path = [current]
     for t in range(1, run.duration):
-        if kind == "best":
-            action = oracle_path[t]
-        elif kind == "naive":
-            action = naive_policy_step([{"delay": owd} for owd in owds[t - 1]],
-                                       {"delay": 1.0}, current)
+        if kind == "naive":
+            current = naive_policy_step([{"delay": owd} for owd in owds[t - 1]],
+                                        {"delay": 1.0}, current)
         else:
-            action = m4_policy_step(rnl[t - 1], current, cfg.m4_margin_s)
-        step = step_environment(run, t, current, action,
-                                scenario.handoff_penalty_mos)
-        cost = cfg.reward_cfg.handoff_cost if step.handoff_occurred \
-            else cfg.reward_cfg.cost_min
-        if step.handoff_occurred:
-            result.handoff_count += 1
-        current = action
+            current = m4_policy_step(rnl[t - 1], current, cfg.m4_margin_s)
         path.append(current)
-        result.mos_sum += step.realized_mos
-        result.mos_epochs += 1
-        result.reward_sum += reward(step.realized_mos, cost, cfg.reward_cfg)
-    result.paths.append(path)
-    return result
+    return path
 
 
 def _merge(into: PolicyResult, part: PolicyResult) -> None:
@@ -354,12 +352,12 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
     for b, run in enumerate(eval_runs):
         for name in cfg.policies_enabled:
             if name == "proposed":
-                part = run_q_policy(cfg, run, features.joint_base[b], qtable,
+                path = run_q_policy(cfg, run, features.joint_base[b], qtable,
                                     train=False, epsilon=0.0, rng=None)
             else:
-                part = _run_baseline(cfg, run, name, features.observations[b],
-                                     features.rnl[b] if features.rnl else None)
-            _merge(results[name], part)
+                path = _baseline_path(cfg, run, name, features.observations[b],
+                                      features.rnl[b] if features.rnl else None)
+            _merge(results[name], account(cfg, run, path))
 
     metadata = {
         "scenario": scenario.kind,

@@ -131,25 +131,21 @@ class QTable:
         return table
 
 
-def reward(qoe_value: float, cost: float, cfg: RewardConfig) -> float:
+def reward(qoe_value, cost, cfg: RewardConfig):
     """Blended reward in [0, 1]: w*f(QoE) + (1-w)*f(Cost).
 
     f(QoE) ramps linearly from 0 at qoe_min to 1 at qoe_max; f(Cost) ramps
-    from 1 at cost_min down to 0 at cost_max.
+    from 1 at cost_min down to 0 at cost_max. Works elementwise on scalars
+    or broadcastable arrays; a scalar input gives a float. Rounding is
+    monotone, so a value at or beyond a clamp bound ramps to at least 1
+    (or at most 0) and clips to exactly 1.0 (or 0.0).
     """
-    if qoe_value >= cfg.qoe_max:
-        f_qoe = 1.0
-    elif qoe_value <= cfg.qoe_min:
-        f_qoe = 0.0
-    else:
-        f_qoe = (qoe_value - cfg.qoe_min) / (cfg.qoe_max - cfg.qoe_min)
-    if cost <= cfg.cost_min:
-        f_cost = 1.0
-    elif cost >= cfg.cost_max:
-        f_cost = 0.0
-    else:
-        f_cost = (cfg.cost_max - cost) / (cfg.cost_max - cfg.cost_min)
-    return cfg.w_qoe * f_qoe + (1.0 - cfg.w_qoe) * f_cost
+    f_qoe = np.clip((np.asarray(qoe_value, dtype=float) - cfg.qoe_min)
+                    / (cfg.qoe_max - cfg.qoe_min), 0.0, 1.0)
+    f_cost = np.clip((cfg.cost_max - np.asarray(cost, dtype=float))
+                     / (cfg.cost_max - cfg.cost_min), 0.0, 1.0)
+    r = cfg.w_qoe * f_qoe + (1.0 - cfg.w_qoe) * f_cost
+    return float(r) if r.ndim == 0 else r
 
 
 def q_update(q: QTable, s: int, a: int, r: float, s_next: int,
@@ -160,7 +156,7 @@ def q_update(q: QTable, s: int, a: int, r: float, s_next: int,
         alpha = 1.0 / (1.0 + q.visit_counts[s, a])
     else:
         alpha = cfg.alpha
-    target = r + cfg.gamma * q.values[s_next].max()
+    target = r + cfg.gamma * max(q.values[s_next].tolist())
     q.values[s, a] += alpha * (target - q.values[s, a])
     q.visit_counts[s, a] += 1
     return q
@@ -170,9 +166,9 @@ def exploit_action(q: QTable, s: int) -> int:
     """Greedy action in joint-state row `s`; ties prefer staying on the
     current interface (the row's last index digit), then the lowest index
     (anti ping-pong)."""
-    row = q.values[s]
-    best = row.max()
-    candidates = [a for a in range(q.n_interfaces) if row[a] == best]
+    row = q.values[s].tolist()
+    best = max(row)
+    candidates = [a for a, value in enumerate(row) if value == best]
     current = s % q.n_interfaces
     if current in candidates:
         return current

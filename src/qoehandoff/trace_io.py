@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import TraceParseError, TraceValidationError
@@ -28,9 +29,11 @@ class DelayTrace:
             raise TraceValidationError(
                 f"run {self.run_id}/{self.interface_label}: epochs must be strictly increasing")
         for epoch, rtt, mos in self.samples:
-            if rtt <= 0:
+            # One chained comparison also rejects nan (never ordered).
+            if not 0 < rtt < math.inf:
                 raise TraceValidationError(
-                    f"run {self.run_id}/{self.interface_label} epoch {epoch}: rtt_s must be > 0")
+                    f"run {self.run_id}/{self.interface_label} epoch {epoch}: "
+                    "rtt_s must be finite and > 0")
             if mos is not None and not 1.0 <= mos <= 5.0:
                 raise TraceValidationError(
                     f"run {self.run_id}/{self.interface_label} epoch {epoch}: mos outside [1, 5]")

@@ -1,17 +1,20 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from qoehandoff import harness
 from qoehandoff.cli import EXIT_DATA, EXIT_USAGE, _load_dataset, main
 from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, em_train,
                             forward_filter, load_model, predict_next_state,
                             save_model)
 from qoehandoff.qoe_model import ROAMING_SCHEME
 from qoehandoff.netsim import roaming_cdma_g729_model
+from qoehandoff.policies import count_handoffs
 from qoehandoff.trace_io import read_traces
 
 FAST_CONFIG = """
@@ -190,6 +193,20 @@ class TestComparePolicies:
         lines = (out / "timeline.csv").read_text().splitlines()
         assert lines[0].startswith("policy,run,epoch,mos_WLAN,mos_CDMA2000")
         assert len(lines) == 1 + 4 * 2 * 40  # policies x runs x epochs
+        # Row by row from the report's evaluation runs and paths.
+        report = harness.run_comparison(harness.load_config(cfg))
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["policy", "run", "epoch", "mos_WLAN", "mos_CDMA2000",
+                         "chosen_interface", "cumulative_handoffs"])
+        for name, result in report.policies.items():
+            for r, path in enumerate(result.paths):
+                run = report.runs[r]
+                for t in range(run.duration):
+                    writer.writerow([name, r, t]
+                                    + [format(float(m[t]), ".9g") for m in run.mos]
+                                    + [path[t], count_handoffs(path[:t + 1])])
+        assert (out / "timeline.csv").read_text() == expected.getvalue()
 
     @pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--runs", "3"),
                                             ("--duration", "40")])
@@ -266,6 +283,20 @@ class TestExitCodes:
         bad.write_text("run_id,interface,epoch,rtt_s,mos\nr,WLAN,0,-1.0,4.0\n")
         assert main(["train-hmm", "--traces", str(bad),
                      "--out", str(tmp_path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("command", ["train-hmm", "predict"])
+    @pytest.mark.parametrize("rtt", ["nan", "inf"])
+    def test_non_finite_rtt_names_the_sample(self, tmp_path, capsys, command, rtt):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("run_id,interface,epoch,rtt_s,mos\n"
+                       f"r,WLAN,0,0.1,4.0\nr,WLAN,1,{rtt},4.0\n")
+        save_model(roaming_cdma_g729_model(), tmp_path / "model.json")
+        argv = {"train-hmm": ["train-hmm", "--traces", str(bad)],
+                "predict": ["predict", "--model", str(tmp_path / "model.json"),
+                            "--traces", str(bad)]}[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "error: run r/WLAN epoch 1: rtt_s must be finite and > 0\n"
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

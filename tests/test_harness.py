@@ -16,9 +16,10 @@ from qoehandoff.hmm import EmConfig, predict_belief
 from qoehandoff.netsim import (generate_run, roaming_cdma_g729_model,
                                roaming_scenario, roaming_wlan_g729_model,
                                step_environment)
-from qoehandoff.policies import (JointState, QTable, decide_handoff,
-                                 epsilon_greedy_action, exploit_action,
-                                 m4_policy_step, naive_policy_step, q_update,
+from qoehandoff.policies import (JointState, QTable, RewardConfig,
+                                 decide_handoff, epsilon_greedy_action,
+                                 exploit_action, m4_policy_step,
+                                 naive_policy_step, oracle_policy, q_update,
                                  reward)
 from qoehandoff.probing import RnlEstimator
 from qoehandoff.qoe_model import G729, ROAMING_SCHEME
@@ -123,14 +124,41 @@ def reference_features(run, models, qoe_maps, n_states):
     return joint_base, rnl
 
 
+def reference_step(cfg, run, t, current, action, totals):
+    """One epoch of `step_environment` and `reward`, added into `totals`
+    ([handoffs, MOS sum, epochs, reward sum]); returns the reward. With
+    `t` = 0 the epoch is the run's first, on `action` at the minimum cost."""
+    if t == 0:
+        mos, handoff = float(run.mos[action][0]), False
+    else:
+        step = step_environment(run, t, current, action,
+                                cfg.scenario.handoff_penalty_mos)
+        mos, handoff = step.realized_mos, step.handoff_occurred
+    rc = cfg.reward_cfg
+    r = reward(mos, rc.handoff_cost if handoff else rc.cost_min, rc)
+    totals[0] += handoff
+    totals[1] += mos
+    totals[2] += 1
+    totals[3] += r
+    return r
+
+
+def accounted(result):
+    return [result.handoff_count, result.mos_sum, result.mos_epochs,
+            result.reward_sum]
+
+
 def reference_q_policy(cfg, run, models, qoe_maps, qtable, train, epsilon, rng):
     """The Q-agent epoch by epoch: its state is looked up from beliefs
     filtered through the previous epoch, and its backup target from beliefs
-    filtered through the current one. Returns the attachment path."""
+    filtered through the current one. Returns the attachment path and its
+    per-epoch totals."""
     n_states = cfg.scenario.scheme.state_count
     beliefs = [filter_step(m, None, float(run.delays_s[i][0]))
                for i, m in enumerate(models)]
     current, path = 0, [0]
+    totals = [0, 0.0, 0, 0.0]
+    reference_step(cfg, run, 0, None, current, totals)
     since_handoff = cfg.hysteresis.dwell_epochs
     for t in range(1, run.duration):
         s = joint_row(models, beliefs, qoe_maps, current, n_states)
@@ -141,40 +169,55 @@ def reference_q_policy(cfg, run, models, qoe_maps, qtable, train, epsilon, rng):
             gain = qtable.values[s][proposed] - qtable.values[s][current]
             action = decide_handoff(proposed, current, gain, cfg.hysteresis,
                                     since_handoff)
-        step = step_environment(run, t, current, action,
-                                cfg.scenario.handoff_penalty_mos)
-        cost = cfg.reward_cfg.handoff_cost if step.handoff_occurred \
-            else cfg.reward_cfg.cost_min
-        r = reward(step.realized_mos, cost, cfg.reward_cfg)
+        r = reference_step(cfg, run, t, current, action, totals)
         beliefs = [filter_step(m, b, float(run.delays_s[i][t]))
                    for i, (m, b) in enumerate(zip(models, beliefs))]
         if train:
             q_update(qtable, s, action, r,
                      joint_row(models, beliefs, qoe_maps, action, n_states),
                      cfg.qlearn)
-        since_handoff = 0 if step.handoff_occurred else since_handoff + 1
+        since_handoff = 0 if action != current else since_handoff + 1
         current = action
         path.append(current)
-    return path
+    return path, totals
 
 
 def reference_baseline_path(cfg, run, kind):
-    """The naive and m4 baselines epoch by epoch, each deciding on the
-    measurements up to the previous epoch."""
+    """The baselines epoch by epoch, naive and m4 each deciding on the
+    measurements up to the previous epoch, and the oracle following its
+    minimal-handoff sequence from interface 0. Returns the attachment path
+    and its per-epoch totals."""
     estimators = [RnlEstimator(h=5, c=5.0) for _ in range(run.n_interfaces)]
+    oracle = oracle_policy(run.states, start=0)
     current, path = 0, [0]
+    totals = [0, 0.0, 0, 0.0]
+    reference_step(cfg, run, 0, None, current, totals)
     for t in range(1, run.duration):
         last = [float(d[t - 1]) for d in run.delays_s]
         for est, rtt in zip(estimators, last):
             est.update(rtt)
-        if kind == "naive":
-            current = naive_policy_step([{"delay": rtt / 2.0} for rtt in last],
-                                        {"delay": 1.0}, current)
+        if kind == "best":
+            action = oracle[t]
+        elif kind == "naive":
+            action = naive_policy_step([{"delay": rtt / 2.0} for rtt in last],
+                                       {"delay": 1.0}, current)
         else:
-            current = m4_policy_step([e.rnl if e.initialized else None
-                                      for e in estimators], current, cfg.m4_margin_s)
+            action = m4_policy_step([e.rnl if e.initialized else None
+                                     for e in estimators], current, cfg.m4_margin_s)
+        reference_step(cfg, run, t, current, action, totals)
+        current = action
         path.append(current)
-    return path
+    return path, totals
+
+
+def penalising_harness():
+    """`small_harness` with a non-default handoff penalty, QoE clamp range
+    and cost blend, so that handoff epochs differ in both reward terms."""
+    cfg = small_harness(reward_cfg=RewardConfig(w_qoe=0.6, qoe_min=1.5,
+                                                qoe_max=4.2, cost_min=0.1,
+                                                cost_max=0.9, handoff_cost=0.5))
+    return dataclasses.replace(cfg, scenario=dataclasses.replace(
+        cfg.scenario, handoff_penalty_mos=0.7))
 
 
 def flipped(model):
@@ -219,38 +262,63 @@ class TestRunFeatures:
 
 
 class TestPolicyLoopsMatchPerEpochReference:
+    """Each policy's path, and its accounted handoffs, MOS and rewards, equal
+    a loop that steps the environment and computes the reward per epoch."""
+
     def test_q_agent_trains_and_acts_as_reference(self):
-        cfg = small_harness()
-        scenario = cfg.scenario
-        n_states = scenario.scheme.state_count
-        models = [flipped(ch.generator) for ch in scenario.channels]
-        qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
-                                     scenario.scheme)
-                    for m, ch in zip(models, scenario.channels)]
-        runs = [generate_run(scenario, r) for r in range(6)]
-        features = run_features(runs, models, qoe_maps, n_states)
-        table = QTable(n_states, len(scenario.channels))
-        ref_table = QTable(n_states, len(scenario.channels))
-        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        for train, epsilon in ((True, 0.5), (True, 0.2), (False, 0.0)):
-            for run, joint_base in zip(runs, features.joint_base):
-                got = harness.run_q_policy(cfg, run, joint_base, table,
-                                           train=train, epsilon=epsilon, rng=rng)
-                expected = reference_q_policy(cfg, run, models, qoe_maps,
-                                              ref_table, train, epsilon, ref_rng)
-                assert got.paths == [expected]
-                assert np.array_equal(table.values, ref_table.values)
+        for cfg in (small_harness(), penalising_harness()):
+            scenario = cfg.scenario
+            n_states = scenario.scheme.state_count
+            models = [flipped(ch.generator) for ch in scenario.channels]
+            qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
+                                         scenario.scheme)
+                        for m, ch in zip(models, scenario.channels)]
+            runs = [generate_run(scenario, r) for r in range(6)]
+            features = run_features(runs, models, qoe_maps, n_states)
+            table = QTable(n_states, len(scenario.channels))
+            ref_table = QTable(n_states, len(scenario.channels))
+            rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+            for train, epsilon in ((True, 0.5), (True, 0.2), (False, 0.0)):
+                for run, joint_base in zip(runs, features.joint_base):
+                    path = harness.run_q_policy(cfg, run, joint_base, table,
+                                                train=train, epsilon=epsilon,
+                                                rng=rng)
+                    expected, totals = reference_q_policy(
+                        cfg, run, models, qoe_maps, ref_table, train, epsilon,
+                        ref_rng)
+                    assert path == expected
+                    assert np.array_equal(table.values, ref_table.values)
+                    result = harness.account(cfg, run, path)
+                    assert result.paths == [expected]
+                    assert accounted(result) == totals
 
     def test_baselines_act_as_reference(self):
-        cfg = small_harness()
-        runs = [generate_run(cfg.scenario, r) for r in range(6)]
-        features = run_features(runs, with_rnl=True)
-        for b, run in enumerate(runs):
-            for kind in ("naive", "m4"):
-                got = harness._run_baseline(cfg, run, kind,
-                                            features.observations[b],
-                                            features.rnl[b])
-                assert got.paths == [reference_baseline_path(cfg, run, kind)]
+        for cfg in (small_harness(), penalising_harness()):
+            runs = [generate_run(cfg.scenario, r) for r in range(6)]
+            features = run_features(runs, with_rnl=True)
+            for b, run in enumerate(runs):
+                for kind in ("best", "naive", "m4"):
+                    path = harness._baseline_path(cfg, run, kind,
+                                                  features.observations[b],
+                                                  features.rnl[b])
+                    expected, totals = reference_baseline_path(cfg, run, kind)
+                    assert path == expected
+                    assert accounted(harness.account(cfg, run, path)) == totals
+
+    def test_report_sums_the_runs_totals(self):
+        # Each run's totals add up epoch by epoch; the report adds them run
+        # by run.
+        cfg = penalising_harness()
+        report = run_comparison(cfg)
+        for name, result in report.policies.items():
+            totals = [0, 0.0, 0, 0.0]
+            for run, path in zip(report.runs, result.paths):
+                run_totals = [0, 0.0, 0, 0.0]
+                for t in range(run.duration):
+                    reference_step(cfg, run, t, path[t - 1] if t else None,
+                                   path[t], run_totals)
+                totals = [a + b for a, b in zip(totals, run_totals)]
+            assert accounted(result) == totals, name
 
 
 class TestRunComparison:

@@ -62,6 +62,42 @@ class TestReward:
         cfg = RewardConfig()
         assert reward(lo, 0.0, cfg) <= reward(hi, 0.0, cfg)
 
+    def test_elementwise_matches_scalar(self):
+        # Criterion 6's clamp points and midpoints, values beyond both clamp
+        # ranges, and neighbours one ulp inside the bounds.
+        qoe = [5.0, 1.0, 3.0, 6.0, 0.5, -np.inf, np.inf, np.nextafter(1.0, 2.0),
+               np.nextafter(5.0, 0.0), 1.5, 4.5, 2.2]
+        cost = [0.0, 1.0, 0.5, -0.5, 2.0, 0.1, 0.9, np.nextafter(0.0, 1.0),
+                np.nextafter(1.0, 0.0), 0.25]
+        for cfg in (RewardConfig(), RewardConfig(w_qoe=0.0),
+                    RewardConfig(w_qoe=0.3, qoe_min=1.5, qoe_max=4.5,
+                                 cost_min=0.1, cost_max=0.9)):
+            grid = reward(np.array(qoe)[:, None], np.array(cost), cfg)
+            assert grid.shape == (len(qoe), len(cost))
+            for i, q in enumerate(qoe):
+                for j, c in enumerate(cost):
+                    scalar = reward(q, c, cfg)
+                    assert type(scalar) is float
+                    assert grid[i, j] == scalar == piecewise_reward(q, c, cfg)
+
+    def test_random_values_match_piecewise_definition(self):
+        rng = np.random.default_rng(3)
+        cfg = RewardConfig(w_qoe=0.7, qoe_min=1.2, qoe_max=4.3,
+                           cost_min=0.05, cost_max=0.8)
+        qoe, cost = rng.uniform(0.0, 6.0, 500), rng.uniform(-0.5, 1.5, 500)
+        expected = [piecewise_reward(q, c, cfg)
+                    for q, c in zip(qoe.tolist(), cost.tolist())]
+        assert reward(qoe, cost, cfg).tolist() == expected
+
+
+def piecewise_reward(q, c, cfg):
+    """The reward's definition, one clamp branch per case."""
+    f_q = 1.0 if q >= cfg.qoe_max else 0.0 if q <= cfg.qoe_min \
+        else (q - cfg.qoe_min) / (cfg.qoe_max - cfg.qoe_min)
+    f_c = 1.0 if c <= cfg.cost_min else 0.0 if c >= cfg.cost_max \
+        else (cfg.cost_max - c) / (cfg.cost_max - cfg.cost_min)
+    return cfg.w_qoe * f_q + (1.0 - cfg.w_qoe) * f_c
+
 
 class TestJointState:
     def test_row_major_index(self):

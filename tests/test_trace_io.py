@@ -72,6 +72,12 @@ class TestValidation:
         with pytest.raises(TraceValidationError):
             DelayTrace("r", "WLAN", ((0, 0.0, None),))
 
+    @pytest.mark.parametrize("rtt", ["nan", "inf", "1e400", "-inf"])
+    def test_rtt_must_be_finite(self, rtt):
+        text = f"run_id,interface,epoch,rtt_s,mos\nr,WLAN,0,0.1,\nr,WLAN,3,{rtt},\n"
+        with pytest.raises(TraceValidationError, match="run r/WLAN epoch 3: rtt_s"):
+            read_traces(text)
+
     def test_mos_range_enforced(self):
         with pytest.raises(TraceValidationError):
             DelayTrace("r", "WLAN", ((0, 0.1, 5.5),))
