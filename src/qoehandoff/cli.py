@@ -25,9 +25,9 @@ from .errors import (DocumentError, DomainError, TraceParseError,
                      TraceValidationError, ZeroProbabilityError, parse_document)
 from .hmm import (EmConfig, cross_validate_folds, forward_filter, load_model,
                   save_model)
+from .hmm.inference import length_blocks, predict_next_states
 # Unused here; kept bound because perfbench/tracer.py patches these names.
 from .hmm import em_train  # noqa: F401
-from .hmm.inference import length_blocks, predict_next_states
 from .hmm.inference import predict_next_state  # noqa: F401
 from .qoe_model import CODECS, CONGESTION_SCHEME, ROAMING_SCHEME
 
@@ -78,22 +78,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_dataset(path, halve_rtt: bool):
-    traces = trace_io.read_traces(Path(path).read_text(encoding="utf-8"))
+def _load_dataset(path):
+    """(rtts, mos) arrays of each trace in a trace CSV; every mos cell must
+    be set."""
     dataset = []
-    for trace in traces:
+    for trace in trace_io.read_traces(Path(path).read_text(encoding="utf-8")):
         mos = trace.mos_values()
         if any(m is None for m in mos):
             raise TraceValidationError(
                 f"run {trace.run_id}/{trace.interface_label}: mos column required here")
-        obs = trace.owds(rtt_is_round_trip=halve_rtt) if halve_rtt else trace.rtts()
-        dataset.append((np.asarray(obs), np.asarray(mos, dtype=float)))
-    return traces, dataset
+        dataset.append((np.asarray(trace.rtts()), np.asarray(mos, dtype=float)))
+    return dataset
 
 
 def cmd_train_hmm(args) -> int:
     scheme = SCHEMES[args.scheme]
-    _, dataset = _load_dataset(args.traces, halve_rtt=False)
+    dataset = _load_dataset(args.traces)
     config = EmConfig(seed=args.seed)
     (model, report), scores = cross_validate_folds(dataset, args.folds, args.states,
                                                    scheme, config)

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the guard that
-decodes the package's JSON documents (models, Q-tables, reports)."""
+decodes the package's JSON documents (models, reports)."""
 
 import json
 
@@ -26,7 +26,7 @@ class ZeroProbabilityError(DomainError):
 
 
 class DocumentError(DomainError):
-    """A model, Q-table or report document is not valid JSON, lacks a key or
+    """A model or report document is not valid JSON, lacks a key or
     holds values of the wrong kind."""
 
 

@@ -7,6 +7,7 @@ realized MOS and prediction accuracy into a report.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -52,16 +53,19 @@ _DEFAULT_HARNESS_QLEARN = QLearningConfig(
 
 @dataclass(frozen=True)
 class HarnessConfig:
+    """One comparison's settings; `load_config` and
+    `default_roaming_harness` fill in the defaults."""
+
     scenario: ScenarioConfig
-    reward_cfg: RewardConfig = RewardConfig()
-    qlearn: QLearningConfig = QLearningConfig()
-    hysteresis: HysteresisConfig = HysteresisConfig()
-    m4_margin_s: float = 0.02
-    policies_enabled: tuple[str, ...] = ALL_POLICIES
-    training_episodes: int = 50
-    hmm_training_runs: int = 10
-    hmm_states: tuple[int, ...] = ()
-    em: EmConfig = EmConfig()
+    reward_cfg: RewardConfig
+    qlearn: QLearningConfig
+    hysteresis: HysteresisConfig
+    m4_margin_s: float
+    policies_enabled: tuple[str, ...]
+    training_episodes: int
+    hmm_training_runs: int
+    hmm_states: tuple[int, ...]   # () fits the scheme's state count
+    em: EmConfig
 
     def __post_init__(self):
         unknown = set(self.policies_enabled) - set(ALL_POLICIES)
@@ -69,8 +73,18 @@ class HarnessConfig:
             raise DomainError(f"unknown policies: {sorted(unknown)}")
         if not self.policies_enabled:
             raise DomainError("no policies enabled")
+        repeated = {p for p in self.policies_enabled
+                    if self.policies_enabled.count(p) > 1}
+        if repeated:
+            raise DomainError(f"policies listed twice: {sorted(repeated)}")
         if self.hmm_states and len(self.hmm_states) != len(self.scenario.channels):
             raise DomainError("hmm_states must give one state count per interface")
+        if any(k < 1 for k in self.hmm_states):
+            raise DomainError("hmm_states must be >= 1")
+        if self.training_episodes < 0:
+            raise DomainError("training_episodes must be >= 0")
+        if self.hmm_training_runs < 1:
+            raise DomainError("hmm_training_runs must be >= 1")
 
 
 @dataclass
@@ -295,8 +309,7 @@ def _baseline_path(cfg: HarnessConfig, run: SimRun, kind: str,
     path = [current]
     for t in range(1, run.duration):
         if kind == "naive":
-            current = naive_policy_step([{"delay": owd} for owd in owds[t - 1]],
-                                        {"delay": 1.0}, current)
+            current = naive_policy_step(owds[t - 1], current)
         else:
             current = m4_policy_step(rnl[t - 1], current, cfg.m4_margin_s)
         path.append(current)
@@ -371,20 +384,18 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
                             metadata=metadata, runs=eval_runs)
 
 
-# Every key `_config_from` reads, per section. Any other section or key is
-# rejected, so a misspelt setting cannot silently keep its default.
-_CONFIG_KEYS = {
-    "scenario": {"kind", "codec", "duration_epochs", "runs", "seed",
-                 "dwell_mean_epochs", "handoff_penalty_mos"},
-    "reward": {"w_qoe", "qoe_min", "qoe_max", "cost_min", "cost_max",
-               "handoff_cost"},
-    "qlearn": {"alpha", "gamma", "epsilon", "epsilon_decay", "epsilon_floor",
-               "alpha_decay"},
-    "hysteresis": {"margin", "dwell_epochs"},
-    "harness": {"policies", "hmm_states", "m4_margin_s", "training_episodes",
-                "hmm_training_runs", "em_seed"},
-}
+# The [scenario] and [harness] keys; each of the other sections sets the
+# fields of a config, which hold its keys' defaults and declare their
+# types. Any other section or key is rejected, so a misspelt setting
+# cannot silently keep its default.
+_SCENARIO_KEYS = {"kind", "codec", "duration_epochs", "runs", "seed",
+                  "dwell_mean_epochs", "handoff_penalty_mos"}
 _ROAMING_ONLY_KEYS = {"dwell_mean_epochs", "handoff_penalty_mos"}
+_HARNESS_KEYS = {"policies", "hmm_states", "m4_margin_s", "training_episodes",
+                 "hmm_training_runs", "em_seed"}
+_SECTION_DEFAULTS = {"reward": RewardConfig(), "qlearn": _DEFAULT_HARNESS_QLEARN,
+                     "hysteresis": HysteresisConfig()}
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
 def load_config(path) -> HarnessConfig:
@@ -408,16 +419,30 @@ def _check_keys(parser: configparser.ConfigParser, kind: str) -> None:
     if parser.defaults():
         raise DomainError(f"unknown config section [{parser.default_section}]")
     for name in parser.sections():
-        if name not in _CONFIG_KEYS:
+        if name == "scenario":
+            known = _SCENARIO_KEYS if kind == "roaming" \
+                else _SCENARIO_KEYS - _ROAMING_ONLY_KEYS
+        elif name == "harness":
+            known = _HARNESS_KEYS
+        elif name in _SECTION_DEFAULTS:
+            known = {f.name for f in dataclasses.fields(_SECTION_DEFAULTS[name])}
+        else:
             raise DomainError(f"unknown config section [{name}]")
-        known = _CONFIG_KEYS[name]
-        if name == "scenario" and kind != "roaming":
-            known = known - _ROAMING_ONLY_KEYS
         for key in parser[name]:
             if key not in known:
                 where = f"[{name}] for kind {kind}" if key in _ROAMING_ONLY_KEYS \
                     else f"[{name}]"
                 raise DomainError(f"unknown config key {key!r} in {where}")
+
+
+def _section_config(parser: configparser.ConfigParser, name: str):
+    """The section's defaults with each key the file sets parsed as its
+    field's declared type, in field order."""
+    defaults = _SECTION_DEFAULTS[name]
+    section = parser[name] if parser.has_section(name) else {}
+    return dataclasses.replace(defaults, **{
+        f.name: _FIELD_TYPES[f.type](section[f.name])
+        for f in dataclasses.fields(defaults) if f.name in section})
 
 
 def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
@@ -443,34 +468,9 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
         raise DomainError(f"unknown scenario kind {kind!r}")
     _check_keys(parser, kind)
 
-    def section(name):
-        return parser[name] if parser.has_section(name) else {}
-
-    rw = section("reward")
-    reward_cfg = RewardConfig(
-        w_qoe=float(rw.get("w_qoe", 1.0)),
-        qoe_min=float(rw.get("qoe_min", 1.0)),
-        qoe_max=float(rw.get("qoe_max", 5.0)),
-        cost_min=float(rw.get("cost_min", 0.0)),
-        cost_max=float(rw.get("cost_max", 1.0)),
-        handoff_cost=float(rw.get("handoff_cost", 1.0)),
-    )
-    ql = section("qlearn")
-    dq = _DEFAULT_HARNESS_QLEARN
-    qlearn = QLearningConfig(
-        alpha=float(ql.get("alpha", dq.alpha)),
-        gamma=float(ql.get("gamma", dq.gamma)),
-        epsilon=float(ql.get("epsilon", dq.epsilon)),
-        epsilon_decay=float(ql.get("epsilon_decay", dq.epsilon_decay)),
-        epsilon_floor=float(ql.get("epsilon_floor", dq.epsilon_floor)),
-        alpha_decay=ql.get("alpha_decay", dq.alpha_decay),
-    )
-    hy = section("hysteresis")
-    hysteresis = HysteresisConfig(
-        margin=float(hy.get("margin", 0.1)),
-        dwell_epochs=int(hy.get("dwell_epochs", 2)),
-    )
-    ha = section("harness")
+    reward_cfg, qlearn, hysteresis = (_section_config(parser, name)
+                                      for name in _SECTION_DEFAULTS)
+    ha = parser["harness"] if parser.has_section("harness") else {}
     policies = tuple(p.strip() for p in
                      ha.get("policies", ",".join(ALL_POLICIES)).split(",") if p.strip())
     hmm_states = tuple(int(x) for x in ha.get("hmm_states", "").split(",") if x.strip())
@@ -488,12 +488,11 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
     )
 
 
-def default_roaming_harness(seed: int = 0, runs: int = 12,
-                            duration_epochs: int = 101) -> HarnessConfig:
-    return HarnessConfig(
-        scenario=roaming_scenario(runs=runs, duration_epochs=duration_epochs,
-                                  seed=seed),
-        qlearn=_DEFAULT_HARNESS_QLEARN,
-        training_episodes=150,
-        hmm_states=(2, 3),
-    )
+def default_roaming_harness(seed: int | None = None, runs: int | None = None,
+                            duration_epochs: int | None = None) -> HarnessConfig:
+    """The configuration of a file holding only these [scenario] keys; a
+    None key keeps its default."""
+    keys = {"seed": seed, "runs": runs, "duration_epochs": duration_epochs}
+    parser = configparser.ConfigParser()
+    parser.read_dict({"scenario": {k: str(v) for k, v in keys.items() if v is not None}})
+    return _config_from(parser)

@@ -80,21 +80,6 @@ def _restart_means(all_obs: np.ndarray, k: int, restart: int,
     return np.sort(rng.choice(all_obs, size=k, replace=False))
 
 
-def _labeled_init(seqs, labels, k: int, cfg: EmConfig):
-    x = np.concatenate(seqs)
-    lab = np.concatenate([np.asarray(l, dtype=int) for l in labels])
-    if lab.shape != x.shape:
-        raise DomainError("state labels must align with observations")
-    means = np.empty(k)
-    variances = np.empty(k)
-    overall_var = max(x.var(), cfg.variance_floor)
-    for s in range(k):
-        sel = x[lab == s + 1]
-        means[s] = sel.mean() if sel.size else x.mean()
-        variances[s] = max(sel.var(), cfg.variance_floor) if sel.size else overall_var
-    return means, variances
-
-
 # Lock-step iterations after which each fit runs only its leading start.
 SCREEN_ITERATIONS = 20
 
@@ -216,7 +201,7 @@ def _run_em(seqs, means, variances, prior, tm, cfg: EmConfig):
                         cfg)[0]
 
 
-def _restart_starts(seqs, k: int, config: EmConfig, state_labels=None) -> list:
+def _restart_starts(seqs, k: int, config: EmConfig) -> list:
     """Starting (means, variances, prior, tm) of every restart of one fit,
     drawn in restart order from a generator seeded with `config.seed`."""
     all_obs = np.concatenate(seqs)
@@ -225,15 +210,8 @@ def _restart_starts(seqs, k: int, config: EmConfig, state_labels=None) -> list:
     np.fill_diagonal(tm0, config.self_transition_init)
     var0 = max(float(all_obs.var()) / (k * k), config.variance_floor)
     rng = np.random.default_rng(config.seed)
-    starts = []
-    for restart in range(max(config.restarts, 1)):
-        if state_labels is not None and restart == 0:
-            means, vars_init = _labeled_init(seqs, state_labels, k, config)
-        else:
-            means = _restart_means(all_obs, k, restart, rng)
-            vars_init = np.full(k, var0)
-        starts.append((means, vars_init, prior0, tm0))
-    return starts
+    return [(_restart_means(all_obs, k, restart, rng), np.full(k, var0), prior0, tm0)
+            for restart in range(max(config.restarts, 1))]
 
 
 def _canonical_winner(runs, scheme) -> tuple[HmmModel, TrainingReport]:
@@ -269,11 +247,9 @@ def _fit_single_state(seqs, config: EmConfig) -> tuple[HmmModel, TrainingReport]
 
 
 def _fit_all(observation_sets, k: int, config: EmConfig,
-             scheme: QuantizationScheme | None = None,
-             state_labels=None) -> list[tuple[HmmModel, TrainingReport]]:
+             scheme: QuantizationScheme | None) -> list[tuple[HmmModel, TrainingReport]]:
     """Fit one k-state model per observation set, every restart of every
-    fit in one lock-step EM. `state_labels`, when given, holds one entry
-    (or None) per set and seeds that set's first restart."""
+    fit in one lock-step EM."""
     if k < 1:
         raise DomainError("state count k must be >= 1")
     if scheme is not None and scheme.state_count != k:
@@ -288,28 +264,26 @@ def _fit_all(observation_sets, k: int, config: EmConfig,
         return [_fit_single_state(seqs, config) for seqs in fits]
 
     pool, starts, spans = [], [], []
-    labels = state_labels if state_labels is not None else [None] * len(fits)
-    for fit, (seqs, fit_labels) in enumerate(zip(fits, labels)):
+    for fit, seqs in enumerate(fits):
         ids = range(len(pool), len(pool) + len(seqs))
         pool.extend(seqs)
         first = len(starts)
         starts.extend((fit, ids, *start)
-                      for start in _restart_starts(seqs, k, config, fit_labels))
+                      for start in _restart_starts(seqs, k, config))
         spans.append(slice(first, len(starts)))
     runs = _lockstep_em(pool, starts, config)
     return [_canonical_winner(runs[span], scheme) for span in spans]
 
 
 def em_train(observations, k: int, config: EmConfig = EmConfig(),
-             scheme: QuantizationScheme | None = None,
-             state_labels_for_init=None) -> tuple[HmmModel, TrainingReport]:
+             scheme: QuantizationScheme | None = None) -> tuple[HmmModel, TrainingReport]:
     """Fit a k-state model to one or more delay sequences.
 
     Returns the model at the best-likelihood iteration of the best restart
     (restarts screened as the module describes), with states sorted by
     descending emission mean.
     """
-    return _fit_all([observations], k, config, scheme, [state_labels_for_init])[0]
+    return _fit_all([observations], k, config, scheme)[0]
 
 
 def _filtered_blocks(model: HmmModel, traces, scheme: QuantizationScheme):

@@ -69,6 +69,9 @@ class ScenarioConfig:
             raise DomainError("runs must be >= 1")
         if not 0.0 <= self.handoff_penalty_mos <= 1.0:
             raise DomainError("handoff_penalty_mos must be in [0, 1]")
+        # The coverage regime flips with probability 1 / dwell_mean_epochs.
+        if not self.dwell_mean_epochs >= 1.0:
+            raise DomainError("dwell_mean_epochs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,6 @@ class SimRun:
     run_index: int
     seed: int
     delays_s: tuple[np.ndarray, ...]      # raw samples, RTT or OWD per channel
-    owds_s: tuple[np.ndarray, ...]
     mos: tuple[np.ndarray, ...]
     states: tuple[np.ndarray, ...]        # quantized from true MOS, 1-based
 
@@ -128,7 +130,7 @@ def generate_run(cfg: ScenarioConfig, run_index: int) -> SimRun:
         # The regime starts at 0 and toggles at every flip.
         regime = np.cumsum(flips) % 2
 
-    delays, owds, moss, states = [], [], [], []
+    delays, moss, states = [], [], []
     for ci, channel in enumerate(cfg.channels):
         rng = np.random.default_rng([cfg.seed, run_index, ci])
         if regime is not None and channel.regime_states is not None:
@@ -144,12 +146,10 @@ def generate_run(cfg: ScenarioConfig, run_index: int) -> SimRun:
         mos = mos_from_delay(owd, loss, cfg.codec)
         state = quantize_mos(mos, cfg.scheme)
         delays.append(delay)
-        owds.append(owd)
         moss.append(mos)
         states.append(state)
     return SimRun(run_index=run_index, seed=cfg.seed,
-                  delays_s=tuple(delays), owds_s=tuple(owds),
-                  mos=tuple(moss), states=tuple(states))
+                  delays_s=tuple(delays), mos=tuple(moss), states=tuple(states))
 
 
 def step_environment(run: SimRun, epoch: int, current: int, action: int,

@@ -14,12 +14,11 @@ computes; the Q-table functions take that row index.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DocumentError, DomainError, parse_document
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,9 @@ class QLearningConfig:
             raise DomainError("alpha must be in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
             raise DomainError("gamma must be in [0, 1)")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise DomainError("epsilon must be in [0, 1]")
+        for name in ("epsilon", "epsilon_decay", "epsilon_floor"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DomainError(f"{name} must be in [0, 1]")
         if self.alpha_decay not in ("constant", "inverse_visit"):
             raise DomainError(f"unknown alpha_decay {self.alpha_decay!r}")
 
@@ -100,35 +100,6 @@ class QTable:
         n_joint = n_states ** n_interfaces * n_interfaces
         self.values = np.zeros((n_joint, n_interfaces))
         self.visit_counts = np.zeros((n_joint, n_interfaces), dtype=int)
-
-    def to_text(self) -> str:
-        doc = {
-            "format": "qoehandoff-qtable/1",
-            "n_states": self.n_states,
-            "n_interfaces": self.n_interfaces,
-            "values": self.values.tolist(),
-            "visit_counts": self.visit_counts.tolist(),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "QTable":
-        doc = parse_document(text, "Q-table document")
-        if doc.get("format") != "qoehandoff-qtable/1":
-            raise DocumentError("not a recognized Q-table document")
-        try:
-            table = cls(int(doc["n_states"]), int(doc["n_interfaces"]))
-            values = np.array(doc["values"], dtype=float)
-            visit_counts = np.array(doc["visit_counts"], dtype=int)
-        except KeyError as exc:
-            raise DocumentError(f"Q-table document lacks key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"malformed Q-table document: {exc}") from exc
-        if values.shape != table.values.shape or visit_counts.shape != values.shape:
-            raise DocumentError(f"Q-table document needs {table.values.shape} "
-                                "values and visit counts")
-        table.values, table.visit_counts = values, visit_counts
-        return table
 
 
 def reward(qoe_value, cost, cfg: RewardConfig):
@@ -175,18 +146,14 @@ def exploit_action(q: QTable, s: int) -> int:
     return candidates[0]
 
 
-def select_action(q: QTable, s: int, mode: str, rng: np.random.Generator) -> int:
-    if mode == "explore":
-        return int(rng.integers(q.n_interfaces))
-    if mode == "exploit":
-        return exploit_action(q, s)
-    raise DomainError(f"unknown mode {mode!r}")
-
-
 def epsilon_greedy_action(q: QTable, s: int, epsilon: float,
                           rng: np.random.Generator) -> int:
-    mode = "explore" if rng.random() < epsilon else "exploit"
-    return select_action(q, s, mode, rng)
+    """With probability `epsilon` a uniformly drawn action, otherwise
+    `exploit_action`; draws `rng.random()`, then `rng.integers` only when
+    exploring."""
+    if rng.random() < epsilon:
+        return int(rng.integers(q.n_interfaces))
+    return exploit_action(q, s)
 
 
 def decide_handoff(proposed: int, current: int, expected_gain: float,
@@ -212,30 +179,15 @@ def m4_policy_step(rnl_per_interface, current: int, margin: float) -> int:
     return current
 
 
-def naive_policy_step(qos_inputs, weights, current: int) -> int:
-    """Weighted-QoS scoring: bandwidth counts directly, delay/jitter/loss as
-    reciprocals; pick the argmax, ties stay on the current interface.
-
-    `qos_inputs` is one mapping per interface with keys among
-    bandwidth/delay/jitter/loss; `weights` maps the same keys to weights
-    summing to 1.
-    """
-    total_w = sum(weights.values())
-    if abs(total_w - 1.0) > 1e-9:
-        raise DomainError("weights must sum to 1")
+def naive_policy_step(delays, current: int) -> int:
+    """Weighted-QoS scoring on delay alone: each interface scores the
+    reciprocal of its delay; pick the argmax, ties stay on the current
+    interface."""
     scores = []
-    for qos in qos_inputs:
-        score = 0.0
-        score += weights.get("bandwidth", 0.0) * qos.get("bandwidth", 0.0)
-        for key in ("delay", "jitter", "loss"):
-            w = weights.get(key, 0.0)
-            if w == 0.0:
-                continue
-            value = qos.get(key, 0.0)
-            if value <= 0.0:
-                raise DomainError(f"{key} must be > 0 when weighted")
-            score += w / value
-        scores.append(score)
+    for delay in delays:
+        if delay <= 0.0:
+            raise DomainError("delay must be > 0")
+        scores.append(1.0 / delay)
     best = max(scores)
     if scores[current] == best:
         return current

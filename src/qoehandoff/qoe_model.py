@@ -23,25 +23,19 @@ MOS_MAX = 5.0
 
 @dataclass(frozen=True)
 class CodecProfile:
-    """Voice codec constants: equipment impairment, loss robustness and the
-    probe-lateness cutoff beyond which a sample counts as lost."""
+    """Voice codec constants: equipment impairment and loss robustness."""
 
     name: str
     equipment_impairment: float  # Ie
     loss_robustness: float       # bpl, loss fraction at which Ie_eff halves its headroom
-    late_threshold_s: float
 
     def __post_init__(self):
         if self.equipment_impairment < 0:
             raise DomainError("equipment_impairment must be >= 0")
-        if self.late_threshold_s <= 0:
-            raise DomainError("late_threshold_s must be > 0")
 
 
-G711 = CodecProfile(name="G711", equipment_impairment=0.0, loss_robustness=0.25,
-                    late_threshold_s=0.650)
-G729 = CodecProfile(name="G729", equipment_impairment=11.0, loss_robustness=0.19,
-                    late_threshold_s=0.650)
+G711 = CodecProfile(name="G711", equipment_impairment=0.0, loss_robustness=0.25)
+G729 = CodecProfile(name="G729", equipment_impairment=11.0, loss_robustness=0.19)
 
 CODECS = {"g711": G711, "g729": G729}
 

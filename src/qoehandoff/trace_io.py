@@ -41,10 +41,6 @@ class DelayTrace:
     def rtts(self) -> list[float]:
         return [s[1] for s in self.samples]
 
-    def owds(self, rtt_is_round_trip: bool = True) -> list[float]:
-        # Stored delays are RTTs; halve to approximate one-way delay.
-        return [s[1] / 2.0 if rtt_is_round_trip else s[1] for s in self.samples]
-
     def mos_values(self) -> list[float | None]:
         return [s[2] for s in self.samples]
 

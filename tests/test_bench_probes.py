@@ -2,13 +2,17 @@
 (`perfbench/tracer.py`, `PROBES`); every name it lists must stay bound in
 the module it patches, or a traced benchmark run cannot start."""
 
+import ast
 import importlib
 import importlib.util
+import itertools
 from pathlib import Path
 
 from qoehandoff.cli import main
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+KEPT_BOUND = "kept bound because perfbench/tracer.py patches"
 
 FAST_CONFIG = """
 [scenario]
@@ -33,6 +37,38 @@ def load_tracer():
 def probe_owner(module_name, class_name):
     owner = importlib.import_module(module_name)
     return getattr(owner, class_name) if class_name is not None else owner
+
+
+def kept_bound_imports():
+    """(module, name) of every import in `src/` that is kept only for the
+    tracer: the run of `# noqa: F401` import lines under a KEPT_BOUND
+    comment."""
+    src = ROOT / "src"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            if KEPT_BOUND not in line:
+                continue
+            marked = list(itertools.takewhile(
+                lambda text: text.endswith("# noqa: F401"), lines[i + 1:]))
+            assert marked, f"{path.name}:{i + 1}: no import under the comment"
+            for text in marked:
+                (statement,) = ast.parse(text).body
+                found += [(module, alias.asname or alias.name)
+                          for alias in statement.names]
+    return found
+
+
+def test_kept_bound_imports_are_patched():
+    # An import kept only for the tracer goes when its probe goes.
+    patched = {(module, attr) for module, class_name, attr, _, _
+               in load_tracer().PROBES if class_name is None}
+    for module, name in kept_bound_imports():
+        assert (module, name) in patched, \
+            f"{module} keeps {name} bound, but no probe patches it there"
 
 
 def test_every_probe_is_bound_and_restored():

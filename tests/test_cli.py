@@ -114,7 +114,7 @@ class TestPredictBlocks:
         assert code == 0
         final = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("final log-likelihood")]
-        _, dataset = _load_dataset(sim_dir / "traces.csv", halve_rtt=False)
+        dataset = _load_dataset(sim_dir / "traces.csv")
         model, report = em_train([obs for obs, _ in dataset], 3, EmConfig(seed=4),
                                  scheme=ROAMING_SCHEME)
         assert final == [f"final log-likelihood: {report.log_likelihoods[-1]:.6f} "
@@ -226,12 +226,15 @@ class TestComparePolicies:
         ("runs = 2\n", "no section headers"),
         ("[harness]\ntrainig_episodes = 5\n",
          "unknown config key 'trainig_episodes' in [harness]"),
+        ("[harness]\npolicies = best, best\n", "policies listed twice: ['best']"),
+        ("[harness]\ntraining_episodes = -5\n", "training_episodes must be >= 0"),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, needle):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         out = tmp_path / "cmp"
-        code = main(["compare-policies", "--config", str(cfg), "--out", str(out)])
+        code = main(["compare-policies", "--config", str(cfg), "--timeline",
+                     "--out", str(out)])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1

@@ -16,13 +16,14 @@ from qoehandoff.hmm import EmConfig, predict_belief
 from qoehandoff.netsim import (generate_run, roaming_cdma_g729_model,
                                roaming_scenario, roaming_wlan_g729_model,
                                step_environment)
-from qoehandoff.policies import (JointState, QTable, RewardConfig,
-                                 decide_handoff, epsilon_greedy_action,
+from qoehandoff.policies import (HysteresisConfig, JointState, QLearningConfig,
+                                 QTable, RewardConfig, decide_handoff,
+                                 epsilon_greedy_action,
                                  exploit_action, m4_policy_step,
                                  naive_policy_step, oracle_policy, q_update,
                                  reward)
 from qoehandoff.probing import RnlEstimator
-from qoehandoff.qoe_model import G729, ROAMING_SCHEME
+from qoehandoff.qoe_model import G711, G729, ROAMING_SCHEME
 
 
 def small_harness(**overrides):
@@ -199,8 +200,7 @@ def reference_baseline_path(cfg, run, kind):
         if kind == "best":
             action = oracle[t]
         elif kind == "naive":
-            action = naive_policy_step([{"delay": rtt / 2.0} for rtt in last],
-                                       {"delay": 1.0}, current)
+            action = naive_policy_step([rtt / 2.0 for rtt in last], current)
         else:
             action = m4_policy_step([e.rnl if e.initialized else None
                                      for e in estimators], current, cfg.m4_margin_s)
@@ -442,9 +442,29 @@ hmm_states = 2, 3
             load_config(path)
         assert str(exc.value) == f"config file {path}: {needle}"
 
+    @pytest.mark.parametrize("text,needle", [
+        ("[harness]\npolicies = best, naive, best\n",
+         "policies listed twice: ['best']"),
+        ("[harness]\ntraining_episodes = -5\n", "training_episodes must be >= 0"),
+        ("[harness]\nhmm_training_runs = 0\n", "hmm_training_runs must be >= 1"),
+        ("[harness]\nhmm_states = 0, 3\n", "hmm_states must be >= 1"),
+        ("[scenario]\ndwell_mean_epochs = 0\n", "dwell_mean_epochs must be >= 1"),
+        ("[qlearn]\nepsilon_decay = 1.5\n", "epsilon_decay must be in [0, 1]"),
+        ("[qlearn]\nepsilon_floor = 7\n", "epsilon_floor must be in [0, 1]"),
+        ("[qlearn]\nepsilon_floor = -0.1\n", "epsilon_floor must be in [0, 1]"),
+    ], ids=["repeated-policy", "negative-episodes", "no-hmm-runs", "zero-states",
+            "zero-dwell", "decay", "floor-above", "floor-below"])
+    def test_value_out_of_range_is_rejected(self, tmp_path, text, needle):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(DomainError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"config file {path}: {needle}"
+
     def test_every_read_key_is_known(self, tmp_path):
         # Every key and section the parser reads loads, roaming-only
-        # scenario keys included.
+        # scenario keys included, and sets its field: each value differs
+        # from its default.
         path = tmp_path / "full.ini"
         path.write_text("""
 [scenario]
@@ -468,7 +488,7 @@ gamma = 0.8
 epsilon = 0.4
 epsilon_decay = 0.9
 epsilon_floor = 0.05
-alpha_decay = constant
+alpha_decay = inverse_visit
 [hysteresis]
 margin = 0.2
 dwell_epochs = 3
@@ -481,14 +501,46 @@ hmm_training_runs = 2
 em_seed = 7
 """)
         cfg = load_config(path)
-        assert (cfg.scenario.seed, cfg.reward_cfg.handoff_cost, cfg.qlearn.alpha,
-                cfg.hysteresis.dwell_epochs, cfg.m4_margin_s, cfg.em.seed) == \
-            (4, 0.8, 0.3, 3, 0.03, 7)
+        sc = cfg.scenario
+        assert (sc.kind, sc.codec, sc.duration_epochs, sc.runs, sc.seed,
+                sc.dwell_mean_epochs, sc.handoff_penalty_mos) == \
+            ("roaming", G711, 30, 2, 4, 20.0, 0.2)
+        # HarnessConfig has no field defaults, so a new field must be
+        # added here.
+        assert cfg == HarnessConfig(
+            scenario=sc,
+            reward_cfg=RewardConfig(w_qoe=0.9, qoe_min=1.5, qoe_max=4.5,
+                                    cost_min=0.1, cost_max=0.9, handoff_cost=0.8),
+            qlearn=QLearningConfig(alpha=0.3, gamma=0.8, epsilon=0.4,
+                                   epsilon_decay=0.9, epsilon_floor=0.05,
+                                   alpha_decay="inverse_visit"),
+            hysteresis=HysteresisConfig(margin=0.2, dwell_epochs=3),
+            m4_margin_s=0.03,
+            policies_enabled=("best", "proposed"),
+            training_episodes=6,
+            hmm_training_runs=2,
+            hmm_states=(2, 2),
+            em=EmConfig(seed=7),
+        )
+        # Each parsed value has its field's declared type, not just an
+        # equal value (3.0 == 3).
+        for section in (cfg.reward_cfg, cfg.qlearn, cfg.hysteresis):
+            for f in dataclasses.fields(section):
+                assert type(getattr(section, f.name)).__name__ == f.type, f.name
+        for name in ("m4_margin_s", "training_episodes", "hmm_training_runs"):
+            assert type(getattr(cfg, name)).__name__ == \
+                HarnessConfig.__dataclass_fields__[name].type, name
 
     def test_matches_default_harness(self, tmp_path):
+        # A file with only the scenario keys that `default_roaming_harness`
+        # takes gives that harness in every other setting.
         path = tmp_path / "defaults.ini"
-        path.write_text("[scenario]\nkind = roaming\n")
+        path.write_text("[scenario]\nseed = 3\nruns = 2\nduration_epochs = 20\n")
         cfg = load_config(path)
-        default = default_roaming_harness()
-        assert cfg.qlearn == default.qlearn
-        assert cfg.training_episodes == default.training_episodes
+        default = default_roaming_harness(seed=3, runs=2, duration_epochs=20)
+        for harness_cfg in (default, default_roaming_harness()):
+            assert dataclasses.replace(cfg, scenario=harness_cfg.scenario) == harness_cfg
+        assert [(sc.kind, sc.codec, sc.seed, sc.runs, sc.duration_epochs,
+                 sc.dwell_mean_epochs, sc.handoff_penalty_mos)
+                for sc in (cfg.scenario, default.scenario)] == \
+            [("roaming", G729, 3, 2, 20, 40.0, 0.3)] * 2

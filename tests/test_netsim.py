@@ -52,7 +52,7 @@ def reference_run(cfg, run_index):
         owd = delay / 2.0 if channel.delay_is_rtt else delay
         mos = [reference_mos(o, channel.loss_per_state[h], cfg.codec)
                for o, h in zip(owd.tolist(), hidden.tolist())]
-        columns.append((delay.tolist(), owd.tolist(), mos,
+        columns.append((delay.tolist(), mos,
                         [reference_band(m, cfg.scheme) for m in mos]))
     return columns
 
@@ -95,9 +95,6 @@ class TestGenerateRun:
         assert run.duration == 64
         for d in run.delays_s:
             assert (d >= MIN_DELAY_S).all()
-        for owd, delay in zip(run.owds_s, run.delays_s):
-            # Roaming channels carry RTTs; OWD is half.
-            assert np.allclose(owd, delay / 2.0)
 
     def test_states_consistent_with_mos(self):
         cfg = roaming_scenario(seed=1, runs=1, duration_epochs=50)
@@ -139,9 +136,8 @@ class TestMatchesStepwiseReference:
         cfg = make(seed=seed, runs=4, duration_epochs=60)
         for r in range(4):
             run = generate_run(cfg, r)
-            for i, (delay, owd, mos, state) in enumerate(reference_run(cfg, r)):
+            for i, (delay, mos, state) in enumerate(reference_run(cfg, r)):
                 assert run.delays_s[i].tolist() == delay
-                assert run.owds_s[i].tolist() == owd
                 assert run.mos[i].tolist() == mos
                 assert run.states[i].tolist() == state
 
@@ -202,6 +198,12 @@ class TestScenarioValidation:
             roaming_scenario(duration_epochs=1)
         with pytest.raises(DomainError):
             roaming_scenario(runs=0)
+
+    @pytest.mark.parametrize("dwell", [0.0, 0.5, -3.0, float("nan")])
+    def test_dwell_mean_is_at_least_one_epoch(self, dwell):
+        with pytest.raises(DomainError):
+            roaming_scenario(dwell_mean_epochs=dwell)
+        roaming_scenario(dwell_mean_epochs=1.0)
 
     def test_unknown_kind_rejected(self):
         wlan = ChannelModel(generator=roaming_wlan_g729_model(),

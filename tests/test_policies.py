@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qoehandoff.errors import DocumentError, DomainError
+from qoehandoff.errors import DomainError
 from qoehandoff.policies import (HysteresisConfig, JointState, QLearningConfig,
                                  QTable, RewardConfig, count_handoffs,
                                  decide_handoff, epsilon_greedy_action,
                                  exhaustive_min_handoffs, exploit_action,
                                  m4_policy_step, naive_policy_step,
                                  oracle_policy, q_star, q_update, reward,
-                                 select_action, value_iteration)
+                                 value_iteration)
 
 
 class TestReward:
@@ -163,6 +163,10 @@ class TestQUpdate:
             QLearningConfig(gamma=1.0)
         with pytest.raises(DomainError):
             QLearningConfig(alpha_decay="linear")
+        for name in ("epsilon", "epsilon_decay", "epsilon_floor"):
+            for value in (-0.1, 1.5):
+                with pytest.raises(DomainError):
+                    QLearningConfig(**{name: value})
 
 
 class TestActionSelection:
@@ -183,14 +187,16 @@ class TestActionSelection:
         q.values[s] = [0.5, 0.5, 0.1]
         assert exploit_action(q, s) == 0
 
-    def test_select_action_modes(self):
+    def test_exploration_draw_order(self):
+        # One uniform decides; only an exploring step then draws the action.
         q = QTable(3, 2)
-        s = JointState((1, 1), 0).index(3)
-        rng = np.random.default_rng(0)
-        assert select_action(q, s, "exploit", rng) == exploit_action(q, s)
-        assert select_action(q, s, "explore", rng) in (0, 1)
-        with pytest.raises(DomainError):
-            select_action(q, s, "greedy", rng)
+        s = JointState((1, 2), 0).index(3)
+        q.values[s] = [0.3, 0.8]
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for epsilon in (0.0, 0.5, 1.0) * 20:
+            explore = ref.random() < epsilon
+            expected = int(ref.integers(2)) if explore else exploit_action(q, s)
+            assert epsilon_greedy_action(q, s, epsilon, rng) == expected
 
     def test_epsilon_zero_is_greedy(self):
         q = QTable(3, 2)
@@ -250,28 +256,18 @@ class TestM4Policy:
 
 class TestNaivePolicy:
     def test_weighted_scores_golden(self):
-        # Scores: A = 0.5/0.01 + 0.25/0.1 + 0.25/0.5 = 50 + 2.5 + 0.5 = 53.0
-        #         B = 0.5/0.02 + 0.25/0.05 + 0.25/1.0 = 25 + 5 + 0.25 = 30.25
-        qos = [{"delay": 0.01, "jitter": 0.1, "loss": 0.5},
-               {"delay": 0.02, "jitter": 0.05, "loss": 1.0}]
-        weights = {"delay": 0.5, "jitter": 0.25, "loss": 0.25}
-        assert naive_policy_step(qos, weights, current=1) == 0
-
-    def test_bandwidth_counts_directly(self):
-        qos = [{"bandwidth": 1.0}, {"bandwidth": 11.0}]
-        assert naive_policy_step(qos, {"bandwidth": 1.0}, current=0) == 1
+        # Scores are reciprocal delays: 1/0.01 = 100 beats 1/0.02 = 50.
+        assert naive_policy_step([0.01, 0.02], current=1) == 0
+        assert naive_policy_step([0.3, 0.1, 0.2], current=0) == 1
 
     def test_tie_stays_on_current(self):
-        qos = [{"delay": 0.1}, {"delay": 0.1}]
-        assert naive_policy_step(qos, {"delay": 1.0}, current=1) == 1
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(DomainError):
-            naive_policy_step([{"delay": 0.1}], {"delay": 0.5}, 0)
+        assert naive_policy_step([0.1, 0.1], current=1) == 1
+        assert naive_policy_step([0.1, 0.1], current=0) == 0
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(DomainError):
-            naive_policy_step([{"delay": 0.0}], {"delay": 1.0}, 0)
+        for delays in ([0.0], [0.1, -0.2]):
+            with pytest.raises(DomainError):
+                naive_policy_step(delays, 0)
 
 
 class TestOraclePolicy:
@@ -377,30 +373,3 @@ class TestValueIteration:
         u2, p2 = value_iteration(tm, r + shift, gamma)
         assert np.allclose(u2, u1 + shift / (1 - gamma), atol=1e-6)
         assert (p1 == p2).all()
-
-
-class TestQTableSerialization:
-    def test_round_trip(self):
-        q = QTable(3, 2)
-        q.values[:] = np.arange(q.values.size).reshape(q.values.shape)
-        q.visit_counts[0, 1] = 5
-        restored = QTable.from_text(q.to_text())
-        assert np.array_equal(restored.values, q.values)
-        assert np.array_equal(restored.visit_counts, q.visit_counts)
-        assert restored.n_states == 3
-        assert restored.n_interfaces == 2
-
-    def test_rejects_foreign_document(self):
-        with pytest.raises(DomainError):
-            QTable.from_text('{"format": "other"}')
-
-    @pytest.mark.parametrize("text", [
-        "not json",
-        "[1, 2]",
-        '{"format": "qoehandoff-qtable/1", "n_states": 3}',
-        '{"format": "qoehandoff-qtable/1", "n_states": 3, "n_interfaces": 2, '
-        '"values": [[0.0, 0.0]], "visit_counts": [[0, 0]]}',
-    ])
-    def test_malformed_document_is_document_error(self, text):
-        with pytest.raises(DocumentError):
-            QTable.from_text(text)

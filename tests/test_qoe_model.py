@@ -115,11 +115,7 @@ class TestCodecProfiles:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            CodecProfile("x", equipment_impairment=-1.0, loss_robustness=0.2,
-                         late_threshold_s=0.5)
-        with pytest.raises(DomainError):
-            CodecProfile("x", equipment_impairment=0.0, loss_robustness=0.2,
-                         late_threshold_s=0.0)
+            CodecProfile("x", equipment_impairment=-1.0, loss_robustness=0.2)
 
 
 class TestQuantization:

@@ -29,7 +29,6 @@ class TestRead:
                     if t.run_id == "run000" and t.interface_label == "WLAN")
         assert wlan.rtts() == [0.1, 0.2]
         assert wlan.mos_values() == [4.2, 3.9]
-        assert wlan.owds() == [0.05, 0.1]
 
     def test_empty_mos_cell_is_none(self):
         traces = read_traces(SAMPLE)
