@@ -38,12 +38,13 @@ SCHEMES = {"congestion": CONGESTION_SCHEME, "roaming": ROAMING_SCHEME}
 
 
 def _scenario_from_args(args) -> netsim.ScenarioConfig:
-    codec = CODECS[args.codec]
-    if args.scenario == "roaming":
-        return netsim.roaming_scenario(codec=codec, duration_epochs=args.duration,
-                                       runs=args.runs, seed=args.seed)
-    return netsim.congestion_scenario(codec=codec, duration_epochs=args.duration,
-                                      runs=args.runs, seed=args.seed)
+    """The scenario's factory settings; a codec only when `--codec` is given,
+    so each scenario keeps the codec its channels are calibrated for."""
+    factory = netsim.roaming_scenario if args.scenario == "roaming" \
+        else netsim.congestion_scenario
+    codec = {} if args.codec is None else {"codec": CODECS[args.codec]}
+    return factory(duration_epochs=args.duration, runs=args.runs, seed=args.seed,
+                   **codec)
 
 
 def cmd_simulate(args) -> int:
@@ -239,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate scenario runs as trace CSV")
     p.add_argument("--scenario", choices=["roaming", "wlan_congestion"],
                    default="roaming")
-    p.add_argument("--codec", choices=sorted(CODECS), default="g729")
+    p.add_argument("--codec", choices=sorted(CODECS),
+                   help="default g729 for roaming, g711 for wlan_congestion")
     p.add_argument("--runs", type=int, default=12)
     p.add_argument("--duration", type=int, default=101)
     p.add_argument("--seed", type=int, default=0)

@@ -43,14 +43,6 @@ _TRAIN_RUN_OFFSET = 10_000
 # fixed block bounds peak memory whatever the episode count.
 _TRAIN_BLOCK_RUNS = 16
 
-# A small constant step size tracks the bootstrapped targets far better
-# than 1/n visit averaging at gamma=0.95, where early (near-zero) targets
-# otherwise dominate the running mean for the life of the table.
-_DEFAULT_HARNESS_QLEARN = QLearningConfig(
-    alpha=0.1, gamma=0.95, epsilon=0.5, epsilon_decay=0.99,
-    epsilon_floor=0.1, alpha_decay="constant")
-
-
 @dataclass(frozen=True)
 class HarnessConfig:
     """One comparison's settings; `load_config` and
@@ -85,6 +77,8 @@ class HarnessConfig:
             raise DomainError("training_episodes must be >= 0")
         if self.hmm_training_runs < 1:
             raise DomainError("hmm_training_runs must be >= 1")
+        if not self.m4_margin_s >= 0:
+            raise DomainError("m4_margin_s must be >= 0")
 
 
 @dataclass
@@ -170,9 +164,7 @@ def train_interface_models(cfg: HarnessConfig):
             accuracy[channel.label] = sum(c for c, _ in scores) \
                 / sum(t for _, t in scores)
         else:
-            model, _ = em_train([obs for obs, _ in dataset], k, cfg.em,
-                                scheme=scenario.scheme
-                                if k == scenario.scheme.state_count else None)
+            model, _ = em_train([obs for obs, _ in dataset], k, cfg.em)
         models.append(model)
     return models, accuracy
 
@@ -219,7 +211,7 @@ def run_features(runs: list[SimRun], models=None, qoe_maps=None,
     if with_rnl:
         rnl = []
         for run_obs in observations.tolist():
-            estimators = [RnlEstimator(h=5, c=5.0) for _ in range(n_if)]
+            estimators = [RnlEstimator() for _ in range(n_if)]
             series = []
             for epoch_obs in zip(*run_obs):
                 for est, rtt in zip(estimators, epoch_obs):
@@ -393,7 +385,7 @@ _SCENARIO_KEYS = {"kind", "codec", "duration_epochs", "runs", "seed",
 _ROAMING_ONLY_KEYS = {"dwell_mean_epochs", "handoff_penalty_mos"}
 _HARNESS_KEYS = {"policies", "hmm_states", "m4_margin_s", "training_episodes",
                  "hmm_training_runs", "em_seed"}
-_SECTION_DEFAULTS = {"reward": RewardConfig(), "qlearn": _DEFAULT_HARNESS_QLEARN,
+_SECTION_DEFAULTS = {"reward": RewardConfig(), "qlearn": QLearningConfig(),
                      "hysteresis": HysteresisConfig()}
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
 

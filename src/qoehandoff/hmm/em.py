@@ -36,13 +36,18 @@ from .inference import predict_next_state  # noqa: F401
 from .model import VARIANCE_FLOOR, GaussianEmission, HmmModel
 
 
+# A start converges when an iteration raises its log-likelihood by less
+# than this fraction of the previous one.
+REL_TOL = 1e-6
+# Every restart starts with this self-transition probability, the rest of
+# each row spread evenly over the other states.
+SELF_TRANSITION_INIT = 0.8
+
+
 @dataclass(frozen=True)
 class EmConfig:
     max_iterations: int = 200
-    rel_tol: float = 1e-6
     restarts: int = 5
-    variance_floor: float = VARIANCE_FLOOR
-    self_transition_init: float = 0.8
     seed: int = 0
 
 
@@ -170,7 +175,7 @@ def _lockstep_em(seqs, starts, cfg: EmConfig):
                 best[j] = (ll_j, means[j].copy(), variances[j].copy(),
                            prior[j].copy(), tm[j].copy())
         prev = prev_ll[active]
-        done = np.isfinite(prev) & (ll - prev < cfg.rel_tol * np.abs(prev))
+        done = np.isfinite(prev) & (ll - prev < REL_TOL * np.abs(prev))
         converged[active[done]] = True
         prev_ll[active] = ll
         go = ~done
@@ -189,7 +194,7 @@ def _lockstep_em(seqs, starts, cfg: EmConfig):
         tm[active] = np.where(row > 0, xi_acc / np.where(row > 0, row, 1.0), 1.0 / k)
         means[active] = wx_acc / w_acc
         variances[active] = np.maximum(
-            wxx_acc / w_acc - means[active] * means[active], cfg.variance_floor)
+            wxx_acc / w_acc - means[active] * means[active], VARIANCE_FLOOR)
     return [(histories[j], best[j], bool(converged[j]), int(iterations[j]))
             for j in range(n)]
 
@@ -206,15 +211,15 @@ def _restart_starts(seqs, k: int, config: EmConfig) -> list:
     drawn in restart order from a generator seeded with `config.seed`."""
     all_obs = np.concatenate(seqs)
     prior0 = np.full(k, 1.0 / k)
-    tm0 = np.full((k, k), (1.0 - config.self_transition_init) / max(k - 1, 1))
-    np.fill_diagonal(tm0, config.self_transition_init)
-    var0 = max(float(all_obs.var()) / (k * k), config.variance_floor)
+    tm0 = np.full((k, k), (1.0 - SELF_TRANSITION_INIT) / max(k - 1, 1))
+    np.fill_diagonal(tm0, SELF_TRANSITION_INIT)
+    var0 = max(float(all_obs.var()) / (k * k), VARIANCE_FLOOR)
     rng = np.random.default_rng(config.seed)
     return [(_restart_means(all_obs, k, restart, rng), np.full(k, var0), prior0, tm0)
             for restart in range(max(config.restarts, 1))]
 
 
-def _canonical_winner(runs, scheme) -> tuple[HmmModel, TrainingReport]:
+def _canonical_winner(runs) -> tuple[HmmModel, TrainingReport]:
     """Best-likelihood restart (ties to the lowest index), states sorted by
     descending emission mean."""
     winner = None
@@ -228,32 +233,29 @@ def _canonical_winner(runs, scheme) -> tuple[HmmModel, TrainingReport]:
         transitions=tm[np.ix_(order, order)],
         emissions=tuple(GaussianEmission(float(means[i]), float(variances[i]))
                         for i in order),
-        scheme=scheme,
     )
     report = TrainingReport(log_likelihoods=history, iterations=iters,
                             converged=converged, restart_index=restart_index)
     return model, report
 
 
-def _fit_single_state(seqs, config: EmConfig) -> tuple[HmmModel, TrainingReport]:
+def _fit_single_state(seqs) -> tuple[HmmModel, TrainingReport]:
     """Closed form: single-state chain with population-moment emission."""
     all_obs = np.concatenate(seqs)
     mean = float(all_obs.mean())
-    var = max(float(all_obs.var()), config.variance_floor)
+    var = max(float(all_obs.var()), VARIANCE_FLOOR)
     model = HmmModel(prior=np.ones(1), transitions=np.ones((1, 1)),
-                     emissions=(GaussianEmission(mean, var),), scheme=None)
+                     emissions=(GaussianEmission(mean, var),))
     ll = sum(forward_filter(model, s)[1] for s in seqs)
     return model, TrainingReport([ll], iterations=1, converged=True)
 
 
-def _fit_all(observation_sets, k: int, config: EmConfig,
-             scheme: QuantizationScheme | None) -> list[tuple[HmmModel, TrainingReport]]:
+def _fit_all(observation_sets, k: int,
+             config: EmConfig) -> list[tuple[HmmModel, TrainingReport]]:
     """Fit one k-state model per observation set, every restart of every
     fit in one lock-step EM."""
     if k < 1:
         raise DomainError("state count k must be >= 1")
-    if scheme is not None and scheme.state_count != k:
-        raise DomainError("scheme state count does not match k")
     fits = [_validate_sequences(obs) for obs in observation_sets]
     for seqs in fits:
         distinct = np.unique(np.concatenate(seqs)).size
@@ -261,7 +263,7 @@ def _fit_all(observation_sets, k: int, config: EmConfig,
             raise DegenerateModelError(
                 f"{k} states requested but only {distinct} distinct values")
     if k == 1:
-        return [_fit_single_state(seqs, config) for seqs in fits]
+        return [_fit_single_state(seqs) for seqs in fits]
 
     pool, starts, spans = [], [], []
     for fit, seqs in enumerate(fits):
@@ -272,18 +274,18 @@ def _fit_all(observation_sets, k: int, config: EmConfig,
                       for start in _restart_starts(seqs, k, config))
         spans.append(slice(first, len(starts)))
     runs = _lockstep_em(pool, starts, config)
-    return [_canonical_winner(runs[span], scheme) for span in spans]
+    return [_canonical_winner(runs[span]) for span in spans]
 
 
-def em_train(observations, k: int, config: EmConfig = EmConfig(),
-             scheme: QuantizationScheme | None = None) -> tuple[HmmModel, TrainingReport]:
+def em_train(observations, k: int,
+             config: EmConfig = EmConfig()) -> tuple[HmmModel, TrainingReport]:
     """Fit a k-state model to one or more delay sequences.
 
     Returns the model at the best-likelihood iteration of the best restart
     (restarts screened as the module describes), with states sorted by
     descending emission mean.
     """
-    return _fit_all([observations], k, config, scheme)[0]
+    return _fit_all([observations], k, config)[0]
 
 
 def _filtered_blocks(model: HmmModel, traces, scheme: QuantizationScheme):
@@ -315,16 +317,14 @@ def state_band_map(model: HmmModel, traces, scheme: QuantizationScheme) -> list[
 
 
 def prediction_accuracy(model: HmmModel, traces, scheme: QuantizationScheme,
-                        state_map: list[int] | None = None) -> tuple[int, int]:
+                        state_map: list[int]) -> tuple[int, int]:
     """(correct, total) one-step predictions over (observations, mos) traces.
 
     The state predicted from the belief at epoch t is scored against the
     state quantized from the trace's true MOS at t+1 (micro-average).
-    `state_map` translates hidden-state indices to QoE bands; identity when
-    omitted (model states must then coincide with the scheme's bands).
+    `state_map` gives the QoE band of each hidden state.
     """
-    band_of = np.arange(1, model.n_states + 1) if state_map is None \
-        else np.asarray(state_map)
+    band_of = np.asarray(state_map)
     correct = 0
     total = 0
     for beliefs, bands in _filtered_blocks(model, traces, scheme):
@@ -350,7 +350,7 @@ def cross_validate_folds(dataset, folds: int, k: int, scheme: QuantizationScheme
     trains = [[dataset[i] for i in range(n) if i % folds != fold]
               for fold in range(folds)]
     full, *fits = _fit_all([[obs for obs, _ in train] for train in [dataset, *trains]],
-                           k, config, scheme if k == scheme.state_count else None)
+                           k, config)
     scores = []
     for fold, (train, (model, _)) in enumerate(zip(trains, fits)):
         held = [dataset[i] for i in range(n) if i % folds == fold]

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DocumentError, DomainError, parse_document
-from ..qoe_model import QuantizationScheme
 
 PROB_TOL = 1e-9
 VARIANCE_FLOOR = 1e-8
@@ -35,8 +34,6 @@ class HmmModel:
     prior: np.ndarray
     transitions: np.ndarray
     emissions: tuple[GaussianEmission, ...]
-    scheme: QuantizationScheme
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         prior = np.asarray(self.prior, dtype=float)
@@ -51,8 +48,6 @@ class HmmModel:
             raise DomainError("prior is not a probability vector")
         if (tm < 0).any() or np.abs(tm.sum(axis=1) - 1.0).max() > PROB_TOL:
             raise DomainError("transition rows must each sum to 1")
-        if self.scheme is not None and self.scheme.state_count != n:
-            raise DomainError("quantization scheme does not match state count")
 
     @property
     def n_states(self) -> int:
@@ -84,28 +79,22 @@ class HmmModel:
             "transitions": self.transitions.tolist(),
             "emissions": [{"mean": e.mean, "variance": e.variance}
                           for e in self.emissions],
-            "scheme": {"boundaries": list(self.scheme.boundaries)}
-                      if self.scheme is not None else None,
-            "metadata": self.metadata,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "HmmModel":
+        """Parse a model document; keys outside the format, such as the
+        `scheme` and `metadata` of older documents, are ignored."""
         doc = parse_document(text, "model document")
         if doc.get("format") != "qoehandoff-hmm/1":
             raise DocumentError("not a recognized model document")
         try:
-            scheme = None
-            if doc.get("scheme") is not None:
-                scheme = QuantizationScheme(tuple(doc["scheme"]["boundaries"]))
             return cls(
                 prior=np.array(doc["prior"], dtype=float),
                 transitions=np.array(doc["transitions"], dtype=float),
                 emissions=tuple(GaussianEmission(float(e["mean"]), float(e["variance"]))
                                 for e in doc["emissions"]),
-                scheme=scheme,
-                metadata=doc.get("metadata", {}),
             )
         except KeyError as exc:
             raise DocumentError(f"model document lacks key {exc}") from exc

@@ -188,8 +188,6 @@ def congestion_wlan_g711_model() -> HmmModel:
         emissions=(GaussianEmission(0.4850, 0.0576),
                    GaussianEmission(0.1302, 0.0010),
                    GaussianEmission(0.0462, 0.0006)),
-        scheme=CONGESTION_SCHEME,
-        metadata={"channel": "wlan-congestion", "codec": "g711", "units": "owd_s"},
     )
 
 
@@ -201,8 +199,6 @@ def roaming_wlan_g729_model() -> HmmModel:
                                  [0.0654, 0.9346]]),
         emissions=(GaussianEmission(0.9905, 0.0044),
                    GaussianEmission(0.0519, 0.0079)),
-        scheme=None,
-        metadata={"channel": "roaming-wlan", "codec": "g729", "units": "rtt_s"},
     )
 
 
@@ -216,8 +212,6 @@ def roaming_cdma_g729_model() -> HmmModel:
         emissions=(GaussianEmission(0.9519, 0.0055),
                    GaussianEmission(0.6401, 0.0076),
                    GaussianEmission(0.2857, 0.0025)),
-        scheme=ROAMING_SCHEME,
-        metadata={"channel": "roaming-cdma2000", "codec": "g729", "units": "rtt_s"},
     )
 
 

@@ -13,7 +13,9 @@ computes; the Q-table functions take that row index.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,9 @@ class RewardConfig:
     handoff_cost: float = 1.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite")
         if not 0.0 <= self.w_qoe <= 1.0:
             raise DomainError("w_qoe must be in [0, 1]")
         if self.qoe_min >= self.qoe_max or self.cost_min >= self.cost_max:
@@ -43,11 +48,14 @@ class RewardConfig:
 
 @dataclass(frozen=True)
 class QLearningConfig:
-    alpha: float = 0.80
+    # A small constant step size tracks the bootstrapped targets far better
+    # than 1/n visit averaging at gamma=0.95, where early (near-zero) targets
+    # otherwise dominate the running mean for the life of the table.
+    alpha: float = 0.1
     gamma: float = 0.95
-    epsilon: float = 0.2
+    epsilon: float = 0.5
     epsilon_decay: float = 0.99
-    epsilon_floor: float = 0.01
+    epsilon_floor: float = 0.1
     alpha_decay: str = "constant"  # or "inverse_visit"
 
     def __post_init__(self):
@@ -68,8 +76,10 @@ class HysteresisConfig:
     dwell_epochs: int = 2
 
     def __post_init__(self):
-        if self.margin < 0 or self.dwell_epochs < 0:
-            raise DomainError("margin and dwell_epochs must be >= 0")
+        if not self.margin >= 0:
+            raise DomainError("margin must be >= 0")
+        if self.dwell_epochs < 0:
+            raise DomainError("dwell_epochs must be >= 0")
 
 
 @dataclass(frozen=True)

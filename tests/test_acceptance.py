@@ -71,8 +71,7 @@ def test_criterion_02_forward_filter_oracle():
                 variances = rng.uniform(0.01, 0.1, n)
                 model = HmmModel(prior, tm,
                                  tuple(GaussianEmission(float(m), float(v))
-                                       for m, v in zip(means, variances)),
-                                 scheme=None)
+                                       for m, v in zip(means, variances)))
                 obs = rng.uniform(0, 1, length)
                 beliefs, _ = forward_filter(model, obs)
                 dens = np.exp(model.frame_log_likelihood(obs))

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -12,9 +13,10 @@ from qoehandoff.cli import EXIT_DATA, EXIT_USAGE, _load_dataset, main
 from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, em_train,
                             forward_filter, load_model, predict_next_state,
                             save_model)
+from qoehandoff.netsim import ScenarioConfig, roaming_cdma_g729_model
+from qoehandoff.policies import (HysteresisConfig, QLearningConfig, RewardConfig,
+                                 count_handoffs)
 from qoehandoff.qoe_model import ROAMING_SCHEME
-from qoehandoff.netsim import roaming_cdma_g729_model
-from qoehandoff.policies import count_handoffs
 from qoehandoff.trace_io import read_traces
 
 FAST_CONFIG = """
@@ -28,6 +30,17 @@ seed = 0
 training_episodes = 8
 hmm_training_runs = 4
 """
+
+
+# Every float key of each config section: the float fields of the
+# dataclass the section sets.
+FLOAT_KEYS = [(section, f.name)
+              for section, fields in [("reward", RewardConfig),
+                                      ("qlearn", QLearningConfig),
+                                      ("hysteresis", HysteresisConfig),
+                                      ("scenario", ScenarioConfig),
+                                      ("harness", harness.HarnessConfig)]
+              for f in dataclasses.fields(fields) if f.type == "float"]
 
 
 @pytest.fixture
@@ -115,14 +128,32 @@ class TestPredictBlocks:
         final = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("final log-likelihood")]
         dataset = _load_dataset(sim_dir / "traces.csv")
-        model, report = em_train([obs for obs, _ in dataset], 3, EmConfig(seed=4),
-                                 scheme=ROAMING_SCHEME)
+        model, report = em_train([obs for obs, _ in dataset], 3, EmConfig(seed=4))
         assert final == [f"final log-likelihood: {report.log_likelihoods[-1]:.6f} "
                          f"({report.iterations} iterations, "
                          f"converged={report.converged}, "
                          f"restart {report.restart_index})"]
         assert load_model(tmp_path / "model" / "model.json").to_text() == \
             model.to_text()
+
+    def test_legacy_model_document_predicts_the_same(self, tmp_path, sim_dir):
+        # Older model files also carry a quantization scheme and metadata;
+        # loading ignores both.
+        model = roaming_cdma_g729_model()
+        legacy = dict(json.loads(model.to_text()),
+                      scheme={"boundaries": list(ROAMING_SCHEME.boundaries)},
+                      metadata={"channel": "roaming-cdma2000", "codec": "g729",
+                                "units": "rtt_s"})
+        (tmp_path / "legacy.json").write_text(
+            json.dumps(legacy, indent=2, sort_keys=True) + "\n")
+        save_model(model, tmp_path / "current.json")
+        assert load_model(tmp_path / "legacy.json").to_text() == model.to_text()
+        for name in ("legacy", "current"):
+            assert main(["predict", "--model", str(tmp_path / f"{name}.json"),
+                         "--traces", str(sim_dir / "traces.csv"),
+                         "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "legacy" / "predictions.csv").read_bytes() == \
+            (tmp_path / "current" / "predictions.csv").read_bytes()
 
     def test_ragged_traces_match_per_trace_reference(self, tmp_path):
         model = roaming_cdma_g729_model()
@@ -158,8 +189,8 @@ class TestPredictBlocks:
         # zero density there.
         save_model(HmmModel(prior=np.array([0.0, 1.0]), transitions=np.eye(2),
                             emissions=(GaussianEmission(1.0, 1e-8),
-                                       GaussianEmission(0.5, 1e-8)),
-                            scheme=None), tmp_path / "model.json")
+                                       GaussianEmission(0.5, 1e-8))),
+                   tmp_path / "model.json")
         traces = tmp_path / "traces.csv"
         traces.write_text("run_id,interface,epoch,rtt_s,mos\n" + good
                           + "r9,WLAN,0,0.5,\nr9,WLAN,4,0.5,\nr9,WLAN,7,1.0,\n")
@@ -239,6 +270,18 @@ class TestComparePolicies:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
         assert needle in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
+    def test_nan_setting_is_usage_error(self, tmp_path, capsys, section, key):
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text(f"[{section}]\n{key} = nan\n")
+        out = tmp_path / "cmp"
+        code = main(["compare-policies", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
+        assert key in err.removeprefix(f"error: config file {cfg}: ")
         assert not (out / "report.json").exists()
 
     def test_scenario_flags_without_config(self, tmp_path):

@@ -452,8 +452,12 @@ hmm_states = 2, 3
         ("[qlearn]\nepsilon_decay = 1.5\n", "epsilon_decay must be in [0, 1]"),
         ("[qlearn]\nepsilon_floor = 7\n", "epsilon_floor must be in [0, 1]"),
         ("[qlearn]\nepsilon_floor = -0.1\n", "epsilon_floor must be in [0, 1]"),
+        ("[reward]\ncost_max = inf\n", "cost_max must be finite"),
+        ("[reward]\nqoe_min = -inf\n", "qoe_min must be finite"),
+        ("[harness]\nm4_margin_s = -1\n", "m4_margin_s must be >= 0"),
     ], ids=["repeated-policy", "negative-episodes", "no-hmm-runs", "zero-states",
-            "zero-dwell", "decay", "floor-above", "floor-below"])
+            "zero-dwell", "decay", "floor-above", "floor-below", "infinite-cost",
+            "infinite-qoe", "negative-m4-margin"])
     def test_value_out_of_range_is_rejected(self, tmp_path, text, needle):
         path = tmp_path / "bad.ini"
         path.write_text(text)

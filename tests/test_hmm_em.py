@@ -7,8 +7,9 @@ from qoehandoff.errors import DegenerateModelError, DomainError
 from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel,
                             cross_validate_folds, em_train, forward_filter,
                             predict_next_state, prediction_accuracy)
-from qoehandoff.hmm.em import (SCREEN_ITERATIONS, _lockstep_em,
+from qoehandoff.hmm.em import (REL_TOL, SCREEN_ITERATIONS, _lockstep_em,
                                _restart_starts, state_band_map)
+from qoehandoff.hmm.model import VARIANCE_FLOOR
 from qoehandoff.qoe_model import CONGESTION_SCHEME, ROAMING_SCHEME, quantize_mos
 from test_hmm_inference import reference_forward_backward
 
@@ -26,8 +27,7 @@ def well_separated_model():
     return HmmModel(
         prior=np.array([0.5, 0.5]),
         transitions=np.array([[0.9, 0.1], [0.2, 0.8]]),
-        emissions=(GaussianEmission(1.0, 0.01), GaussianEmission(0.0, 0.01)),
-        scheme=None)
+        emissions=(GaussianEmission(1.0, 0.01), GaussianEmission(0.0, 0.01)))
 
 
 class TestEmTrain:
@@ -97,8 +97,6 @@ class TestEmTrain:
             em_train([np.array([0.1, np.inf])], 2)
         with pytest.raises(DomainError):
             em_train([np.array([0.1, 0.2])], 0)
-        with pytest.raises(DomainError):
-            em_train([np.array([0.1, 0.2, 0.3])], 2, scheme=CONGESTION_SCHEME)
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(4)
@@ -127,7 +125,7 @@ def reference_em(seqs, means, variances, prior, tm, cfg):
         history.append(ll)
         if best is None or ll > best[0]:
             best = (ll, means, variances, prior, tm)
-        if np.isfinite(prev) and ll - prev < cfg.rel_tol * abs(prev):
+        if np.isfinite(prev) and ll - prev < REL_TOL * abs(prev):
             return history, best, True, iteration
         prev = ll
         prior_acc, xi_acc, w, wx, wxx = acc
@@ -135,7 +133,7 @@ def reference_em(seqs, means, variances, prior, tm, cfg):
         row = xi_acc.sum(axis=1, keepdims=True)
         tm = np.where(row > 0, xi_acc / np.where(row > 0, row, 1.0), 1.0 / k)
         means = wx / w
-        variances = np.maximum(wxx / w - means * means, cfg.variance_floor)
+        variances = np.maximum(wxx / w - means * means, VARIANCE_FLOOR)
     return history, best, False, cfg.max_iterations
 
 
@@ -145,8 +143,7 @@ def three_state_model():
         transitions=np.array([[0.8, 0.15, 0.05], [0.1, 0.8, 0.1],
                               [0.05, 0.15, 0.8]]),
         emissions=(GaussianEmission(0.6, 0.01), GaussianEmission(0.3, 0.01),
-                   GaussianEmission(0.1, 0.005)),
-        scheme=None)
+                   GaussianEmission(0.1, 0.005)))
 
 
 class TestLockStep:
@@ -381,10 +378,9 @@ class TestBlockScoring:
         model = three_state_model()
         state_map = state_band_map(model, dataset, scheme)
         assert state_map == reference_band_map(model, dataset, scheme)
-        for mapping in (state_map, None, [3, 1, 2]):
-            ref_map = mapping if mapping is not None else [1, 2, 3]
+        for mapping in (state_map, [1, 2, 3], [3, 1, 2]):
             got = prediction_accuracy(model, dataset, scheme, mapping)
-            assert got == reference_accuracy(model, dataset, scheme, ref_map)
+            assert got == reference_accuracy(model, dataset, scheme, mapping)
         assert got[1] == sum(len(obs) - 1 for obs, _ in dataset)
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -395,8 +391,7 @@ class TestBlockScoring:
         for fold in range(3):
             train = [d for i, d in enumerate(dataset) if i % 3 != fold]
             held = [d for i, d in enumerate(dataset) if i % 3 == fold]
-            model, _ = em_train([obs for obs, _ in train], k, cfg,
-                                ROAMING_SCHEME if k == 3 else None)
+            model, _ = em_train([obs for obs, _ in train], k, cfg)
             state_map = reference_band_map(model, train, ROAMING_SCHEME)
             expected.append(reference_accuracy(model, held, ROAMING_SCHEME,
                                                state_map))

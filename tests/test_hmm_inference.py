@@ -23,8 +23,7 @@ def random_model(rng, n):
     variances = rng.uniform(0.005, 0.1, n)
     return HmmModel(prior, tm,
                     tuple(GaussianEmission(float(m), float(v))
-                          for m, v in zip(means, variances)),
-                    scheme=None)
+                          for m, v in zip(means, variances)))
 
 
 def enumerate_posteriors(model, obs):
@@ -80,8 +79,7 @@ class TestForwardFilterOracle:
         model = HmmModel(
             prior=np.array([0.0, 1.0]),
             transitions=np.eye(2),
-            emissions=(GaussianEmission(1.0, 1e-8), GaussianEmission(0.0, 1e-8)),
-            scheme=None)
+            emissions=(GaussianEmission(1.0, 1e-8), GaussianEmission(0.0, 1e-8)))
         with pytest.raises(DomainError, match="observation 0"):
             forward_filter(model, np.array([1.0]))
 
@@ -103,8 +101,7 @@ class TestForwardFilterOracle:
         model = HmmModel(
             prior=np.array([0.0, 1.0]),
             transitions=np.eye(2),
-            emissions=(GaussianEmission(1.0, 1e-8), GaussianEmission(0.0, 1e-8)),
-            scheme=None)
+            emissions=(GaussianEmission(1.0, 1e-8), GaussianEmission(0.0, 1e-8)))
         block = np.zeros((3, 4))
         block[1, 2] = 1.0
         with pytest.raises(DomainError, match="row 1, observation 2"):
@@ -222,8 +219,7 @@ class TestBatchedKernels:
         for r, (j, i) in enumerate(zip(row_start, row_seq)):
             model = HmmModel(prior[j], tm[j],
                              tuple(GaussianEmission(float(mu), float(v))
-                                   for mu, v in zip(means[j], variances[j])),
-                             scheme=None)
+                                   for mu, v in zip(means[j], variances[j])))
             x = seqs[i]
             gamma, ref_xi, ref_ll = reference_forward_backward(
                 model.frame_log_likelihood(x), prior[j], tm[j])
@@ -287,8 +283,7 @@ def sparse_filter_cases(draw):
         min_size=n, max_size=n))
     means = rng.uniform(0.0, 1.0, n)
     model = HmmModel(prior, tm, tuple(GaussianEmission(float(m), v)
-                                      for m, v in zip(means, variances)),
-                     scheme=None)
+                                      for m, v in zip(means, variances)))
     shape = draw(st.one_of(st.tuples(st.integers(1, 30)),
                            st.tuples(st.integers(1, 4), st.integers(1, 30))))
     near = means[rng.integers(0, n, shape)] + \
@@ -331,8 +326,7 @@ class TestPrediction:
         model = HmmModel(
             prior=np.array([0.5, 0.5]),
             transitions=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            emissions=(GaussianEmission(1.0, 0.01), GaussianEmission(0.0, 0.01)),
-            scheme=None)
+            emissions=(GaussianEmission(1.0, 0.01), GaussianEmission(0.0, 0.01)))
         state, predicted = predict_next_state(model, np.array([1.0, 0.0]))
         assert state == 2
         assert np.allclose(predicted, [0.0, 1.0])
@@ -341,8 +335,7 @@ class TestPrediction:
         model = HmmModel(
             prior=np.array([0.5, 0.5]),
             transitions=np.array([[0.5, 0.5], [0.5, 0.5]]),
-            emissions=(GaussianEmission(1.0, 0.01), GaussianEmission(0.0, 0.01)),
-            scheme=None)
+            emissions=(GaussianEmission(1.0, 0.01), GaussianEmission(0.0, 0.01)))
         state, _ = predict_next_state(model, np.array([0.5, 0.5]))
         assert state == 1
 
@@ -375,7 +368,7 @@ class TestPrediction:
         n = len(tm)
         model = HmmModel(np.full(n, 1.0 / n), np.array(tm),
                          tuple(GaussianEmission(float(n - i), 0.01)
-                               for i in range(n)), scheme=None)
+                               for i in range(n)))
         uniform = np.full((3, 5, n), 1.0 / n)
         assert (predict_next_states(model, uniform) == 1).all()
         assert predict_next_state(model, uniform[0, 0])[0] == 1
@@ -404,8 +397,7 @@ class TestPrediction:
         shifted = HmmModel(
             model.prior, model.transitions,
             tuple(GaussianEmission(e.mean + shift, e.variance)
-                  for e in model.emissions),
-            scheme=None)
+                  for e in model.emissions))
         b1, ll1 = forward_filter(model, obs)
         b2, ll2 = forward_filter(shifted, obs + shift)
         assert np.abs(b1 - b2).max() <= 1e-9

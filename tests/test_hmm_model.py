@@ -7,7 +7,6 @@ import pytest
 
 from qoehandoff.errors import DocumentError, DomainError
 from qoehandoff.hmm import GaussianEmission, HmmModel, load_model, save_model
-from qoehandoff.qoe_model import CONGESTION_SCHEME
 
 
 def two_state_model(**overrides):
@@ -15,7 +14,6 @@ def two_state_model(**overrides):
         prior=np.array([0.7, 0.3]),
         transitions=np.array([[0.9, 0.1], [0.4, 0.6]]),
         emissions=(GaussianEmission(0.5, 0.01), GaussianEmission(0.1, 0.001)),
-        scheme=None,
     )
     kwargs.update(overrides)
     return HmmModel(**kwargs)
@@ -43,10 +41,6 @@ class TestValidation:
         with pytest.raises(DomainError):
             two_state_model(prior=np.array([1.0]))
 
-    def test_rejects_scheme_mismatch(self):
-        with pytest.raises(DomainError):
-            two_state_model(scheme=CONGESTION_SCHEME)  # 3 bands, 2 states
-
     def test_variance_floor(self):
         with pytest.raises(DomainError):
             GaussianEmission(0.5, 0.0)
@@ -72,24 +66,11 @@ class TestFrameLogLikelihood:
 
 class TestSerialization:
     def test_round_trip_exact(self):
-        model = two_state_model(metadata={"units": "rtt_s"})
+        model = two_state_model()
         restored = HmmModel.from_text(model.to_text())
         assert np.array_equal(restored.prior, model.prior)
         assert np.array_equal(restored.transitions, model.transitions)
         assert restored.emissions == model.emissions
-        assert restored.metadata == {"units": "rtt_s"}
-        assert restored.scheme is None
-
-    def test_round_trip_with_scheme(self):
-        model = HmmModel(
-            prior=np.array([1 / 3, 1 / 3, 1 / 3]),
-            transitions=np.full((3, 3), 1 / 3),
-            emissions=tuple(GaussianEmission(m, 0.01) for m in (0.5, 0.3, 0.1)),
-            scheme=CONGESTION_SCHEME,
-        )
-        restored = HmmModel.from_text(model.to_text())
-        assert restored.scheme == CONGESTION_SCHEME
-        assert np.array_equal(restored.prior, model.prior)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
