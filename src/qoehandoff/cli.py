@@ -84,11 +84,10 @@ def _load_dataset(path):
     be set."""
     dataset = []
     for trace in trace_io.read_traces(Path(path).read_text(encoding="utf-8")):
-        mos = trace.mos_values()
-        if any(m is None for m in mos):
+        if np.isnan(trace.mos).any():
             raise TraceValidationError(
                 f"run {trace.run_id}/{trace.interface_label}: mos column required here")
-        dataset.append((np.asarray(trace.rtts()), np.asarray(mos, dtype=float)))
+        dataset.append((trace.rtt_s, trace.mos))
     return dataset
 
 
@@ -118,12 +117,12 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     traces = trace_io.read_traces(Path(args.traces).read_text(encoding="utf-8"))
     states = [None] * len(traces)
-    for ids, block in length_blocks([trace.rtts() for trace in traces]):
+    for ids, block in length_blocks([trace.rtt_s for trace in traces]):
         try:
             beliefs, _ = forward_filter(model, block)
         except ZeroProbabilityError as exc:
             trace = traces[ids[exc.row]]
-            epoch = trace.samples[exc.observation][0]
+            epoch = trace.epochs[exc.observation]
             raise DomainError(
                 f"run {trace.run_id}/{trace.interface_label} observation "
                 f"{exc.observation} (epoch {epoch}) has zero predicted probability "
@@ -134,11 +133,10 @@ def cmd_predict(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "predictions.csv"
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run_id", "interface", "epoch", "predicted_state"])
+        fh.write("run_id,interface,epoch,predicted_state\n")
         for trace, predicted in zip(traces, states):
-            writer.writerows([trace.run_id, trace.interface_label, sample[0], state]
-                             for sample, state in zip(trace.samples[1:], predicted))
+            fh.write(trace_io.format_rows([trace.run_id, trace.interface_label], "%d,%d",
+                                          (trace.epochs[1:].tolist(), predicted)))
     print(f"wrote {out_path}")
     return 0
 

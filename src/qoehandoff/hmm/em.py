@@ -50,6 +50,11 @@ class EmConfig:
     restarts: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("max_iterations", "restarts"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1")
+
 
 @dataclass
 class TrainingReport:
@@ -216,7 +221,7 @@ def _restart_starts(seqs, k: int, config: EmConfig) -> list:
     var0 = max(float(all_obs.var()) / (k * k), VARIANCE_FLOOR)
     rng = np.random.default_rng(config.seed)
     return [(_restart_means(all_obs, k, restart, rng), np.full(k, var0), prior0, tm0)
-            for restart in range(max(config.restarts, 1))]
+            for restart in range(config.restarts)]
 
 
 def _canonical_winner(runs) -> tuple[HmmModel, TrainingReport]:

@@ -178,6 +178,29 @@ class TestPredictBlocks:
         assert len(expected) == 2 * (3 * 100 + 3 * 4 + 2 * 1)
         assert rows[1:] == expected
 
+    def test_quoted_labels_match_per_trace_reference(self, tmp_path):
+        # Labels that need csv quotes, or hold a `%`, come out as
+        # csv.writer writes them.
+        model = roaming_cdma_g729_model()
+        save_model(model, tmp_path / "model.json")
+        rng = np.random.default_rng(5)
+        lines = ["run_id,interface,epoch,rtt_s,mos"]
+        for run_id, label in (('"r,0"', "Wi-Fi café"), ("r%d", '"say ""hi"""'),
+                              ("r%d", "100%")):
+            for epoch, rtt in enumerate(rng.uniform(0.05, 0.6, 6)):
+                lines.append(f"{run_id},{label},{2 * epoch},{rtt:.9g},")
+        traces = tmp_path / "traces.csv"
+        traces.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--traces", str(traces), "--out", str(tmp_path / "pred")])
+        assert code == 0
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["run_id", "interface", "epoch", "predicted_state"])
+        writer.writerows(reference_predictions(model, traces.read_text(encoding="utf-8")))
+        assert (tmp_path / "pred" / "predictions.csv").read_bytes() == \
+            expected.getvalue().encode("utf-8")
+
     @pytest.mark.parametrize("good", [
         "r0,WLAN,0,0.5,\nr0,WLAN,1,0.5,\n",
         # Same length as the bad trace: one block, where it is row 1.

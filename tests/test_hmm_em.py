@@ -98,6 +98,21 @@ class TestEmTrain:
         with pytest.raises(DomainError):
             em_train([np.array([0.1, 0.2])], 0)
 
+    @pytest.mark.parametrize("field", ["max_iterations", "restarts"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_rejects_fewer_than_one(self, field, value):
+        # 0 iterations used to end in a TypeError from the winner pick, and
+        # 0 restarts to run one restart.
+        with pytest.raises(DomainError, match=f"^{field} must be >= 1$"):
+            EmConfig(**{field: value})
+
+    def test_one_iteration_and_one_restart_fit(self):
+        obs = np.array([0.1, 0.2, 0.15, 0.3, 0.12])
+        _, report = em_train([obs], 2, EmConfig(max_iterations=1))
+        assert report.iterations == 1
+        _, report = em_train([obs], 2, EmConfig(restarts=1))
+        assert report.restart_index == 0
+
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(4)
         _, obs = sample_chain(well_separated_model(), 200, rng)
