@@ -26,7 +26,6 @@ from .errors import TraceParseError, TraceValidationError
 HEADER = ["run_id", "interface", "epoch", "rtt_s", "mos"]
 # Rows converted per column pass: bounds the row strings held at once.
 SLICE_ROWS = 512
-_EPOCH_RANGE = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,23 +69,6 @@ class DelayTrace:
         return [None if m != m else m for m in self.mos.tolist()]
 
 
-def _check_row(row, line_number) -> None:
-    """Raise TraceParseError, naming `line_number`, if the row is malformed."""
-    if len(row) != len(HEADER):
-        raise TraceParseError(f"expected {len(HEADER)} fields, got {len(row)}",
-                              line_number)
-    _, _, epoch_text, rtt_text, mos_text = row
-    try:
-        epoch = int(epoch_text)
-        float(rtt_text)
-        if mos_text.strip():
-            float(mos_text)
-    except ValueError as exc:
-        raise TraceParseError(str(exc), line_number) from None
-    if not _EPOCH_RANGE.min <= epoch <= _EPOCH_RANGE.max:
-        raise TraceParseError(f"epoch {epoch} out of range", line_number)
-
-
 def _columns(rows):
     """(run_ids, interfaces, epochs, rtts, mos) of rows of five cells;
     ValueError or OverflowError when a cell does not convert."""
@@ -102,6 +84,19 @@ def _columns(rows):
     return run_ids, interfaces, epochs, rtts, mos
 
 
+def _check_row(row, line_number) -> None:
+    """Raise TraceParseError, naming `line_number`, if the row is malformed."""
+    if len(row) != len(HEADER):
+        raise TraceParseError(f"expected {len(HEADER)} fields, got {len(row)}",
+                              line_number)
+    try:
+        _columns([row])
+    except ValueError as exc:
+        raise TraceParseError(str(exc), line_number) from None
+    except OverflowError:  # only an epoch beyond int64 overflows
+        raise TraceParseError(f"epoch {int(row[2])} out of range", line_number) from None
+
+
 def _segments(chunk, first_line):
     """((run_id, interface), [epochs, rtts, mos]) for each run of rows with
     one key in a slice of rows, the first on line `first_line`; blank rows
@@ -113,12 +108,12 @@ def _segments(chunk, first_line):
         if set(map(len, rows)) != {len(HEADER)}:
             raise ValueError("a row has the wrong number of fields")
         run_ids, interfaces, *columns = _columns(rows)
-    except (ValueError, OverflowError):
-        # Some row is malformed: raise for the first, naming its line.
+    except (ValueError, OverflowError) as exc:
+        # Some row is malformed: convert row by row to name the first.
         for line_number, row in enumerate(chunk, first_line):
             if row:
                 _check_row(row, line_number)
-        raise
+        raise TraceParseError(str(exc), first_line) from None
     changes = map(or_, map(ne, run_ids[1:], run_ids), map(ne, interfaces[1:], interfaces))
     bounds = [0, *compress(range(1, len(rows)), changes), len(rows)]
     return [((run_ids[a], interfaces[a]), [c[a:b] for c in columns])

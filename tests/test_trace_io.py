@@ -94,8 +94,8 @@ class TestValidation:
 class TestWrite:
     def test_round_trip_text(self):
         traces = read_traces(SAMPLE)
-        assert [t.samples for t in read_traces(write_traces(traces))] == \
-            [t.samples for t in traces]
+        assert columnar_read(write_traces(traces)) == \
+            [(t.run_id, t.interface_label, t.samples) for t in traces]
 
     def test_header_first_line(self):
         text = write_traces(read_traces(SAMPLE))
