@@ -83,7 +83,7 @@ def _load_dataset(path):
     """(rtts, mos) arrays of each trace in a trace CSV; every mos cell must
     be set."""
     dataset = []
-    for trace in trace_io.read_traces(Path(path).read_text(encoding="utf-8")):
+    for trace in trace_io.read_traces(Path(path).read_bytes()):
         if np.isnan(trace.mos).any():
             raise TraceValidationError(
                 f"run {trace.run_id}/{trace.interface_label}: mos column required here")
@@ -115,7 +115,7 @@ def cmd_train_hmm(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    traces = trace_io.read_traces(Path(args.traces).read_text(encoding="utf-8"))
+    traces = trace_io.read_traces(Path(args.traces).read_bytes())
     states = [None] * len(traces)
     for ids, block in length_blocks([trace.rtt_s for trace in traces]):
         try:

@@ -16,24 +16,22 @@ import numpy as np
 from .errors import DomainError
 from .hmm import (EmConfig, HmmModel, cross_validate_folds, em_train,
                   forward_filter, predict_next_states)
-# Unused here; kept bound because perfbench/tracer.py patches this name.
-from .hmm.inference import predict_belief  # noqa: F401
 from .netsim import (ROAMING, ScenarioConfig, SimRun, congestion_scenario,
                      generate_run, roaming_scenario)
-# Unused here; kept bound because perfbench/tracer.py patches this name.
-from .netsim import step_environment  # noqa: F401
-from .policies import (HysteresisConfig, QLearningConfig, QTable, RewardConfig,
-                       decide_handoff, epsilon_greedy_action, exploit_action,
-                       m4_policy_step, naive_policy_step, oracle_policy,
-                       q_update, reward)
-# Unused here; kept bound because perfbench/tracer.py patches this name.
-from .probing import aggregate_epoch  # noqa: F401
+from .policies import (HysteresisConfig, QTable, RewardConfig, decide_handoff,
+                       exploit_action, m4_policy_step, naive_policy_step,
+                       oracle_policy, q_iteration, reward)
 from .probing import RnlEstimator
+# Unused here; kept bound because perfbench/tracer.py patches these names.
+from .hmm.inference import predict_belief  # noqa: F401
+from .netsim import step_environment  # noqa: F401
+from .policies import epsilon_greedy_action, q_update  # noqa: F401
+from .probing import aggregate_epoch  # noqa: F401
 from .qoe_model import CODECS, mos_from_delay, quantize_mos
 
 ALL_POLICIES = ("best", "naive", "m4", "proposed")
 
-# Run-index offsets keeping HMM fitting data, Q-learning episodes and the
+# Run-index offsets keeping HMM fitting data, Q-training episodes and the
 # evaluation set disjoint for a shared scenario seed.
 _HMM_RUN_OFFSET = 20_000
 _TRAIN_RUN_OFFSET = 10_000
@@ -42,6 +40,7 @@ _TRAIN_RUN_OFFSET = 10_000
 # a block's beliefs hold runs x epochs x states floats per interface, so a
 # fixed block bounds peak memory whatever the episode count.
 _TRAIN_BLOCK_RUNS = 16
+_Q_TOL = 1e-12  # the Q-table solve stops once no value moves by more
 
 @dataclass(frozen=True)
 class HarnessConfig:
@@ -50,7 +49,7 @@ class HarnessConfig:
 
     scenario: ScenarioConfig
     reward_cfg: RewardConfig
-    qlearn: QLearningConfig
+    gamma: float                  # the Q-table's discount
     hysteresis: HysteresisConfig
     m4_margin_s: float
     policies_enabled: tuple[str, ...]
@@ -79,6 +78,8 @@ class HarnessConfig:
             raise DomainError("hmm_training_runs must be >= 1")
         if not self.m4_margin_s >= 0:
             raise DomainError("m4_margin_s must be >= 0")
+        if not 0.0 <= self.gamma < 1.0:
+            raise DomainError("gamma must be in [0, 1)")
 
 
 @dataclass
@@ -244,39 +245,56 @@ def account(cfg: HarnessConfig, run: SimRun, path: list[int]) -> PolicyResult:
                         mos_epochs=run.duration, reward_sum=reward_sum, paths=[path])
 
 
-def run_q_policy(cfg: HarnessConfig, run: SimRun, joint_base: np.ndarray,
-                 qtable: QTable, train: bool, epsilon: float,
-                 rng: np.random.Generator | None) -> list[int]:
-    """Drive one run with the Q-agent, optionally updating the table, and
-    return its attachment path.
+def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
+    """The table that Q-learning converges to replaying every transition of
+    the training episodes (README, "How compare-policies runs"); a pair
+    never seen keeps Q = 0."""
+    scenario, rc = cfg.scenario, cfg.reward_cfg
+    n_if = len(scenario.channels)
+    qtable = QTable(scenario.scheme.state_count, n_if)
+    n_rows = len(qtable.values)
+    moves = np.zeros((n_rows, n_if, n_rows), dtype=int)
+    reward_sums = np.zeros(n_rows * n_if)
+    attached, action = np.arange(n_if)[:, None], np.arange(n_if)
+    for first in range(0, cfg.training_episodes, _TRAIN_BLOCK_RUNS):
+        block = [generate_run(scenario, _TRAIN_RUN_OFFSET + episode)
+                 for episode in range(first, min(first + _TRAIN_BLOCK_RUNS,
+                                                 cfg.training_episodes))]
+        # Axes (run, epoch t - 1, attachment c, action a).
+        base = run_features(block, models, qoe_maps, qtable.n_states) \
+            .joint_base[:, :, None, None]
+        pairs = (base[:, :-1] + attached) * n_if + action
+        moves += np.bincount((pairs * n_rows + base[:, 1:] + action).ravel(),
+                             minlength=moves.size).reshape(moves.shape)
+        # Interface a's MOS at epoch t; the rewards are added one by one in
+        # episode order, so the sums do not depend on the block size.
+        mos = np.array([run.mos for run in block])[:, None, :, 1:].transpose(0, 3, 1, 2)
+        np.add.at(reward_sums, pairs.ravel(), np.where(
+            attached == action, reward(mos, rc.cost_min, rc),
+            reward(np.maximum(mos - scenario.handoff_penalty_mos, 1.0),
+                   rc.handoff_cost, rc)).ravel())
+        del block, base, pairs, mos  # hold one block's arrays at a time
+    visits = np.maximum(moves.sum(axis=2), 1)
+    qtable.values = q_iteration(reward_sums.reshape(n_rows, n_if) / visits,
+                                moves / visits[..., None], cfg.gamma, _Q_TOL)
+    return qtable
 
-    `joint_base` is the run's row of `RunFeatures.joint_base`; `rng` drives
-    exploration and is only used when training. A training step reads its
-    reward from the run's tables of staying on, or switching to, each
-    interface at each epoch.
-    """
+
+def run_q_policy(cfg: HarnessConfig, joint_base: np.ndarray,
+                 qtable: QTable) -> list[int]:
+    """Drive one run with the Q-agent and return its attachment path: the
+    greedy action of each row, a switch gated by the hysteresis; `joint_base`
+    is the run's row of `RunFeatures.joint_base`."""
     base = joint_base.tolist()
-    current = 0
-    path = [current]
-    if train:
-        mos = np.asarray(run.mos)
-        rc = cfg.reward_cfg
-        stay = reward(mos, rc.cost_min, rc).tolist()
-        switch = reward(np.maximum(mos - cfg.scenario.handoff_penalty_mos, 1.0),
-                        rc.handoff_cost, rc).tolist()
+    current, path = 0, [0]
     epochs_since_handoff = cfg.hysteresis.dwell_epochs
-    for t in range(1, run.duration):
+    for t in range(1, len(base)):
         s = base[t - 1] + current
-        if train:
-            action = epsilon_greedy_action(qtable, s, epsilon, rng)
-            r = (stay if action == current else switch)[action][t]
-            q_update(qtable, s, action, r, base[t] + action, cfg.qlearn)
-        else:
-            proposed = exploit_action(qtable, s)
-            row = qtable.values[s].tolist()
-            action = decide_handoff(proposed, current, row[proposed] - row[current],
-                                    cfg.hysteresis, epochs_since_handoff)
-            epochs_since_handoff = 0 if action != current else epochs_since_handoff + 1
+        proposed = exploit_action(qtable, s)
+        row = qtable.values[s].tolist()
+        action = decide_handoff(proposed, current, row[proposed] - row[current],
+                                cfg.hysteresis, epochs_since_handoff)
+        epochs_since_handoff = 0 if action != current else epochs_since_handoff + 1
         current = action
         path.append(current)
     return path
@@ -319,9 +337,9 @@ def _merge(into: PolicyResult, part: PolicyResult) -> None:
 def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
     """Run every enabled policy over the same evaluation runs.
 
-    The learned policy first trains its Q-table over freshly generated
-    warm-up episodes (epsilon-greedy, decaying), then is evaluated frozen;
-    evaluation runs are never seen in training.
+    The learned policy's Q-table is fitted (`fit_q_table`) on freshly
+    generated training episodes, then evaluated frozen; evaluation runs
+    are never seen in training.
     """
     scenario = cfg.scenario
     if scenario.kind == ROAMING and len(scenario.channels) < 2:
@@ -337,19 +355,7 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
         qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
                                      scenario.scheme)
                     for m, ch in zip(models, scenario.channels)]
-        qtable = QTable(n_states, len(scenario.channels))
-        rng = np.random.default_rng([scenario.seed, 0xA11CE])
-        epsilon = cfg.qlearn.epsilon
-        for first in range(0, cfg.training_episodes, _TRAIN_BLOCK_RUNS):
-            block = [generate_run(scenario, _TRAIN_RUN_OFFSET + episode)
-                     for episode in range(first, min(first + _TRAIN_BLOCK_RUNS,
-                                                     cfg.training_episodes))]
-            features = run_features(block, models, qoe_maps, n_states)
-            for train_run, joint_base in zip(block, features.joint_base):
-                run_q_policy(cfg, train_run, joint_base, qtable,
-                             train=True, epsilon=epsilon, rng=rng)
-                epsilon = max(epsilon * cfg.qlearn.epsilon_decay,
-                              cfg.qlearn.epsilon_floor)
+        qtable = fit_q_table(cfg, models, qoe_maps)
 
     # All policies share one feature block over the evaluation runs.
     features = run_features(eval_runs, models, qoe_maps, n_states,
@@ -357,8 +363,7 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
     for b, run in enumerate(eval_runs):
         for name in cfg.policies_enabled:
             if name == "proposed":
-                path = run_q_policy(cfg, run, features.joint_base[b], qtable,
-                                    train=False, epsilon=0.0, rng=None)
+                path = run_q_policy(cfg, features.joint_base[b], qtable)
             else:
                 path = _baseline_path(cfg, run, name, features.observations[b],
                                       features.rnl[b] if features.rnl else None)
@@ -376,17 +381,17 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
                             metadata=metadata, runs=eval_runs)
 
 
-# The [scenario] and [harness] keys; each of the other sections sets the
-# fields of a config, which hold its keys' defaults and declare their
-# types. Any other section or key is rejected, so a misspelt setting
+# The [scenario], [qlearn] and [harness] keys; each of the other sections
+# sets the fields of a config, which hold its keys' defaults and declare
+# their types. Any other section or key is rejected, so a misspelt setting
 # cannot silently keep its default.
 _SCENARIO_KEYS = {"kind", "codec", "duration_epochs", "runs", "seed",
                   "dwell_mean_epochs", "handoff_penalty_mos"}
 _ROAMING_ONLY_KEYS = {"dwell_mean_epochs", "handoff_penalty_mos"}
-_HARNESS_KEYS = {"policies", "hmm_states", "m4_margin_s", "training_episodes",
-                 "hmm_training_runs", "em_seed"}
-_SECTION_DEFAULTS = {"reward": RewardConfig(), "qlearn": QLearningConfig(),
-                     "hysteresis": HysteresisConfig()}
+_SECTION_KEYS = {"qlearn": {"gamma"},
+                 "harness": {"policies", "hmm_states", "m4_margin_s",
+                             "training_episodes", "hmm_training_runs", "em_seed"}}
+_SECTION_DEFAULTS = {"reward": RewardConfig(), "hysteresis": HysteresisConfig()}
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
@@ -414,8 +419,8 @@ def _check_keys(parser: configparser.ConfigParser, kind: str) -> None:
         if name == "scenario":
             known = _SCENARIO_KEYS if kind == "roaming" \
                 else _SCENARIO_KEYS - _ROAMING_ONLY_KEYS
-        elif name == "harness":
-            known = _HARNESS_KEYS
+        elif name in _SECTION_KEYS:
+            known = _SECTION_KEYS[name]
         elif name in _SECTION_DEFAULTS:
             known = {f.name for f in dataclasses.fields(_SECTION_DEFAULTS[name])}
         else:
@@ -460,8 +465,8 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
         raise DomainError(f"unknown scenario kind {kind!r}")
     _check_keys(parser, kind)
 
-    reward_cfg, qlearn, hysteresis = (_section_config(parser, name)
-                                      for name in _SECTION_DEFAULTS)
+    reward_cfg, hysteresis = (_section_config(parser, name)
+                              for name in _SECTION_DEFAULTS)
     ha = parser["harness"] if parser.has_section("harness") else {}
     policies = tuple(p.strip() for p in
                      ha.get("policies", ",".join(ALL_POLICIES)).split(",") if p.strip())
@@ -469,7 +474,8 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
     if not hmm_states and kind == "roaming":
         hmm_states = (2, 3)
     return HarnessConfig(
-        scenario=scenario, reward_cfg=reward_cfg, qlearn=qlearn,
+        scenario=scenario, reward_cfg=reward_cfg,
+        gamma=parser.getfloat("qlearn", "gamma", fallback=0.95),
         hysteresis=hysteresis,
         m4_margin_s=float(ha.get("m4_margin_s", 0.02)),
         policies_enabled=policies,

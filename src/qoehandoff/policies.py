@@ -2,8 +2,8 @@
 
 Covers the learned tabular Q-policy, the load-metric baseline (argmin of
 the smoothed RTT+jitter load), the weighted-QoS naive baseline, an offline
-minimal-handoff oracle, and a value-iteration solver used as the exact
-reference for Q-learning convergence checks.
+minimal-handoff oracle, and the one Bellman solver (`q_iteration`) that
+fits the agent's table and backs the value-iteration references.
 
 Actions are interface indices; selecting the current interface means
 staying. Joint agent states are indexed row-major over
@@ -48,14 +48,8 @@ class RewardConfig:
 
 @dataclass(frozen=True)
 class QLearningConfig:
-    # A small constant step size tracks the bootstrapped targets far better
-    # than 1/n visit averaging at gamma=0.95, where early (near-zero) targets
-    # otherwise dominate the running mean for the life of the table.
     alpha: float = 0.1
     gamma: float = 0.95
-    epsilon: float = 0.5
-    epsilon_decay: float = 0.99
-    epsilon_floor: float = 0.1
     alpha_decay: str = "constant"  # or "inverse_visit"
 
     def __post_init__(self):
@@ -63,9 +57,6 @@ class QLearningConfig:
             raise DomainError("alpha must be in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
             raise DomainError("gamma must be in [0, 1)")
-        for name in ("epsilon", "epsilon_decay", "epsilon_floor"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1]")
         if self.alpha_decay not in ("constant", "inverse_visit"):
             raise DomainError(f"unknown alpha_decay {self.alpha_decay!r}")
 
@@ -273,6 +264,18 @@ def exhaustive_min_handoffs(per_interface_states, start: int | None = None) -> i
     return best
 
 
+def q_iteration(rewards: np.ndarray, transitions: np.ndarray, gamma: float,
+                tol: float) -> np.ndarray:
+    """Iterate Q(s, a) <- R(s, a) + gamma * sum_s' P[s, a, s'] max_a' Q(s', a')
+    from Q = 0 until no entry moves by more than `tol`. `rewards` is
+    (S, A), `transitions` (S, A, S); a zero row with zero reward keeps Q = 0."""
+    q = np.zeros(rewards.shape)
+    while True:
+        q, previous = rewards + gamma * (transitions @ q.max(axis=1)), q
+        if np.abs(q - previous).max() <= tol:
+            return q
+
+
 def value_iteration(tm_per_action: np.ndarray, rewards: np.ndarray, gamma: float,
                     tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Solve U(s) = R(s) + gamma * max_a sum_s' TM[a, s, s'] U(s').
@@ -280,6 +283,14 @@ def value_iteration(tm_per_action: np.ndarray, rewards: np.ndarray, gamma: float
     Returns the utilities and the greedy policy (argmax over actions of the
     expected next-state utility).
     """
+    u = q_star(tm_per_action, rewards, gamma, tol).max(axis=1)
+    return u, (np.asarray(tm_per_action, dtype=float) @ u).argmax(axis=0)
+
+
+def q_star(tm_per_action: np.ndarray, rewards: np.ndarray, gamma: float,
+           tol: float = 1e-10) -> np.ndarray:
+    """Optimal action values Q*[s, a] of state rewards R(s) and one
+    transition matrix TM[a] per action, by `q_iteration`."""
     tm = np.asarray(tm_per_action, dtype=float)
     r = np.asarray(rewards, dtype=float)
     if tm.ndim != 3 or tm.shape[1] != tm.shape[2] or tm.shape[1] != r.size:
@@ -288,22 +299,5 @@ def value_iteration(tm_per_action: np.ndarray, rewards: np.ndarray, gamma: float
         raise DomainError("gamma must be in [0, 1)")
     if np.abs(tm.sum(axis=2) - 1.0).max() > 1e-9 or (tm < 0).any():
         raise DomainError("transition rows must be stochastic")
-    u = np.zeros(r.size)
-    while True:
-        q = tm @ u  # (A, S)
-        u_next = r + gamma * q.max(axis=0)
-        delta = np.abs(u_next - u).max()
-        u = u_next
-        if delta <= tol:
-            break
-    policy = (tm @ u).argmax(axis=0)
-    return u, policy
-
-
-def q_star(tm_per_action: np.ndarray, rewards: np.ndarray, gamma: float,
-           tol: float = 1e-10) -> np.ndarray:
-    """Optimal action values consistent with `value_iteration` (Q*[s, a])."""
-    u, _ = value_iteration(tm_per_action, rewards, gamma, tol)
-    tm = np.asarray(tm_per_action, dtype=float)
-    r = np.asarray(rewards, dtype=float)
-    return r[:, None] + gamma * (tm @ u).T
+    return q_iteration(np.repeat(r[:, None], tm.shape[0], axis=1),
+                       tm.transpose(1, 0, 2), gamma, tol)

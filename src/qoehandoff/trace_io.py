@@ -16,8 +16,8 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice
-from operator import ne, or_
+from itertools import chain, compress, count, islice
+from operator import itemgetter, ne, or_
 
 import numpy as np
 
@@ -122,24 +122,30 @@ def _segments(chunk, first_line):
 
 def read_traces(source) -> list[DelayTrace]:
     """Parse traces from a text stream or string, grouped by (run, interface)."""
+    if isinstance(source, (bytes, bytearray)):
+        source = source.decode("utf-8")
     if isinstance(source, str):
-        source = io.StringIO(source)
-    elif isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"))
-    reader = csv.reader(source)
+        # Line ends are left to csv, as in a file opened with newline="".
+        source = io.StringIO(source, newline="")
+    # Rows take record numbers (header = 1) as read: after a row csv cannot
+    # split, next(numbers) is its record, not `line_num`'s physical line.
+    numbers = count(1)
+    reader = map(itemgetter(0), zip(csv.reader(source), numbers))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceParseError("empty input, expected header row") from None
-    if header != HEADER:
-        raise TraceParseError(f"expected header {','.join(HEADER)}", line_number=1)
+        header = next(reader, None)
+        if header is None:
+            raise TraceParseError("empty input, expected header row")
+        if header != HEADER:
+            raise TraceParseError(f"expected header {','.join(HEADER)}", line_number=1)
 
-    segments: dict[tuple[str, str], list] = {}
-    line_number = 2
-    while chunk := list(islice(reader, SLICE_ROWS)):
-        for key, columns in _segments(chunk, line_number):
-            segments.setdefault(key, []).append(columns)
-        line_number += len(chunk)
+        segments: dict[tuple[str, str], list] = {}
+        line_number = 2
+        while chunk := list(islice(reader, SLICE_ROWS)):
+            for key, columns in _segments(chunk, line_number):
+                segments.setdefault(key, []).append(columns)
+            line_number += len(chunk)
+    except csv.Error as exc:
+        raise TraceParseError(str(exc), next(numbers)) from None
     return [DelayTrace(run_id, interface, *map(np.concatenate, zip(*parts)))
             for (run_id, interface), parts in sorted(segments.items())]
 
@@ -148,8 +154,9 @@ def format_rows(keys, row_format: str, columns) -> str:
     """CSV rows, one per row of `columns`: the cells `keys`, csv-quoted
     once, then `row_format % values` (cells that need no quoting)."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(keys)
-    template = buf.getvalue()[:-1].replace("%", "%%") + "," + row_format + "\n"
+    # Quotes a cell holding either newline character; the rows end in "\n".
+    csv.writer(buf, lineterminator="\r\n").writerow(keys)
+    template = buf.getvalue()[:-2].replace("%", "%%") + "," + row_format + "\n"
     return (template * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 

@@ -14,10 +14,9 @@ from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, em_train,
                             forward_filter, load_model, predict_next_state,
                             save_model)
 from qoehandoff.netsim import ScenarioConfig, roaming_cdma_g729_model
-from qoehandoff.policies import (HysteresisConfig, QLearningConfig, RewardConfig,
-                                 count_handoffs)
+from qoehandoff.policies import HysteresisConfig, RewardConfig, count_handoffs
 from qoehandoff.qoe_model import ROAMING_SCHEME
-from qoehandoff.trace_io import read_traces
+from qoehandoff.trace_io import DelayTrace, read_traces, write_traces
 
 FAST_CONFIG = """
 [scenario]
@@ -33,10 +32,9 @@ hmm_training_runs = 4
 
 
 # Every float key of each config section: the float fields of the
-# dataclass the section sets.
-FLOAT_KEYS = [(section, f.name)
+# dataclass the section sets. The harness's gamma is [qlearn]'s one key.
+FLOAT_KEYS = [("qlearn" if f.name == "gamma" else section, f.name)
               for section, fields in [("reward", RewardConfig),
-                                      ("qlearn", QLearningConfig),
                                       ("hysteresis", HysteresisConfig),
                                       ("scenario", ScenarioConfig),
                                       ("harness", harness.HarnessConfig)]
@@ -366,6 +364,31 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err == "error: run r/WLAN epoch 1: rtt_s must be finite and > 0\n"
+
+    def test_unsplittable_trace_row_is_data_error(self, tmp_path, capsys):
+        # A cell over the csv module's field size limit; the line number
+        # counts records, as the other parse errors do.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("run_id,interface,epoch,rtt_s,mos\n"
+                       f"r,WLAN,0,0.1,4.0\nr,{'W' * 200_000},1,0.1,4.0\n")
+        save_model(roaming_cdma_g729_model(), tmp_path / "model.json")
+        code = main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--traces", str(bad), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "error: line 3: field larger than field limit (131072)\n"
+
+    def test_label_with_carriage_return_reads_back_from_file(self, tmp_path):
+        traces = tmp_path / "traces.csv"
+        written = write_traces([DelayTrace("r", "W\rLAN", [0, 1], [0.1, 0.2],
+                                           [4.0, 3.5])])
+        traces.write_text(written, encoding="utf-8")
+        save_model(roaming_cdma_g729_model(), tmp_path / "model.json")
+        assert main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--traces", str(traces), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "predictions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:3] for row in rows[1:]] == [["r", "W\rLAN", "1"]]
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

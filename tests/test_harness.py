@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from qoehandoff.netsim import (generate_run, roaming_cdma_g729_model,
                                step_environment)
 from qoehandoff.policies import (HysteresisConfig, JointState, QLearningConfig,
                                  QTable, RewardConfig, decide_handoff,
-                                 epsilon_greedy_action,
                                  exploit_action, m4_policy_step,
                                  naive_policy_step, oracle_policy, q_update,
                                  reward)
@@ -149,11 +149,10 @@ def accounted(result):
             result.reward_sum]
 
 
-def reference_q_policy(cfg, run, models, qoe_maps, qtable, train, epsilon, rng):
-    """The Q-agent epoch by epoch: its state is looked up from beliefs
-    filtered through the previous epoch, and its backup target from beliefs
-    filtered through the current one. Returns the attachment path and its
-    per-epoch totals."""
+def reference_q_policy(cfg, run, models, qoe_maps, qtable):
+    """The frozen Q-agent epoch by epoch, its state looked up from beliefs
+    filtered through the previous epoch. Returns the attachment path and
+    its per-epoch totals."""
     n_states = cfg.scenario.scheme.state_count
     beliefs = [filter_step(m, None, float(run.delays_s[i][0]))
                for i, m in enumerate(models)]
@@ -163,24 +162,76 @@ def reference_q_policy(cfg, run, models, qoe_maps, qtable, train, epsilon, rng):
     since_handoff = cfg.hysteresis.dwell_epochs
     for t in range(1, run.duration):
         s = joint_row(models, beliefs, qoe_maps, current, n_states)
-        if train:
-            action = epsilon_greedy_action(qtable, s, epsilon, rng)
-        else:
-            proposed = exploit_action(qtable, s)
-            gain = qtable.values[s][proposed] - qtable.values[s][current]
-            action = decide_handoff(proposed, current, gain, cfg.hysteresis,
-                                    since_handoff)
-        r = reference_step(cfg, run, t, current, action, totals)
+        proposed = exploit_action(qtable, s)
+        gain = qtable.values[s][proposed] - qtable.values[s][current]
+        action = decide_handoff(proposed, current, gain, cfg.hysteresis,
+                                since_handoff)
+        reference_step(cfg, run, t, current, action, totals)
         beliefs = [filter_step(m, b, float(run.delays_s[i][t]))
                    for i, (m, b) in enumerate(zip(models, beliefs))]
-        if train:
-            q_update(qtable, s, action, r,
-                     joint_row(models, beliefs, qoe_maps, action, n_states),
-                     cfg.qlearn)
         since_handoff = 0 if action != current else since_handoff + 1
         current = action
         path.append(current)
     return path, totals
+
+
+def reference_transitions(cfg, models, qoe_maps):
+    """Every (row, action, reward, next row) of the training episodes, epoch
+    by epoch: at each epoch t >= 1, for each attachment c and action a, the
+    row from beliefs filtered through epoch t - 1 with c attached, the
+    reward of `reference_step` moving from c to a, and the row from beliefs
+    filtered through epoch t with a attached."""
+    n_states = cfg.scenario.scheme.state_count
+    n_if = len(cfg.scenario.channels)
+    transitions = []
+    for episode in range(cfg.training_episodes):
+        run = generate_run(cfg.scenario, harness._TRAIN_RUN_OFFSET + episode)
+        beliefs = [filter_step(m, None, float(run.delays_s[i][0]))
+                   for i, m in enumerate(models)]
+        for t in range(1, run.duration):
+            rows = [joint_row(models, beliefs, qoe_maps, c, n_states)
+                    for c in range(n_if)]
+            rewards = [[reference_step(cfg, run, t, c, a, [0, 0.0, 0, 0.0])
+                        for a in range(n_if)] for c in range(n_if)]
+            beliefs = [filter_step(m, b, float(run.delays_s[i][t]))
+                       for i, (m, b) in enumerate(zip(models, beliefs))]
+            for c in range(n_if):
+                for a in range(n_if):
+                    transitions.append((rows[c], a, rewards[c][a],
+                                        joint_row(models, beliefs, qoe_maps, a,
+                                                  n_states)))
+    return transitions
+
+
+def reference_fixed_point(transitions, n_rows, n_actions, gamma):
+    """Jacobi sweeps of Q(s, a) = mean(r + gamma * max Q(s')) over each
+    pair's transitions, until no value moves by more than 1e-12; a pair
+    without transitions keeps Q = 0."""
+    samples = {}
+    for s, a, r, s_next in transitions:
+        samples.setdefault((s, a), []).append((r, s_next))
+    q = [[0.0] * n_actions for _ in range(n_rows)]
+    while True:
+        best = [max(row) for row in q]
+        new = [row[:] for row in q]
+        for (s, a), pairs in samples.items():
+            new[s][a] = sum(r + gamma * best[s_next] for r, s_next in pairs) / len(pairs)
+        delta = max(abs(x - y) for row, new_row in zip(q, new)
+                    for x, y in zip(row, new_row))
+        q = new
+        if delta <= 1e-12:
+            return np.array(q)
+
+
+def flipped_inputs(cfg):
+    """Models whose one-step predictions often leave the filtered state,
+    and their state -> QoE band maps."""
+    scenario = cfg.scenario
+    models = [flipped(ch.generator) for ch in scenario.channels]
+    qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
+                                 scenario.scheme)
+                for m, ch in zip(models, scenario.channels)]
+    return models, qoe_maps
 
 
 def reference_baseline_path(cfg, run, kind):
@@ -260,34 +311,82 @@ class TestRunFeatures:
             monkeypatch.setattr(harness, "_TRAIN_BLOCK_RUNS", block)
             assert run_comparison(cfg).to_json() == expected
 
+    def test_q_table_independent_of_training_block_size(self, monkeypatch):
+        cfg = small_harness()
+        models, qoe_maps = flipped_inputs(cfg)
+        expected = harness.fit_q_table(cfg, models, qoe_maps)
+        for block in (1, 3, 1000):
+            monkeypatch.setattr(harness, "_TRAIN_BLOCK_RUNS", block)
+            table = harness.fit_q_table(cfg, models, qoe_maps)
+            assert np.array_equal(table.values, expected.values)
+
+
+class TestFitQTable:
+    """The table is the fixed point that Q-learning over every transition
+    of the training episodes converges to."""
+
+    def test_matches_per_epoch_fixed_point(self):
+        for cfg in (small_harness(), penalising_harness()):
+            models, qoe_maps = flipped_inputs(cfg)
+            table = harness.fit_q_table(cfg, models, qoe_maps)
+            transitions = reference_transitions(cfg, models, qoe_maps)
+            n_rows, n_actions = table.values.shape
+            expected = reference_fixed_point(transitions, n_rows, n_actions,
+                                             cfg.gamma)
+            assert np.abs(table.values - expected).max() <= 1e-9
+            # Some pairs are never seen and keep Q = 0.
+            unseen = np.ones((n_rows, n_actions), dtype=bool)
+            for s, a, _, _ in transitions:
+                unseen[s, a] = False
+            assert unseen.any() and (table.values[unseen] == 0).all()
+
+    def test_q_learning_replay_converges_to_it(self):
+        # Constant small steps settle near the fixed point; 1/n steps at
+        # gamma = 0.95 are still far from it after as many sweeps. The
+        # models are the ones `run_comparison` fits.
+        cfg = small_harness()
+        models, _ = train_interface_models(cfg)
+        scenario = cfg.scenario
+        qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
+                                     scenario.scheme)
+                    for m, ch in zip(models, scenario.channels)]
+        table = harness.fit_q_table(cfg, models, qoe_maps)
+        transitions = reference_transitions(cfg, models, qoe_maps)
+        replay = QTable(table.n_states, table.n_interfaces)
+        step = QLearningConfig(alpha=0.02, gamma=cfg.gamma)
+        for _ in range(400):
+            for s, a, r, s_next in transitions:
+                q_update(replay, s, a, r, s_next, step)
+        assert np.abs(replay.values - table.values).max() <= 0.05
+
+    def test_no_training_episodes_give_the_zero_table(self):
+        cfg = dataclasses.replace(small_harness(), training_episodes=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = harness.fit_q_table(cfg, *flipped_inputs(cfg))
+        assert not table.values.any()
+
 
 class TestPolicyLoopsMatchPerEpochReference:
     """Each policy's path, and its accounted handoffs, MOS and rewards, equal
     a loop that steps the environment and computes the reward per epoch."""
 
-    def test_q_agent_trains_and_acts_as_reference(self):
+    def test_q_agent_acts_as_reference(self):
         for cfg in (small_harness(), penalising_harness()):
             scenario = cfg.scenario
-            n_states = scenario.scheme.state_count
-            models = [flipped(ch.generator) for ch in scenario.channels]
-            qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
-                                         scenario.scheme)
-                        for m, ch in zip(models, scenario.channels)]
+            models, qoe_maps = flipped_inputs(cfg)
             runs = [generate_run(scenario, r) for r in range(6)]
-            features = run_features(runs, models, qoe_maps, n_states)
-            table = QTable(n_states, len(scenario.channels))
-            ref_table = QTable(n_states, len(scenario.channels))
-            rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-            for train, epsilon in ((True, 0.5), (True, 0.2), (False, 0.0)):
+            features = run_features(runs, models, qoe_maps,
+                                    scenario.scheme.state_count)
+            fitted = harness.fit_q_table(cfg, models, qoe_maps)
+            drawn = QTable(fitted.n_states, fitted.n_interfaces)
+            drawn.values = np.random.default_rng(4).uniform(size=drawn.values.shape)
+            for table in (fitted, drawn):
                 for run, joint_base in zip(runs, features.joint_base):
-                    path = harness.run_q_policy(cfg, run, joint_base, table,
-                                                train=train, epsilon=epsilon,
-                                                rng=rng)
-                    expected, totals = reference_q_policy(
-                        cfg, run, models, qoe_maps, ref_table, train, epsilon,
-                        ref_rng)
+                    path = harness.run_q_policy(cfg, joint_base, table)
+                    expected, totals = reference_q_policy(cfg, run, models,
+                                                          qoe_maps, table)
                     assert path == expected
-                    assert np.array_equal(table.values, ref_table.values)
                     result = harness.account(cfg, run, path)
                     assert result.paths == [expected]
                     assert accounted(result) == totals
@@ -359,6 +458,19 @@ class TestRunComparison:
         for name, result in report.policies.items():
             assert result.mean_mos <= best + 0.05, name
 
+    def test_headline_holds_on_every_seed(self):
+        # Criterion 8's bounds, on the default harness of seeds 0-19.
+        failed = []
+        for seed in range(20):
+            report = run_comparison(default_roaming_harness(seed=seed))
+            proposed, naive, m4 = (report.policies[name]
+                                   for name in ("proposed", "naive", "m4"))
+            if not (proposed.handoff_count <= 0.60 * m4.handoff_count
+                    and proposed.handoff_count <= 0.55 * naive.handoff_count
+                    and proposed.mean_mos >= naive.mean_mos - 0.1):
+                failed.append(seed)
+        assert failed == []
+
     def test_validation(self):
         with pytest.raises(DomainError):
             small_harness(policies_enabled=("oracle",))
@@ -379,7 +491,6 @@ duration_epochs = 50
 seed = 9
 
 [qlearn]
-alpha = 0.2
 gamma = 0.9
 
 [harness]
@@ -390,8 +501,7 @@ hmm_states = 2, 3
         cfg = load_config(path)
         assert cfg.scenario.runs == 3
         assert cfg.scenario.seed == 9
-        assert cfg.qlearn.alpha == 0.2
-        assert cfg.qlearn.gamma == 0.9
+        assert cfg.gamma == 0.9
         assert cfg.policies_enabled == ("best", "proposed")
         assert cfg.training_episodes == 5
         assert cfg.hmm_states == (2, 3)
@@ -434,7 +544,15 @@ hmm_states = 2, 3
          "wlan_congestion"),
         ("[DEFAULT]\nseed = 3\n[scenario]\nkind = roaming\n",
          "unknown config section [DEFAULT]"),
-    ], ids=["section", "harness-key", "reward-key", "roaming-only-key", "default"])
+    ] + [
+        # The Q-table solve reads only gamma.
+        (f"[qlearn]\n{key} = {value}\ngamma = 0.9\n",
+         f"unknown config key {key!r} in [qlearn]")
+        for key, value in [("alpha", "0.2"), ("alpha_decay", "constant"),
+                           ("epsilon", "0.5"), ("epsilon_decay", "0.99"),
+                           ("epsilon_floor", "0.1")]
+    ], ids=["section", "harness-key", "reward-key", "roaming-only-key", "default",
+            "alpha", "alpha-decay", "epsilon", "epsilon-decay", "epsilon-floor"])
     def test_unknown_section_or_key_is_rejected(self, tmp_path, text, needle):
         path = tmp_path / "misspelt.ini"
         path.write_text(text)
@@ -449,14 +567,13 @@ hmm_states = 2, 3
         ("[harness]\nhmm_training_runs = 0\n", "hmm_training_runs must be >= 1"),
         ("[harness]\nhmm_states = 0, 3\n", "hmm_states must be >= 1"),
         ("[scenario]\ndwell_mean_epochs = 0\n", "dwell_mean_epochs must be >= 1"),
-        ("[qlearn]\nepsilon_decay = 1.5\n", "epsilon_decay must be in [0, 1]"),
-        ("[qlearn]\nepsilon_floor = 7\n", "epsilon_floor must be in [0, 1]"),
-        ("[qlearn]\nepsilon_floor = -0.1\n", "epsilon_floor must be in [0, 1]"),
+        ("[qlearn]\ngamma = 1\n", "gamma must be in [0, 1)"),
+        ("[qlearn]\ngamma = -0.1\n", "gamma must be in [0, 1)"),
         ("[reward]\ncost_max = inf\n", "cost_max must be finite"),
         ("[reward]\nqoe_min = -inf\n", "qoe_min must be finite"),
         ("[harness]\nm4_margin_s = -1\n", "m4_margin_s must be >= 0"),
     ], ids=["repeated-policy", "negative-episodes", "no-hmm-runs", "zero-states",
-            "zero-dwell", "decay", "floor-above", "floor-below", "infinite-cost",
+            "zero-dwell", "gamma-one", "gamma-negative", "infinite-cost",
             "infinite-qoe", "negative-m4-margin"])
     def test_value_out_of_range_is_rejected(self, tmp_path, text, needle):
         path = tmp_path / "bad.ini"
@@ -487,12 +604,7 @@ cost_min = 0.1
 cost_max = 0.9
 handoff_cost = 0.8
 [qlearn]
-alpha = 0.3
 gamma = 0.8
-epsilon = 0.4
-epsilon_decay = 0.9
-epsilon_floor = 0.05
-alpha_decay = inverse_visit
 [hysteresis]
 margin = 0.2
 dwell_epochs = 3
@@ -515,9 +627,7 @@ em_seed = 7
             scenario=sc,
             reward_cfg=RewardConfig(w_qoe=0.9, qoe_min=1.5, qoe_max=4.5,
                                     cost_min=0.1, cost_max=0.9, handoff_cost=0.8),
-            qlearn=QLearningConfig(alpha=0.3, gamma=0.8, epsilon=0.4,
-                                   epsilon_decay=0.9, epsilon_floor=0.05,
-                                   alpha_decay="inverse_visit"),
+            gamma=0.8,
             hysteresis=HysteresisConfig(margin=0.2, dwell_epochs=3),
             m4_margin_s=0.03,
             policies_enabled=("best", "proposed"),
@@ -528,10 +638,11 @@ em_seed = 7
         )
         # Each parsed value has its field's declared type, not just an
         # equal value (3.0 == 3).
-        for section in (cfg.reward_cfg, cfg.qlearn, cfg.hysteresis):
+        for section in (cfg.reward_cfg, cfg.hysteresis):
             for f in dataclasses.fields(section):
                 assert type(getattr(section, f.name)).__name__ == f.type, f.name
-        for name in ("m4_margin_s", "training_episodes", "hmm_training_runs"):
+        for name in ("gamma", "m4_margin_s", "training_episodes",
+                     "hmm_training_runs"):
             assert type(getattr(cfg, name)).__name__ == \
                 HarnessConfig.__dataclass_fields__[name].type, name
 

@@ -163,10 +163,6 @@ class TestQUpdate:
             QLearningConfig(gamma=1.0)
         with pytest.raises(DomainError):
             QLearningConfig(alpha_decay="linear")
-        for name in ("epsilon", "epsilon_decay", "epsilon_floor"):
-            for value in (-0.1, 1.5):
-                with pytest.raises(DomainError):
-                    QLearningConfig(**{name: value})
 
 
 class TestActionSelection:

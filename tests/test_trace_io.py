@@ -161,6 +161,31 @@ class TestCsvBehaviour:
             ("r%d", "100% WLAN"), ("r,1", "Wi-Fi café"), ("r,1", 'say "hi"')]
         assert write_traces(traces) == self.QUOTED
 
+    def test_label_with_carriage_return_round_trips(self):
+        trace = DelayTrace("r", "a\rb", [0], [0.1], [4.0])
+        text = write_traces([trace])
+        assert text == ",".join(HEADER) + '\nr,"a\rb",0,0.1,4\n'
+        assert read_traces(text)[0].interface_label == "a\rb"
+        # Unquoted, a carriage return ends a line, as "\r\n" and "\n" do.
+        for ending in ("\r", "\r\n"):
+            (again,) = read_traces(text.replace("\n", ending))
+            assert (again.interface_label, again.samples) == ("a\rb", ((0, 0.1, 4.0),))
+
+    def test_unsplittable_row_names_its_record(self):
+        head = ",".join(HEADER) + "\n"
+        for source, line, message in [
+                # Records, not physical lines: the quoted cell of record 2
+                # spans two lines.
+                (head + '"x\ny",W,0,0.1,\nr,' + "W" * 200_000 + ",1,0.1,\n", 3,
+                 "field larger than field limit (131072)"),
+                # A stream that keeps its line ends from csv.
+                (io.StringIO(head + "r,W\rLAN,0,0.1,\n"), 2,
+                 "new-line character seen in unquoted field")]:
+            with pytest.raises(TraceParseError) as exc:
+                read_traces(source)
+            assert str(exc.value).startswith(f"line {line}: {message}")
+            assert exc.value.line_number == line
+
     def test_blank_rows_are_skipped_but_counted_as_lines(self):
         body = "r,WLAN,0,0.1,4.2\n\n\nr,WLAN,1,0.2,\n"
         assert _read_one(body).samples == ((0, 0.1, 4.2), (1, 0.2, None))
@@ -299,15 +324,22 @@ def reference_read(text):
     return [(run_id, interface, tuple(samples)) for (run_id, interface), samples in traces]
 
 
-def reference_write(traces):
+def csv_line(row):
+    """One CSV row ending in "\\n", a cell quoted when it holds a comma, a
+    quote or either newline character (the csv module quotes the
+    characters of its line terminator)."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(HEADER)
+    csv.writer(out, lineterminator="\r\n").writerow(row)
+    return out.getvalue()[:-2] + "\n"
+
+
+def reference_write(traces):
+    lines = [csv_line(HEADER)]
     for run_id, interface, samples in sorted(traces, key=lambda t: t[:2]):
         for epoch, rtt, mos in samples:
-            writer.writerow([run_id, interface, epoch, format(rtt, ".9g"),
-                             "" if mos is None else format(mos, ".9g")])
-    return out.getvalue()
+            lines.append(csv_line([run_id, interface, epoch, format(rtt, ".9g"),
+                                   "" if mos is None else format(mos, ".9g")]))
+    return "".join(lines)
 
 
 def outcome(read, text):
@@ -322,11 +354,8 @@ def columnar_read(text):
     return [(t.run_id, t.interface_label, t.samples) for t in read_traces(text)]
 
 
-# A bare carriage return is written unquoted and then ends the field when
-# read back, so labels leave it out.
-LABELS = st.text(st.characters(blacklist_categories=("Cs",),
-                               blacklist_characters="\r")
-                 | st.sampled_from(',"% \n'), max_size=5)
+LABELS = st.text(st.characters(blacklist_categories=("Cs",))
+                 | st.sampled_from(',"% \r\n'), max_size=5)
 SAMPLES = st.lists(st.integers(-2**40, 2**40), unique=True, max_size=8).flatmap(
     lambda epochs: st.tuples(*(
         st.tuples(st.just(epoch),
@@ -374,8 +403,6 @@ class TestMatchesRowByRowReference:
         elif edit == "add":
             row.insert(j, "1")
         rows[i:i + 1] = {"blank": [[], row], "copy": [row, row]}.get(edit, [row])
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        text = out.getvalue()
+        text = "".join(map(csv_line, rows))
         with mock.patch.object(trace_io, "SLICE_ROWS", slice_rows):
             assert outcome(columnar_read, text) == outcome(reference_read, text)
