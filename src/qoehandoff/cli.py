@@ -55,11 +55,12 @@ def cmd_simulate(args) -> int:
     traces = []
     mos_sums = np.zeros(len(labels))
     epochs = 0
-    for r in range(scenario.runs):
-        run = netsim.generate_run(scenario, r)
-        traces.extend(trace_io.traces_from_run(run, labels, run_id=f"run{r:03d}"))
-        mos_sums += [m.sum() for m in run.mos]
-        epochs += run.duration
+    for block in netsim.run_blocks(scenario, range(scenario.runs)):
+        for run, run_mos_sums in zip(block.runs, block.mos.sum(axis=2)):
+            traces.extend(trace_io.traces_from_run(
+                run, labels, run_id=f"run{run.run_index:03d}"))
+            mos_sums += run_mos_sums
+            epochs += run.duration
     trace_path = out_dir / "traces.csv"
     trace_path.write_text(trace_io.write_traces(traces), encoding="utf-8")
     summary = {

@@ -17,14 +17,14 @@ from .errors import DomainError
 from .hmm import (EmConfig, HmmModel, cross_validate_folds, em_train,
                   forward_filter, predict_next_states)
 from .netsim import (ROAMING, ScenarioConfig, SimRun, congestion_scenario,
-                     generate_run, roaming_scenario)
+                     generate_runs, roaming_scenario, run_blocks)
 from .policies import (HysteresisConfig, QTable, RewardConfig, decide_handoff,
                        exploit_action, m4_policy_step, naive_policy_step,
                        oracle_policy, q_iteration, reward)
 from .probing import RnlEstimator
 # Unused here; kept bound because perfbench/tracer.py patches these names.
 from .hmm.inference import predict_belief  # noqa: F401
-from .netsim import step_environment  # noqa: F401
+from .netsim import generate_run, step_environment  # noqa: F401
 from .policies import epsilon_greedy_action, q_update  # noqa: F401
 from .probing import aggregate_epoch  # noqa: F401
 from .qoe_model import CODECS, mos_from_delay, quantize_mos
@@ -35,11 +35,6 @@ ALL_POLICIES = ("best", "naive", "m4", "proposed")
 # evaluation set disjoint for a shared scenario seed.
 _HMM_RUN_OFFSET = 20_000
 _TRAIN_RUN_OFFSET = 10_000
-
-# Q-training episodes are generated and filtered this many runs at a time:
-# a block's beliefs hold runs x epochs x states floats per interface, so a
-# fixed block bounds peak memory whatever the episode count.
-_TRAIN_BLOCK_RUNS = 16
 _Q_TOL = 1e-12  # the Q-table solve stops once no value moves by more
 
 @dataclass(frozen=True)
@@ -152,13 +147,13 @@ def train_interface_models(cfg: HarnessConfig):
     accuracy per interface, its folds fitted in the same lock-step EM as
     the model."""
     scenario = cfg.scenario
-    runs = [generate_run(scenario, _HMM_RUN_OFFSET + r)
-            for r in range(cfg.hmm_training_runs)]
+    block = generate_runs(scenario, range(_HMM_RUN_OFFSET,
+                                          _HMM_RUN_OFFSET + cfg.hmm_training_runs))
     models = []
     accuracy = {}
     for i, channel in enumerate(scenario.channels):
         k = cfg.hmm_states[i] if cfg.hmm_states else scenario.scheme.state_count
-        dataset = [(run.delays_s[i], run.mos[i]) for run in runs]
+        dataset = list(zip(block.delays_s[:, i], block.mos[:, i]))
         if len(dataset) >= 2:
             (model, _), scores = cross_validate_folds(dataset, 2, k, scenario.scheme,
                                                       cfg.em)
@@ -189,9 +184,10 @@ class RunFeatures:
     rnl: list | None = None
 
 
-def run_features(runs: list[SimRun], models=None, qoe_maps=None,
+def run_features(observations: np.ndarray, models=None, qoe_maps=None,
                  n_states: int = 0, with_rnl: bool = False) -> RunFeatures:
-    """Compute a block's action-independent features in one pass.
+    """Compute a block's action-independent features in one pass, from its
+    delays on axes (run, interface, epoch), as `RunBlock.delays_s` holds them.
 
     With `models` (one HMM per interface, and its state -> QoE band map)
     each interface's beliefs come from one batched `forward_filter` call;
@@ -199,7 +195,6 @@ def run_features(runs: list[SimRun], models=None, qoe_maps=None,
     of the one-step-ahead belief), folded row-major into `joint_base` as
     `JointState.index` folds it. `with_rnl` adds the load-metric series of the m4 baseline.
     """
-    observations = np.array([run.delays_s for run in runs])
     n_runs, n_if, _ = observations.shape
     joint_base = rnl = None
     if models is not None:
@@ -256,19 +251,17 @@ def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
     moves = np.zeros((n_rows, n_if, n_rows), dtype=int)
     reward_sums = np.zeros(n_rows * n_if)
     attached, action = np.arange(n_if)[:, None], np.arange(n_if)
-    for first in range(0, cfg.training_episodes, _TRAIN_BLOCK_RUNS):
-        block = [generate_run(scenario, _TRAIN_RUN_OFFSET + episode)
-                 for episode in range(first, min(first + _TRAIN_BLOCK_RUNS,
-                                                 cfg.training_episodes))]
+    episodes = range(_TRAIN_RUN_OFFSET, _TRAIN_RUN_OFFSET + cfg.training_episodes)
+    for block in run_blocks(scenario, episodes):
         # Axes (run, epoch t - 1, attachment c, action a).
-        base = run_features(block, models, qoe_maps, qtable.n_states) \
+        base = run_features(block.delays_s, models, qoe_maps, qtable.n_states) \
             .joint_base[:, :, None, None]
         pairs = (base[:, :-1] + attached) * n_if + action
         moves += np.bincount((pairs * n_rows + base[:, 1:] + action).ravel(),
                              minlength=moves.size).reshape(moves.shape)
         # Interface a's MOS at epoch t; the rewards are added one by one in
         # episode order, so the sums do not depend on the block size.
-        mos = np.array([run.mos for run in block])[:, None, :, 1:].transpose(0, 3, 1, 2)
+        mos = block.mos[:, None, :, 1:].transpose(0, 3, 1, 2)
         np.add.at(reward_sums, pairs.ravel(), np.where(
             attached == action, reward(mos, rc.cost_min, rc),
             reward(np.maximum(mos - scenario.handoff_penalty_mos, 1.0),
@@ -344,7 +337,7 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
     scenario = cfg.scenario
     if scenario.kind == ROAMING and len(scenario.channels) < 2:
         raise DomainError("policy comparison needs at least two interfaces")
-    eval_runs = [generate_run(scenario, r) for r in range(scenario.runs)]
+    eval_block = generate_runs(scenario, range(scenario.runs))
 
     results = {name: PolicyResult() for name in cfg.policies_enabled}
     accuracy: dict[str, float] = {}
@@ -358,9 +351,9 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
         qtable = fit_q_table(cfg, models, qoe_maps)
 
     # All policies share one feature block over the evaluation runs.
-    features = run_features(eval_runs, models, qoe_maps, n_states,
+    features = run_features(eval_block.delays_s, models, qoe_maps, n_states,
                             with_rnl="m4" in cfg.policies_enabled)
-    for b, run in enumerate(eval_runs):
+    for b, run in enumerate(eval_block.runs):
         for name in cfg.policies_enabled:
             if name == "proposed":
                 path = run_q_policy(cfg, features.joint_base[b], qtable)
@@ -378,7 +371,7 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
         "training_episodes": cfg.training_episodes if qtable is not None else 0,
     }
     return EvaluationReport(policies=results, prediction_accuracy=accuracy,
-                            metadata=metadata, runs=eval_runs)
+                            metadata=metadata, runs=list(eval_block.runs))
 
 
 # The [scenario], [qlearn] and [harness] keys; each of the other sections

@@ -101,55 +101,97 @@ class StepResult:
     handoff_penalty_mos: float
 
 
-def _sample_chain(model: HmmModel, horizon: int, rng: np.random.Generator) -> np.ndarray:
-    """A state path drawn as `rng.choice(n, p=row)` would draw it step by
-    step: one uniform per step, inverted through the normalized cumulative
-    row, so the stream and the states are the same."""
-    u = rng.random(horizon)
+# `run_blocks` generates this many runs at a time, and the harness filters
+# each block in one pass: a block's arrays hold runs x interfaces x epochs
+# floats, so a fixed block bounds peak memory whatever the number of runs.
+BLOCK_RUNS = 16
+
+
+@dataclass(frozen=True)
+class RunBlock:
+    """Runs generated in one pass, stacked on axes (run, interface, epoch);
+    `runs[b]` is row b as a `SimRun` whose arrays are views of these."""
+
+    delays_s: np.ndarray
+    mos: np.ndarray
+    states: np.ndarray
+    runs: tuple[SimRun, ...]
+
+
+def _uniforms(rngs, horizon: int) -> np.ndarray:
+    """The next `horizon` uniforms of each generator, one row each."""
+    u = np.empty((len(rngs), horizon))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    return u
+
+
+def _sample_chains(model: HmmModel, u: np.ndarray) -> np.ndarray:
+    """One state path per row of uniforms `u` (runs x horizon), drawn as
+    `rng.choice(n, p=row)` would draw it step by step: each uniform is
+    inverted through the normalized cumulative row, so the stream and the
+    states are the same."""
     cdf = np.cumsum(np.vstack([model.prior, model.transitions]), axis=1)
     cdf /= cdf[:, -1:]
-    # nxt[i, t]: the state drawn at step t from row i (row 0 is the prior).
-    nxt = np.array([np.searchsorted(row, u, side="right") for row in cdf]).tolist()
-    states = np.empty(horizon, dtype=int)
-    s = nxt[0][0]
-    states[0] = s
-    for t in range(1, horizon):
-        s = nxt[s + 1][t]
-        states[t] = s
+    # nxt[i, b, t]: the state run b draws at step t from row i (row 0 is
+    # the prior).
+    nxt = np.stack([np.searchsorted(row, u, side="right") for row in cdf])
+    states = np.empty(u.shape, dtype=int)
+    rows = np.arange(len(u))
+    s = states[:, 0] = nxt[0, :, 0]
+    for t in range(1, u.shape[1]):
+        s = states[:, t] = nxt[s + 1, rows, t]
     return states
 
 
-def generate_run(cfg: ScenarioConfig, run_index: int) -> SimRun:
-    """Generate one run, fully determined by (cfg.seed, run_index)."""
-    horizon = cfg.duration_epochs
+def generate_runs(cfg: ScenarioConfig, run_indices) -> RunBlock:
+    """Generate a block of runs in one pass. Each run draws from its own
+    streams, one per (cfg.seed, run index, channel) and one for its
+    coverage regime, so a run is the same in any block."""
+    indices = list(run_indices)
+    shape = (len(indices), len(cfg.channels), cfg.duration_epochs)
     regime = None
     if cfg.kind == ROAMING:
-        rng = np.random.default_rng([cfg.seed, run_index, 0xFF])
-        flips = rng.random(horizon) < 1.0 / cfg.dwell_mean_epochs
-        flips[0] = False
+        u = _uniforms([np.random.default_rng([cfg.seed, r, 0xFF]) for r in indices],
+                      shape[2])
+        flips = u < 1.0 / cfg.dwell_mean_epochs
+        flips[:, 0] = False
         # The regime starts at 0 and toggles at every flip.
-        regime = np.cumsum(flips) % 2
+        regime = np.cumsum(flips, axis=1) % 2
 
-    delays, moss, states = [], [], []
+    delays, owd, loss = np.empty(shape), np.empty(shape), np.empty(shape)
     for ci, channel in enumerate(cfg.channels):
-        rng = np.random.default_rng([cfg.seed, run_index, ci])
+        rngs = [np.random.default_rng([cfg.seed, r, ci]) for r in indices]
         if regime is not None and channel.regime_states is not None:
             dominant, recessive = channel.regime_states
             hidden = np.where(regime == ci, dominant - 1, recessive - 1)
         else:
-            hidden = _sample_chain(channel.generator, horizon, rng)
+            hidden = _sample_chains(channel.generator, _uniforms(rngs, shape[2]))
         mu = channel.generator.means()[hidden]
         sigma = np.sqrt(channel.generator.variances()[hidden])
-        delay = np.clip(rng.normal(mu, sigma), MIN_DELAY_S, None)
-        owd = delay / 2.0 if channel.delay_is_rtt else delay
-        loss = np.asarray(channel.loss_per_state)[hidden]
-        mos = mos_from_delay(owd, loss, cfg.codec)
-        state = quantize_mos(mos, cfg.scheme)
-        delays.append(delay)
-        moss.append(mos)
-        states.append(state)
-    return SimRun(run_index=run_index, seed=cfg.seed,
-                  delays_s=tuple(delays), mos=tuple(moss), states=tuple(states))
+        for b, rng in enumerate(rngs):
+            delays[b, ci] = rng.normal(mu[b], sigma[b])
+        np.clip(delays[:, ci], MIN_DELAY_S, None, out=delays[:, ci])
+        owd[:, ci] = delays[:, ci] / 2.0 if channel.delay_is_rtt else delays[:, ci]
+        loss[:, ci] = np.asarray(channel.loss_per_state)[hidden]
+    mos = mos_from_delay(owd, loss, cfg.codec)
+    states = quantize_mos(mos, cfg.scheme)
+    runs = tuple(SimRun(run_index=r, seed=cfg.seed, delays_s=tuple(delays[b]),
+                        mos=tuple(mos[b]), states=tuple(states[b]))
+                 for b, r in enumerate(indices))
+    return RunBlock(delays_s=delays, mos=mos, states=states, runs=runs)
+
+
+def run_blocks(cfg: ScenarioConfig, run_indices):
+    """`generate_runs` over `run_indices` in order, BLOCK_RUNS runs at a time."""
+    indices = list(run_indices)
+    for first in range(0, len(indices), BLOCK_RUNS):
+        yield generate_runs(cfg, indices[first:first + BLOCK_RUNS])
+
+
+def generate_run(cfg: ScenarioConfig, run_index: int) -> SimRun:
+    """Generate one run, fully determined by (cfg.seed, run_index)."""
+    return generate_runs(cfg, [run_index]).runs[0]
 
 
 def step_environment(run: SimRun, epoch: int, current: int, action: int,

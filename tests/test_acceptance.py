@@ -24,20 +24,12 @@ from qoehandoff.policies import (JointState, QLearningConfig, QTable,
 from qoehandoff.probing import ProbeConfig, RnlEstimator, rnl_update, \
     signaling_overhead_bps
 from qoehandoff.qoe_model import G729, ROAMING_SCHEME, mos_from_delay
+from test_hmm_em import sample_chain as _sample_chain
 
 
 def _verdict(number: int, description: str, ok: bool) -> None:
     print(f"criterion {number:2d} [{'PASS' if ok else 'FAIL'}] {description}")
     assert ok, f"criterion {number} failed: {description}"
-
-
-def _sample_chain(model, horizon, rng):
-    states = np.empty(horizon, dtype=int)
-    states[0] = rng.choice(model.n_states, p=model.prior)
-    for t in range(1, horizon):
-        states[t] = rng.choice(model.n_states, p=model.transitions[states[t - 1]])
-    obs = rng.normal(model.means()[states], np.sqrt(model.variances()[states]))
-    return states, obs
 
 
 def test_criterion_01_em_monotonicity():

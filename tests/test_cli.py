@@ -13,10 +13,12 @@ from qoehandoff.cli import EXIT_DATA, EXIT_USAGE, _load_dataset, main
 from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, em_train,
                             forward_filter, load_model, predict_next_state,
                             save_model)
-from qoehandoff.netsim import ScenarioConfig, roaming_cdma_g729_model
+from qoehandoff.netsim import (ScenarioConfig, roaming_cdma_g729_model,
+                               roaming_scenario)
 from qoehandoff.policies import HysteresisConfig, RewardConfig, count_handoffs
 from qoehandoff.qoe_model import ROAMING_SCHEME
 from qoehandoff.trace_io import DelayTrace, read_traces, write_traces
+from test_netsim import reference_run
 
 FAST_CONFIG = """
 [scenario]
@@ -76,6 +78,27 @@ class TestSimulate:
               "--out", str(other)])
         assert (other / "traces.csv").read_bytes() != \
             (sim_dir / "traces.csv").read_bytes()
+
+    def test_blocks_match_stepwise_runs(self, tmp_path):
+        # 33 runs are generated as two full blocks and one run; the traces
+        # are the runs drawn step by step, and each interface's MOS is
+        # summed run by run, in run order.
+        out = tmp_path / "sim33"
+        assert main(["simulate", "--scenario", "roaming", "--runs", "33",
+                     "--seed", "4", "--out", str(out)]) == 0
+        cfg = roaming_scenario(runs=33, seed=4)
+        labels = [ch.label for ch in cfg.channels]
+        traces, mos_sums = [], [0.0] * len(labels)
+        for r in range(33):
+            for i, (delay, mos, _) in enumerate(reference_run(cfg, r)):
+                traces.append(DelayTrace(f"run{r:03d}", labels[i],
+                                         np.arange(len(delay)), delay, mos))
+                mos_sums[i] += np.sum(mos)
+        assert (out / "traces.csv").read_text() == write_traces(traces)
+        summary = json.loads((out / "summary.json").read_text())
+        epochs = 33 * cfg.duration_epochs
+        assert summary["mean_mos_per_interface"] == \
+            {label: mos_sums[i] / epochs for i, label in enumerate(labels)}
 
 
 class TestTrainHmmAndPredict:

@@ -7,16 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from qoehandoff import harness
+from qoehandoff import harness, netsim
 from qoehandoff.errors import DomainError
 from qoehandoff.harness import (ALL_POLICIES, EvaluationReport, HarnessConfig,
                                 PolicyResult, default_roaming_harness,
                                 load_config, run_comparison, run_features,
                                 state_to_qoe_map, train_interface_models)
 from qoehandoff.hmm import EmConfig, predict_belief
-from qoehandoff.netsim import (generate_run, roaming_cdma_g729_model,
-                               roaming_scenario, roaming_wlan_g729_model,
-                               step_environment)
+from qoehandoff.netsim import (generate_run, generate_runs,
+                               roaming_cdma_g729_model, roaming_scenario,
+                               roaming_wlan_g729_model, step_environment)
 from qoehandoff.policies import (HysteresisConfig, JointState, QLearningConfig,
                                  QTable, RewardConfig, decide_handoff,
                                  exploit_action, m4_policy_step,
@@ -284,23 +284,22 @@ class TestRunFeatures:
         n_states = scenario.scheme.state_count
         fitted, _ = train_interface_models(cfg)
         generators = [ch.generator for ch in scenario.channels]
-        runs = [generate_run(scenario, r) for r in range(5)]
+        block = generate_runs(scenario, range(5))
         for models in (fitted, generators, [flipped(m) for m in generators]):
             qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
                                          scenario.scheme)
                         for m, ch in zip(models, scenario.channels)]
-            features = run_features(runs, models, qoe_maps, n_states,
+            features = run_features(block.delays_s, models, qoe_maps, n_states,
                                     with_rnl=True)
-            for b, run in enumerate(runs):
+            for b, run in enumerate(block.runs):
                 joint_base, rnl = reference_features(run, models, qoe_maps,
                                                      n_states)
                 assert features.joint_base[b].tolist() == joint_base
                 assert features.rnl[b] == rnl
 
     def test_baseline_only_block_skips_filtering(self):
-        runs = [generate_run(roaming_scenario(duration_epochs=20), r)
-                for r in range(2)]
-        features = run_features(runs)
+        block = generate_runs(roaming_scenario(duration_epochs=20), range(2))
+        features = run_features(block.delays_s)
         assert features.observations.shape == (2, 2, 20)
         assert features.joint_base is None and features.rnl is None
 
@@ -308,7 +307,7 @@ class TestRunFeatures:
         cfg = small_harness()
         expected = run_comparison(cfg).to_json()
         for block in (1, 3, 1000):
-            monkeypatch.setattr(harness, "_TRAIN_BLOCK_RUNS", block)
+            monkeypatch.setattr(netsim, "BLOCK_RUNS", block)
             assert run_comparison(cfg).to_json() == expected
 
     def test_q_table_independent_of_training_block_size(self, monkeypatch):
@@ -316,7 +315,7 @@ class TestRunFeatures:
         models, qoe_maps = flipped_inputs(cfg)
         expected = harness.fit_q_table(cfg, models, qoe_maps)
         for block in (1, 3, 1000):
-            monkeypatch.setattr(harness, "_TRAIN_BLOCK_RUNS", block)
+            monkeypatch.setattr(netsim, "BLOCK_RUNS", block)
             table = harness.fit_q_table(cfg, models, qoe_maps)
             assert np.array_equal(table.values, expected.values)
 
@@ -375,8 +374,9 @@ class TestPolicyLoopsMatchPerEpochReference:
         for cfg in (small_harness(), penalising_harness()):
             scenario = cfg.scenario
             models, qoe_maps = flipped_inputs(cfg)
-            runs = [generate_run(scenario, r) for r in range(6)]
-            features = run_features(runs, models, qoe_maps,
+            block = generate_runs(scenario, range(6))
+            runs = block.runs
+            features = run_features(block.delays_s, models, qoe_maps,
                                     scenario.scheme.state_count)
             fitted = harness.fit_q_table(cfg, models, qoe_maps)
             drawn = QTable(fitted.n_states, fitted.n_interfaces)
@@ -393,9 +393,9 @@ class TestPolicyLoopsMatchPerEpochReference:
 
     def test_baselines_act_as_reference(self):
         for cfg in (small_harness(), penalising_harness()):
-            runs = [generate_run(cfg.scenario, r) for r in range(6)]
-            features = run_features(runs, with_rnl=True)
-            for b, run in enumerate(runs):
+            block = generate_runs(cfg.scenario, range(6))
+            features = run_features(block.delays_s, with_rnl=True)
+            for b, run in enumerate(block.runs):
                 for kind in ("best", "naive", "m4"):
                     path = harness._baseline_path(cfg, run, kind,
                                                   features.observations[b],

@@ -15,6 +15,8 @@ from test_hmm_inference import reference_forward_backward
 
 
 def sample_chain(model, horizon, rng):
+    """A state path drawn with one `rng.choice` per step, and its Gaussian
+    observations."""
     states = np.empty(horizon, dtype=int)
     states[0] = rng.choice(model.n_states, p=model.prior)
     for t in range(1, horizon):

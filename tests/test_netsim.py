@@ -6,8 +6,9 @@ import pytest
 from qoehandoff.errors import DomainError
 from qoehandoff.harness import run_features
 from qoehandoff.netsim import (MIN_DELAY_S, ROAMING, ChannelModel,
-                               ScenarioConfig, congestion_scenario,
-                               congestion_wlan_g711_model, generate_run,
+                               ScenarioConfig, _sample_chains,
+                               congestion_scenario, congestion_wlan_g711_model,
+                               generate_run, generate_runs,
                                roaming_cdma_g729_model, roaming_scenario,
                                roaming_wlan_g729_model, step_environment)
 from qoehandoff.qoe_model import quantize_mos
@@ -107,11 +108,10 @@ class TestGenerateRun:
         # Long-run state occupancy of the sampled hidden chain should sit
         # near the analytic stationary distribution of the transition
         # matrix (left eigenvector for eigenvalue 1).
-        from qoehandoff.netsim import _sample_chain
         model = congestion_wlan_g711_model()
         pi = stationary_distribution(model.transitions)
         rng = np.random.default_rng(0)
-        states = _sample_chain(model, 10_000, rng)
+        (states,) = _sample_chains(model, rng.random((1, 10_000)))
         counts = np.bincount(states, minlength=3) / states.size
         assert np.abs(counts - pi).max() < 0.03
 
@@ -140,6 +140,40 @@ class TestMatchesStepwiseReference:
                 assert run.delays_s[i].tolist() == delay
                 assert run.mos[i].tolist() == mos
                 assert run.states[i].tolist() == state
+
+
+class TestGenerateRuns:
+    """A block is its runs generated one by one: each run draws from its
+    own streams, so no output depends on the block it was generated in."""
+
+    @pytest.mark.parametrize("make", [roaming_scenario, congestion_scenario])
+    @pytest.mark.parametrize("indices", [[3], list(range(16)), list(range(17)),
+                                         [5, 0, 20_000]])
+    def test_rows_equal_stepwise_draws(self, make, indices):
+        cfg = make(seed=2, runs=1, duration_epochs=30)
+        block = generate_runs(cfg, indices)
+        n_if = len(cfg.channels)
+        assert block.delays_s.shape == (len(indices), n_if, 30)
+        assert block.mos.shape == block.states.shape == block.delays_s.shape
+        for b, r in enumerate(indices):
+            run = block.runs[b]
+            assert (run.run_index, run.seed) == (r, cfg.seed)
+            for i, (delay, mos, state) in enumerate(reference_run(cfg, r)):
+                assert block.delays_s[b, i].tolist() == delay
+                assert block.mos[b, i].tolist() == mos
+                assert block.states[b, i].tolist() == state
+            alone = generate_run(cfg, r)
+            for name in ("delays_s", "mos", "states"):
+                for got, want in zip(getattr(run, name), getattr(alone, name)):
+                    assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("make", [roaming_scenario, congestion_scenario])
+    def test_empty_block(self, make):
+        cfg = make(duration_epochs=12)
+        block = generate_runs(cfg, [])
+        assert block.runs == ()
+        for array in (block.delays_s, block.mos, block.states):
+            assert array.shape == (0, len(cfg.channels), 12)
 
 
 class TestStepEnvironment:
@@ -173,8 +207,10 @@ class TestStepEnvironment:
     def test_probes_cover_all_interfaces(self):
         # Probing is multi-homed and always on: every epoch observes every
         # interface, and a lossless probe carries the epoch's delay sample.
-        run = self.make_run()
-        observations = run_features([run]).observations[0]
+        cfg = roaming_scenario(seed=5, runs=1, duration_epochs=30)
+        block = generate_runs(cfg, [0])
+        (run,) = block.runs
+        observations = run_features(block.delays_s).observations[0]
         assert observations.shape == (run.n_interfaces, run.duration)
         for i in range(run.n_interfaces):
             assert observations[i].tolist() == run.delays_s[i].tolist()
