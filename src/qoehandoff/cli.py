@@ -7,7 +7,9 @@ Subcommands:
   compare-policies  evaluate handoff policies over a shared run set
   report            merge report JSON files into a summary CSV
 
-Exit codes: 0 success, 2 usage/config error, 3 data validation error.
+Exit codes: 0 success, 2 usage/config error or a named file that cannot be
+opened or written, 3 data validation error (including input that is not
+UTF-8 text).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from . import harness, netsim, trace_io
 from .errors import (DocumentError, DomainError, TraceParseError,
-                     TraceValidationError, ZeroProbabilityError, parse_document)
+                     TraceValidationError, ZeroProbabilityError, parse_document,
+                     read_document_text)
 from .hmm import (EmConfig, cross_validate_folds, forward_filter, load_model,
                   save_model)
 from .hmm.inference import length_blocks, predict_next_states
@@ -47,22 +50,35 @@ def _scenario_from_args(args) -> netsim.ScenarioConfig:
                    **codec)
 
 
+def _run_id(run_index: int) -> str:
+    return f"run{run_index:03d}"
+
+
 def cmd_simulate(args) -> int:
     scenario = _scenario_from_args(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = [ch.label for ch in scenario.channels]
-    traces = []
-    mos_sums = np.zeros(len(labels))
-    epochs = 0
-    for block in netsim.run_blocks(scenario, range(scenario.runs)):
-        for run, run_mos_sums in zip(block.runs, block.mos.sum(axis=2)):
-            traces.extend(trace_io.traces_from_run(
-                run, labels, run_id=f"run{run.run_index:03d}"))
-            mos_sums += run_mos_sums
-            epochs += run.duration
+    # Runs are generated in the order their traces sort in (run1000 sorts
+    # between run100 and run101), so each block's rows are written as soon
+    # as the block exists; the MOS sums are added in run order afterwards,
+    # so the summary's means do not depend on the write order.
+    run_mos_sums = np.empty((scenario.runs, len(labels)))
     trace_path = out_dir / "traces.csv"
-    trace_path.write_text(trace_io.write_traces(traces), encoding="utf-8")
+    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(trace_io.write_traces([]))
+        for block in netsim.run_blocks(scenario,
+                                       sorted(range(scenario.runs), key=_run_id)):
+            traces = []
+            for run, sums in zip(block.runs, block.mos.sum(axis=2)):
+                traces += trace_io.traces_from_run(run, labels,
+                                                   run_id=_run_id(run.run_index))
+                run_mos_sums[run.run_index] = sums
+            fh.write(trace_io.write_traces(traces, header=False))
+    mos_sums = np.zeros(len(labels))
+    for sums in run_mos_sums:
+        mos_sums += sums
+    epochs = scenario.runs * scenario.duration_epochs
     summary = {
         "scenario": scenario.kind,
         "codec": scenario.codec.name,
@@ -80,11 +96,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _read_trace_file(path) -> list[trace_io.DelayTrace]:
+    """The traces of a trace CSV, parsed from the open file as it is read."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return trace_io.read_traces(fh)
+
+
 def _load_dataset(path):
     """(rtts, mos) arrays of each trace in a trace CSV; every mos cell must
     be set."""
     dataset = []
-    for trace in trace_io.read_traces(Path(path).read_bytes()):
+    for trace in _read_trace_file(path):
         if np.isnan(trace.mos).any():
             raise TraceValidationError(
                 f"run {trace.run_id}/{trace.interface_label}: mos column required here")
@@ -116,7 +138,7 @@ def cmd_train_hmm(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    traces = trace_io.read_traces(Path(args.traces).read_bytes())
+    traces = _read_trace_file(args.traces)
     states = [None] * len(traces)
     for ids, block in length_blocks([trace.rtt_s for trace in traces]):
         try:
@@ -194,7 +216,7 @@ def _write_timelines(cfg, report, path) -> None:
 
 def _report_row(path) -> dict:
     """One summary row from a report file; DocumentError when malformed."""
-    doc = parse_document(Path(path).read_text(encoding="utf-8"), f"report {path}")
+    doc = parse_document(read_document_text(path, f"report {path}"), f"report {path}")
     metadata = doc.get("metadata", {})
     policies = doc.get("policies", {})
     if not isinstance(metadata, dict) or not isinstance(policies, dict):
@@ -290,7 +312,7 @@ def main(argv=None) -> int:
     except (TraceParseError, TraceValidationError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DomainError, FileNotFoundError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

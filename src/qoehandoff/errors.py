@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the package, and the guard that
-decodes the package's JSON documents (models, reports)."""
+"""Exception hierarchy shared across the package, and the guards that
+read and decode the package's JSON documents (models, reports)."""
 
 import json
+from pathlib import Path
 
 
 class DomainError(ValueError):
@@ -54,3 +55,12 @@ def parse_document(text: str, what: str) -> dict:
     if not isinstance(doc, dict):
         raise DocumentError(f"{what} is not a JSON object")
     return doc
+
+
+def read_document_text(path, what: str) -> str:
+    """The text of a UTF-8 document file, or DocumentError naming `what`
+    and the first byte that is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{what} is not UTF-8 text: {exc}") from None

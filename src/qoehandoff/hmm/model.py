@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DocumentError, DomainError, parse_document
+from ..errors import DocumentError, DomainError, parse_document, read_document_text
 
 PROB_TOL = 1e-9
 VARIANCE_FLOOR = 1e-8
@@ -108,5 +108,4 @@ def save_model(model: HmmModel, path) -> None:
 
 
 def load_model(path) -> HmmModel:
-    with open(path, encoding="utf-8") as fh:
-        return HmmModel.from_text(fh.read())
+    return HmmModel.from_text(read_document_text(path, "model document"))

@@ -121,9 +121,14 @@ def _segments(chunk, first_line):
 
 
 def read_traces(source) -> list[DelayTrace]:
-    """Parse traces from a text stream or string, grouped by (run, interface)."""
-    if isinstance(source, (bytes, bytearray)):
-        source = source.decode("utf-8")
+    """Parse traces, grouped by (run, interface), from a text stream (a file
+    opened with ``newline="", encoding="utf-8"``) or a string.
+
+    A stream is parsed as it is read, `SLICE_ROWS` rows at a time, so the
+    file's text is never held whole. A file that is not UTF-8 raises
+    TraceParseError without a line number: the stream is decoded ahead of
+    the parser, so the record holding the bad byte is not known.
+    """
     if isinstance(source, str):
         # Line ends are left to csv, as in a file opened with newline="".
         source = io.StringIO(source, newline="")
@@ -146,6 +151,9 @@ def read_traces(source) -> list[DelayTrace]:
             line_number += len(chunk)
     except csv.Error as exc:
         raise TraceParseError(str(exc), next(numbers)) from None
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: "
+                              f"{exc.reason}") from None
     return [DelayTrace(run_id, interface, *map(np.concatenate, zip(*parts)))
             for (run_id, interface), parts in sorted(segments.items())]
 
@@ -160,9 +168,15 @@ def format_rows(keys, row_format: str, columns) -> str:
     return (template * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def write_traces(traces) -> str:
-    """Render traces as canonical CSV text, ordered by (run, interface, epoch)."""
-    blocks = [",".join(HEADER) + "\n"]
+def write_traces(traces, header: bool = True) -> str:
+    """Render traces as canonical CSV text, ordered by (run, interface, epoch).
+
+    With `header=False` only the rows are rendered, so a file can be
+    written a batch of traces at a time: batches that each hold a
+    contiguous span of that order, written in order, give the same text
+    as one call over all the traces.
+    """
+    blocks = [",".join(HEADER) + "\n"] if header else []
     for trace in sorted(traces, key=lambda t: (t.run_id, t.interface_label)):
         mos, mos_format = trace.mos.tolist(), "%.9g"
         if np.isnan(trace.mos).any():  # write empty mos cells as ""

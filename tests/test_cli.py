@@ -8,16 +8,18 @@ import json
 import numpy as np
 import pytest
 
-from qoehandoff import harness
+from qoehandoff import harness, netsim, trace_io
 from qoehandoff.cli import EXIT_DATA, EXIT_USAGE, _load_dataset, main
 from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, em_train,
                             forward_filter, load_model, predict_next_state,
                             save_model)
-from qoehandoff.netsim import (ScenarioConfig, roaming_cdma_g729_model,
+from qoehandoff.netsim import (ScenarioConfig, congestion_scenario,
+                               generate_runs, roaming_cdma_g729_model,
                                roaming_scenario)
 from qoehandoff.policies import HysteresisConfig, RewardConfig, count_handoffs
 from qoehandoff.qoe_model import ROAMING_SCHEME
-from qoehandoff.trace_io import DelayTrace, read_traces, write_traces
+from qoehandoff.trace_io import (DelayTrace, read_traces, traces_from_run,
+                                 write_traces)
 from test_netsim import reference_run
 
 FAST_CONFIG = """
@@ -99,6 +101,49 @@ class TestSimulate:
         epochs = 33 * cfg.duration_epochs
         assert summary["mean_mos_per_interface"] == \
             {label: mos_sums[i] / epochs for i, label in enumerate(labels)}
+
+
+    # Above 1,000 runs the canonical order is not the run order (run1000
+    # sorts between run100 and run101); smaller sets are cut into blocks
+    # of other sizes.
+    @pytest.mark.parametrize("scenario,runs,duration,block_runs", [
+        ("roaming", 1003, 2, None),
+        ("wlan_congestion", 1003, 2, None),
+        ("roaming", 12, 101, 1),
+        ("roaming", 12, 101, 7),
+        ("roaming", 40, 101, 1),
+        ("roaming", 40, 101, 7),
+    ])
+    def test_streamed_output_matches_whole_list_reference(
+            self, tmp_path, monkeypatch, scenario, runs, duration, block_runs):
+        if block_runs is not None:
+            monkeypatch.setattr(netsim, "BLOCK_RUNS", block_runs)
+        batch_sizes = []
+
+        def spy(traces, *args, **kwargs):
+            batch_sizes.append(len(traces))
+            return write_traces(traces, *args, **kwargs)
+
+        monkeypatch.setattr(trace_io, "write_traces", spy)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", scenario, "--runs", str(runs),
+                     "--duration", str(duration), "--seed", "3",
+                     "--out", str(out)]) == 0
+
+        factory = roaming_scenario if scenario == "roaming" else congestion_scenario
+        cfg = factory(runs=runs, duration_epochs=duration, seed=3)
+        labels = [ch.label for ch in cfg.channels]
+        traces, mos_sums = [], [0.0] * len(labels)
+        for run in generate_runs(cfg, range(runs)).runs:
+            traces += traces_from_run(run, labels, f"run{run.run_index:03d}")
+            for i in range(len(labels)):
+                mos_sums[i] += np.sum(run.mos[i])
+        assert (out / "traces.csv").read_bytes() == write_traces(traces).encode()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["mean_mos_per_interface"] == \
+            {label: mos_sums[i] / (runs * duration) for i, label in enumerate(labels)}
+        assert max(batch_sizes) <= netsim.BLOCK_RUNS * len(labels)
+        assert sum(batch_sizes) == runs * len(labels)
 
 
 class TestTrainHmmAndPredict:
@@ -413,6 +458,41 @@ class TestExitCodes:
             rows = list(csv.reader(fh))
         assert [row[:3] for row in rows[1:]] == [["r", "W\rLAN", "1"]]
 
+    @pytest.mark.parametrize("command", ["train-hmm", "predict"])
+    def test_non_utf8_traces_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"run_id,interface,epoch,rtt_s,mos\n"
+                        b"r,WLAN,0,0.1,4.0\nr,W\xffLAN,1,0.1,4.0\n")
+        save_model(roaming_cdma_g729_model(), tmp_path / "model.json")
+        argv = {"train-hmm": ["train-hmm", "--traces", str(bad)],
+                "predict": ["predict", "--model", str(tmp_path / "model.json"),
+                            "--traces", str(bad)]}[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "error: not UTF-8 text: byte 0xff: invalid start byte\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["train-hmm", "--traces", "{dir}"],
+        ["predict", "--model", "{model}", "--traces", "{dir}"],
+        ["predict", "--model", "{dir}", "--traces", "{traces}"],
+        ["simulate", "--runs", "1", "--duration", "2", "--out", "{file}"],
+        ["predict", "--model", "{model}", "--traces", "{traces}", "--out", "{file}"],
+    ])
+    def test_unusable_path_is_usage_error(self, tmp_path, sim_dir, capsys, argv):
+        # A directory where a file is read, and a file where an output
+        # directory goes.
+        save_model(roaming_cdma_g729_model(), tmp_path / "model.json")
+        (tmp_path / "file").write_text("x")
+        paths = {"dir": tmp_path, "file": tmp_path / "file",
+                 "model": tmp_path / "model.json", "traces": sim_dir / "traces.csv"}
+        argv = [arg.format(**paths) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -441,6 +521,22 @@ class TestMalformedDocuments:
         self.assert_data_error(["predict", "--model", str(model), "--traces",
                                 str(sim_dir / "traces.csv"), "--out", str(tmp_path)],
                                capsys, "'prior'")
+
+    def test_predict_with_non_utf8_model(self, tmp_path, sim_dir, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(roaming_cdma_g729_model().to_text().encode()
+                          .replace(b'"format"', b'"form\xffat"'))
+        self.assert_data_error(["predict", "--model", str(model), "--traces",
+                                str(sim_dir / "traces.csv"), "--out", str(tmp_path)],
+                               capsys, "model document is not UTF-8 text: "
+                                       "'utf-8' codec can't decode byte 0xff")
+
+    def test_report_with_non_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"metadata": {"seed": "\xff"}}')
+        self.assert_data_error(["report", str(bad), "--out", str(tmp_path / "out")],
+                               capsys, f"report {bad} is not UTF-8 text")
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     @pytest.mark.parametrize("text,needle", [
         ("not json", "not valid JSON"),

@@ -42,10 +42,25 @@ class TestRead:
         cdma = next(t for t in traces if t.interface_label == "CDMA2000")
         assert cdma.mos_values() == [None]
 
-    def test_accepts_bytes_and_stream(self):
-        import io
-        assert len(read_traces(SAMPLE.encode())) == 3
+    def test_accepts_string_and_stream(self):
+        assert len(read_traces(SAMPLE)) == 3
         assert len(read_traces(io.StringIO(SAMPLE))) == 3
+
+    @pytest.mark.parametrize("at_row", [0, 3, 2_000])
+    def test_non_utf8_input_names_the_byte_but_no_record(self, tmp_path, at_row):
+        # A file is decoded 8 KB ahead of csv, so a record number could name
+        # the wrong record. With the bad byte in the first row, a few rows in
+        # or far past the first decoded chunk, the error names the byte and
+        # no record.
+        rows = [f"r,WLAN,{t},0.1,4.0\n".encode() for t in range(3_000)]
+        rows[at_row] = rows[at_row].replace(b"WLAN", b"WL\xffAN")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(",".join(HEADER).encode() + b"\n" + b"".join(rows))
+        with open(path, newline="", encoding="utf-8") as fh, \
+                pytest.raises(TraceParseError) as err:
+            read_traces(fh)
+        assert err.value.line_number is None
+        assert str(err.value) == "not UTF-8 text: byte 0xff: invalid start byte"
 
     def test_empty_input_raises(self):
         with pytest.raises(TraceParseError):
@@ -105,6 +120,18 @@ class TestWrite:
         # Writing is sorted, so write(read(write(x))) == write(x).
         text = write_traces(read_traces(SAMPLE))
         assert write_traces(read_traces(text)) == text
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_batches_in_order_write_the_whole_text(self, batch):
+        # Traces split into consecutive spans of the canonical order and
+        # written one span at a time, header first, give one call's text.
+        traces = sorted(read_traces(SAMPLE),
+                        key=lambda t: (t.run_id, t.interface_label))
+        text = write_traces([]) + "".join(
+            write_traces(traces[i:i + batch], header=False)
+            for i in range(0, len(traces), batch))
+        assert write_traces([]) == ",".join(HEADER) + "\n"
+        assert text == write_traces(traces[::-1])
 
     def test_precision_survives_round_trip(self):
         trace = DelayTrace("r", "WLAN", [0], [0.123456789], [3.987654321])
