@@ -103,23 +103,27 @@ def _read_trace_file(path) -> list[trace_io.DelayTrace]:
 
 
 def _load_dataset(path):
-    """(rtts, mos) arrays of each trace in a trace CSV; every mos cell must
-    be set."""
-    dataset = []
+    """(rtts, mos) arrays of each trace in a trace CSV, and each trace's
+    run id; every mos cell must be set."""
+    dataset, run_ids = [], []
     for trace in _read_trace_file(path):
         if np.isnan(trace.mos).any():
             raise TraceValidationError(
                 f"run {trace.run_id}/{trace.interface_label}: mos column required here")
         dataset.append((trace.rtt_s, trace.mos))
-    return dataset
+        run_ids.append(trace.run_id)
+    return dataset, run_ids
 
 
 def cmd_train_hmm(args) -> int:
     scheme = SCHEMES[args.scheme]
-    dataset = _load_dataset(args.traces)
     config = EmConfig(seed=args.seed)
+    dataset, run_ids = _load_dataset(args.traces)
+    # Folds hold out whole runs. Traces sort by (run, interface), so folds
+    # by trace index would hold out one interface of each run and score it
+    # under a model fitted to the others.
     (model, report), scores = cross_validate_folds(dataset, args.folds, args.states,
-                                                   scheme, config)
+                                                   scheme, config, groups=run_ids)
     for i, (c, t) in enumerate(scores):
         print(f"fold {i + 1}: accuracy {c / t:.4f} ({c}/{t})")
     total_c = sum(c for c, _ in scores)

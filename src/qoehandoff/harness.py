@@ -18,9 +18,8 @@ from .hmm import (EmConfig, HmmModel, cross_validate_folds, em_train,
                   forward_filter, predict_next_states)
 from .netsim import (ROAMING, ScenarioConfig, SimRun, congestion_scenario,
                      generate_runs, roaming_scenario, run_blocks)
-from .policies import (HysteresisConfig, QTable, RewardConfig, decide_handoff,
-                       exploit_action, m4_policy_step, naive_policy_step,
-                       oracle_policy, q_iteration, reward)
+from .policies import (QTable, RewardConfig, exploit_action, m4_policy_step,
+                       naive_policy_step, oracle_policy, q_iteration, reward)
 from .probing import RnlEstimator
 # Unused here; kept bound because perfbench/tracer.py patches these names.
 from .hmm.inference import predict_belief  # noqa: F401
@@ -35,7 +34,7 @@ ALL_POLICIES = ("best", "naive", "m4", "proposed")
 # evaluation set disjoint for a shared scenario seed.
 _HMM_RUN_OFFSET = 20_000
 _TRAIN_RUN_OFFSET = 10_000
-_Q_TOL = 1e-12  # the Q-table solve stops once no value moves by more
+_Q_TOL = 1e-12  # the Q-table solve stops once no value moves by more than this
 
 @dataclass(frozen=True)
 class HarnessConfig:
@@ -45,7 +44,6 @@ class HarnessConfig:
     scenario: ScenarioConfig
     reward_cfg: RewardConfig
     gamma: float                  # the Q-table's discount
-    hysteresis: HysteresisConfig
     m4_margin_s: float
     policies_enabled: tuple[str, ...]
     training_episodes: int
@@ -273,22 +271,14 @@ def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
     return qtable
 
 
-def run_q_policy(cfg: HarnessConfig, joint_base: np.ndarray,
-                 qtable: QTable) -> list[int]:
-    """Drive one run with the Q-agent and return its attachment path: the
-    greedy action of each row, a switch gated by the hysteresis; `joint_base`
-    is the run's row of `RunFeatures.joint_base`."""
-    base = joint_base.tolist()
+def run_q_policy(joint_base: np.ndarray, greedy: list[int]) -> list[int]:
+    """Drive one run with the Q-agent and return its attachment path: each
+    epoch it takes `greedy[row]`, the greedy action (`exploit_action`) of
+    its Q-table row; `joint_base` is the run's row of
+    `RunFeatures.joint_base`."""
     current, path = 0, [0]
-    epochs_since_handoff = cfg.hysteresis.dwell_epochs
-    for t in range(1, len(base)):
-        s = base[t - 1] + current
-        proposed = exploit_action(qtable, s)
-        row = qtable.values[s].tolist()
-        action = decide_handoff(proposed, current, row[proposed] - row[current],
-                                cfg.hysteresis, epochs_since_handoff)
-        epochs_since_handoff = 0 if action != current else epochs_since_handoff + 1
-        current = action
+    for base in joint_base[:-1].tolist():
+        current = greedy[base + current]
         path.append(current)
     return path
 
@@ -342,13 +332,14 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
     results = {name: PolicyResult() for name in cfg.policies_enabled}
     accuracy: dict[str, float] = {}
     n_states = scenario.scheme.state_count
-    models = qoe_maps = qtable = None
+    models = qoe_maps = qtable = greedy = None
     if "proposed" in cfg.policies_enabled:
         models, accuracy = train_interface_models(cfg)
         qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
                                      scenario.scheme)
                     for m, ch in zip(models, scenario.channels)]
         qtable = fit_q_table(cfg, models, qoe_maps)
+        greedy = [exploit_action(qtable, s) for s in range(len(qtable.values))]
 
     # All policies share one feature block over the evaluation runs.
     features = run_features(eval_block.delays_s, models, qoe_maps, n_states,
@@ -356,7 +347,7 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
     for b, run in enumerate(eval_block.runs):
         for name in cfg.policies_enabled:
             if name == "proposed":
-                path = run_q_policy(cfg, features.joint_base[b], qtable)
+                path = run_q_policy(features.joint_base[b], greedy)
             else:
                 path = _baseline_path(cfg, run, name, features.observations[b],
                                       features.rnl[b] if features.rnl else None)
@@ -374,18 +365,16 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
                             metadata=metadata, runs=list(eval_block.runs))
 
 
-# The [scenario], [qlearn] and [harness] keys; each of the other sections
-# sets the fields of a config, which hold its keys' defaults and declare
-# their types. Any other section or key is rejected, so a misspelt setting
-# cannot silently keep its default.
+# The [scenario], [qlearn] and [harness] keys; [reward] sets the fields of
+# RewardConfig, which hold its keys' defaults. Any other section or key is
+# rejected, so a misspelt setting cannot silently keep its default.
 _SCENARIO_KEYS = {"kind", "codec", "duration_epochs", "runs", "seed",
                   "dwell_mean_epochs", "handoff_penalty_mos"}
 _ROAMING_ONLY_KEYS = {"dwell_mean_epochs", "handoff_penalty_mos"}
 _SECTION_KEYS = {"qlearn": {"gamma"},
                  "harness": {"policies", "hmm_states", "m4_margin_s",
                              "training_episodes", "hmm_training_runs", "em_seed"}}
-_SECTION_DEFAULTS = {"reward": RewardConfig(), "hysteresis": HysteresisConfig()}
-_FIELD_TYPES = {"int": int, "float": float, "str": str}
+_SECTION_DEFAULTS = {"reward": RewardConfig()}
 
 
 def load_config(path) -> HarnessConfig:
@@ -426,12 +415,12 @@ def _check_keys(parser: configparser.ConfigParser, kind: str) -> None:
 
 
 def _section_config(parser: configparser.ConfigParser, name: str):
-    """The section's defaults with each key the file sets parsed as its
-    field's declared type, in field order."""
+    """The section's defaults with each key the file sets parsed as a
+    float (every field of RewardConfig is one), in field order."""
     defaults = _SECTION_DEFAULTS[name]
     section = parser[name] if parser.has_section(name) else {}
     return dataclasses.replace(defaults, **{
-        f.name: _FIELD_TYPES[f.type](section[f.name])
+        f.name: float(section[f.name])
         for f in dataclasses.fields(defaults) if f.name in section})
 
 
@@ -458,8 +447,7 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
         raise DomainError(f"unknown scenario kind {kind!r}")
     _check_keys(parser, kind)
 
-    reward_cfg, hysteresis = (_section_config(parser, name)
-                              for name in _SECTION_DEFAULTS)
+    reward_cfg = _section_config(parser, "reward")
     ha = parser["harness"] if parser.has_section("harness") else {}
     policies = tuple(p.strip() for p in
                      ha.get("policies", ",".join(ALL_POLICIES)).split(",") if p.strip())
@@ -469,7 +457,6 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
     return HarnessConfig(
         scenario=scenario, reward_cfg=reward_cfg,
         gamma=parser.getfloat("qlearn", "gamma", fallback=0.95),
-        hysteresis=hysteresis,
         m4_margin_s=float(ha.get("m4_margin_s", 0.02)),
         policies_enabled=policies,
         training_episodes=int(ha.get("training_episodes", 150)),

@@ -54,6 +54,8 @@ class EmConfig:
         for name in ("max_iterations", "restarts"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
 
 @dataclass
@@ -340,25 +342,31 @@ def prediction_accuracy(model: HmmModel, traces, scheme: QuantizationScheme,
 
 
 def cross_validate_folds(dataset, folds: int, k: int, scheme: QuantizationScheme,
-                         config: EmConfig = EmConfig()):
+                         config: EmConfig = EmConfig(), groups=None):
     """Fit the all-data model and score it by cross-validation.
 
     Returns ((model, report), scores): the `em_train` fit of every trace,
-    and each fold's (correct, total) one-step prediction score. Folds are
-    assigned round-robin by trace index, so every trace is held out
-    exactly once. The all-data fit and the folds' fits run in one
+    and each fold's (correct, total) one-step prediction score. `groups`
+    holds one key per trace (by default each trace is its own group);
+    folds are assigned round-robin over the groups in order of first
+    appearance, so every trace is held out exactly once, together with
+    the rest of its group. The all-data fit and the folds' fits run in one
     lock-step EM.
     """
-    n = len(dataset)
-    if not 2 <= folds <= n:
-        raise DomainError(f"folds must be in [2, {n}]")
-    trains = [[dataset[i] for i in range(n) if i % folds != fold]
+    keys = range(len(dataset)) if groups is None else list(groups)
+    if len(keys) != len(dataset):
+        raise DomainError("groups must give one key per trace")
+    order = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    if not 2 <= folds <= len(order):
+        raise DomainError(f"folds must be in [2, {len(order)}]")
+    fold_of = [order[key] % folds for key in keys]
+    trains = [[d for d, f in zip(dataset, fold_of) if f != fold]
               for fold in range(folds)]
     full, *fits = _fit_all([[obs for obs, _ in train] for train in [dataset, *trains]],
                            k, config)
     scores = []
     for fold, (train, (model, _)) in enumerate(zip(trains, fits)):
-        held = [dataset[i] for i in range(n) if i % folds == fold]
+        held = [d for d, f in zip(dataset, fold_of) if f == fold]
         state_map = state_band_map(model, train, scheme)
         scores.append(prediction_accuracy(model, held, scheme, state_map))
     return full, scores

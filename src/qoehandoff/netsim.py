@@ -67,6 +67,8 @@ class ScenarioConfig:
             raise DomainError("duration_epochs must be >= 2")
         if self.runs < 1:
             raise DomainError("runs must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if not 0.0 <= self.handoff_penalty_mos <= 1.0:
             raise DomainError("handoff_penalty_mos must be in [0, 1]")
         # The coverage regime flips with probability 1 / dwell_mean_epochs.

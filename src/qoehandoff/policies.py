@@ -62,18 +62,6 @@ class QLearningConfig:
 
 
 @dataclass(frozen=True)
-class HysteresisConfig:
-    margin: float = 0.1
-    dwell_epochs: int = 2
-
-    def __post_init__(self):
-        if not self.margin >= 0:
-            raise DomainError("margin must be >= 0")
-        if self.dwell_epochs < 0:
-            raise DomainError("dwell_epochs must be >= 0")
-
-
-@dataclass(frozen=True)
 class JointState:
     """Per-interface QoE states (1-based) plus the attached interface."""
 
@@ -155,16 +143,6 @@ def epsilon_greedy_action(q: QTable, s: int, epsilon: float,
     if rng.random() < epsilon:
         return int(rng.integers(q.n_interfaces))
     return exploit_action(q, s)
-
-
-def decide_handoff(proposed: int, current: int, expected_gain: float,
-                   hys: HysteresisConfig, epochs_since_handoff: int) -> int:
-    """Gate a proposed switch behind the hysteresis margin and dwell time."""
-    if proposed == current:
-        return current
-    if expected_gain < hys.margin or epochs_since_handoff < hys.dwell_epochs:
-        return current
-    return proposed
 
 
 def m4_policy_step(rnl_per_interface, current: int, margin: float) -> int:

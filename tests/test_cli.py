@@ -16,7 +16,7 @@ from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, em_train,
 from qoehandoff.netsim import (ScenarioConfig, congestion_scenario,
                                generate_runs, roaming_cdma_g729_model,
                                roaming_scenario)
-from qoehandoff.policies import HysteresisConfig, RewardConfig, count_handoffs
+from qoehandoff.policies import RewardConfig, count_handoffs
 from qoehandoff.qoe_model import ROAMING_SCHEME
 from qoehandoff.trace_io import (DelayTrace, read_traces, traces_from_run,
                                  write_traces)
@@ -39,7 +39,6 @@ hmm_training_runs = 4
 # dataclass the section sets. The harness's gamma is [qlearn]'s one key.
 FLOAT_KEYS = [("qlearn" if f.name == "gamma" else section, f.name)
               for section, fields in [("reward", RewardConfig),
-                                      ("hysteresis", HysteresisConfig),
                                       ("scenario", ScenarioConfig),
                                       ("harness", harness.HarnessConfig)]
               for f in dataclasses.fields(fields) if f.type == "float"]
@@ -193,7 +192,7 @@ class TestPredictBlocks:
         assert code == 0
         final = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("final log-likelihood")]
-        dataset = _load_dataset(sim_dir / "traces.csv")
+        dataset, _ = _load_dataset(sim_dir / "traces.csv")
         model, report = em_train([obs for obs, _ in dataset], 3, EmConfig(seed=4))
         assert final == [f"final log-likelihood: {report.log_likelihoods[-1]:.6f} "
                          f"({report.iterations} iterations, "
@@ -492,6 +491,19 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "-5"],
+        ["compare-policies", "--seed", "-1"],
+        ["train-hmm", "--traces", "{traces}", "--seed", "-1"],
+    ], ids=["simulate", "compare-policies", "train-hmm"])
+    def test_negative_seed_is_usage_error(self, tmp_path, sim_dir, capsys, argv):
+        argv = [arg.format(traces=sim_dir / "traces.csv") for arg in argv]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

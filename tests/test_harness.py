@@ -17,9 +17,8 @@ from qoehandoff.hmm import EmConfig, predict_belief
 from qoehandoff.netsim import (generate_run, generate_runs,
                                roaming_cdma_g729_model, roaming_scenario,
                                roaming_wlan_g729_model, step_environment)
-from qoehandoff.policies import (HysteresisConfig, JointState, QLearningConfig,
-                                 QTable, RewardConfig, decide_handoff,
-                                 exploit_action, m4_policy_step,
+from qoehandoff.policies import (JointState, QLearningConfig, QTable,
+                                 RewardConfig, exploit_action, m4_policy_step,
                                  naive_policy_step, oracle_policy, q_update,
                                  reward)
 from qoehandoff.probing import RnlEstimator
@@ -159,17 +158,12 @@ def reference_q_policy(cfg, run, models, qoe_maps, qtable):
     current, path = 0, [0]
     totals = [0, 0.0, 0, 0.0]
     reference_step(cfg, run, 0, None, current, totals)
-    since_handoff = cfg.hysteresis.dwell_epochs
     for t in range(1, run.duration):
         s = joint_row(models, beliefs, qoe_maps, current, n_states)
-        proposed = exploit_action(qtable, s)
-        gain = qtable.values[s][proposed] - qtable.values[s][current]
-        action = decide_handoff(proposed, current, gain, cfg.hysteresis,
-                                since_handoff)
+        action = exploit_action(qtable, s)
         reference_step(cfg, run, t, current, action, totals)
         beliefs = [filter_step(m, b, float(run.delays_s[i][t]))
                    for i, (m, b) in enumerate(zip(models, beliefs))]
-        since_handoff = 0 if action != current else since_handoff + 1
         current = action
         path.append(current)
     return path, totals
@@ -382,8 +376,9 @@ class TestPolicyLoopsMatchPerEpochReference:
             drawn = QTable(fitted.n_states, fitted.n_interfaces)
             drawn.values = np.random.default_rng(4).uniform(size=drawn.values.shape)
             for table in (fitted, drawn):
+                greedy = [exploit_action(table, s) for s in range(len(table.values))]
                 for run, joint_base in zip(runs, features.joint_base):
-                    path = harness.run_q_policy(cfg, joint_base, table)
+                    path = harness.run_q_policy(joint_base, greedy)
                     expected, totals = reference_q_policy(cfg, run, models,
                                                           qoe_maps, table)
                     assert path == expected
@@ -544,6 +539,9 @@ hmm_states = 2, 3
          "wlan_congestion"),
         ("[DEFAULT]\nseed = 3\n[scenario]\nkind = roaming\n",
          "unknown config section [DEFAULT]"),
+        # The agent follows its greedy row: no gate in front of the table.
+        ("[hysteresis]\nmargin = 0.1\ndwell_epochs = 2\n",
+         "unknown config section [hysteresis]"),
     ] + [
         # The Q-table solve reads only gamma.
         (f"[qlearn]\n{key} = {value}\ngamma = 0.9\n",
@@ -552,7 +550,8 @@ hmm_states = 2, 3
                            ("epsilon", "0.5"), ("epsilon_decay", "0.99"),
                            ("epsilon_floor", "0.1")]
     ], ids=["section", "harness-key", "reward-key", "roaming-only-key", "default",
-            "alpha", "alpha-decay", "epsilon", "epsilon-decay", "epsilon-floor"])
+            "hysteresis", "alpha", "alpha-decay", "epsilon", "epsilon-decay",
+            "epsilon-floor"])
     def test_unknown_section_or_key_is_rejected(self, tmp_path, text, needle):
         path = tmp_path / "misspelt.ini"
         path.write_text(text)
@@ -572,9 +571,12 @@ hmm_states = 2, 3
         ("[reward]\ncost_max = inf\n", "cost_max must be finite"),
         ("[reward]\nqoe_min = -inf\n", "qoe_min must be finite"),
         ("[harness]\nm4_margin_s = -1\n", "m4_margin_s must be >= 0"),
+        ("[scenario]\nseed = -2\n", "seed must be >= 0"),
+        ("[harness]\nem_seed = -2\n", "seed must be >= 0"),
     ], ids=["repeated-policy", "negative-episodes", "no-hmm-runs", "zero-states",
             "zero-dwell", "gamma-one", "gamma-negative", "infinite-cost",
-            "infinite-qoe", "negative-m4-margin"])
+            "infinite-qoe", "negative-m4-margin", "negative-seed",
+            "negative-em-seed"])
     def test_value_out_of_range_is_rejected(self, tmp_path, text, needle):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -605,9 +607,6 @@ cost_max = 0.9
 handoff_cost = 0.8
 [qlearn]
 gamma = 0.8
-[hysteresis]
-margin = 0.2
-dwell_epochs = 3
 [harness]
 policies = best, proposed
 hmm_states = 2, 2
@@ -628,7 +627,6 @@ em_seed = 7
             reward_cfg=RewardConfig(w_qoe=0.9, qoe_min=1.5, qoe_max=4.5,
                                     cost_min=0.1, cost_max=0.9, handoff_cost=0.8),
             gamma=0.8,
-            hysteresis=HysteresisConfig(margin=0.2, dwell_epochs=3),
             m4_margin_s=0.03,
             policies_enabled=("best", "proposed"),
             training_episodes=6,
@@ -638,9 +636,8 @@ em_seed = 7
         )
         # Each parsed value has its field's declared type, not just an
         # equal value (3.0 == 3).
-        for section in (cfg.reward_cfg, cfg.hysteresis):
-            for f in dataclasses.fields(section):
-                assert type(getattr(section, f.name)).__name__ == f.type, f.name
+        for f in dataclasses.fields(cfg.reward_cfg):
+            assert type(getattr(cfg.reward_cfg, f.name)).__name__ == f.type, f.name
         for name in ("gamma", "m4_margin_s", "training_episodes",
                      "hmm_training_runs"):
             assert type(getattr(cfg, name)).__name__ == \

@@ -335,6 +335,29 @@ class TestCrossValidation:
                                                 state_map))
         assert scores == expected
 
+    def test_groups_hold_out_whole_runs(self):
+        # Two traces per run, as train-hmm reads a two-interface scenario:
+        # folds go round-robin over the runs, so both traces of a run are
+        # held out together.
+        dataset = self.make_dataset(n_traces=6, seed=5)
+        runs = ["run000", "run000", "run001", "run001", "run002", "run002"]
+        cfg = EmConfig(seed=1)
+        _, scores = cross_validate_folds(dataset, 2, 2, ROAMING_SCHEME, cfg,
+                                         groups=runs)
+        expected = []
+        for held_runs in ({"run000", "run002"}, {"run001"}):
+            train = [d for d, r in zip(dataset, runs) if r not in held_runs]
+            held = [d for d, r in zip(dataset, runs) if r in held_runs]
+            model, _ = em_train([obs for obs, _ in train], 2, cfg)
+            state_map = state_band_map(model, train, ROAMING_SCHEME)
+            expected.append(prediction_accuracy(model, held, ROAMING_SCHEME,
+                                                state_map))
+        assert scores == expected
+        with pytest.raises(DomainError, match=r"folds must be in \[2, 3\]"):
+            cross_validate_folds(dataset, 4, 2, ROAMING_SCHEME, groups=runs)
+        with pytest.raises(DomainError, match="one key per trace"):
+            cross_validate_folds(dataset, 2, 2, ROAMING_SCHEME, groups=runs[:5])
+
     def test_fold_bounds(self):
         dataset = self.make_dataset(n_traces=4)
         with pytest.raises(DomainError):

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qoehandoff.errors import DomainError
-from qoehandoff.policies import (HysteresisConfig, JointState, QLearningConfig,
-                                 QTable, RewardConfig, count_handoffs,
-                                 decide_handoff, epsilon_greedy_action,
-                                 exhaustive_min_handoffs, exploit_action,
-                                 m4_policy_step, naive_policy_step,
-                                 oracle_policy, q_star, q_update, reward,
-                                 value_iteration)
+from qoehandoff.policies import (JointState, QLearningConfig, QTable,
+                                 RewardConfig, count_handoffs,
+                                 epsilon_greedy_action, exhaustive_min_handoffs,
+                                 exploit_action, m4_policy_step,
+                                 naive_policy_step, oracle_policy, q_star,
+                                 q_update, reward, value_iteration)
 
 
 class TestReward:
@@ -212,28 +211,6 @@ class TestActionSelection:
                  for _ in range(2000)]
         frac = np.mean(np.array(picks) == 0)
         assert 0.4 < frac < 0.6
-
-
-class TestHysteresis:
-    def test_same_interface_passes_through(self):
-        hys = HysteresisConfig(margin=0.1, dwell_epochs=2)
-        assert decide_handoff(0, 0, 0.0, hys, 0) == 0
-
-    def test_blocks_small_gain(self):
-        hys = HysteresisConfig(margin=0.1, dwell_epochs=2)
-        assert decide_handoff(1, 0, 0.05, hys, 10) == 0
-
-    def test_blocks_during_dwell(self):
-        hys = HysteresisConfig(margin=0.1, dwell_epochs=2)
-        assert decide_handoff(1, 0, 0.5, hys, 1) == 0
-
-    def test_allows_qualified_switch(self):
-        hys = HysteresisConfig(margin=0.1, dwell_epochs=2)
-        assert decide_handoff(1, 0, 0.5, hys, 2) == 1
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            HysteresisConfig(margin=-0.1)
 
 
 class TestM4Policy:
