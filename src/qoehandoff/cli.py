@@ -199,23 +199,22 @@ def cmd_compare_policies(args) -> int:
 
 def _write_timelines(cfg, report, path) -> None:
     """Plot-ready per-epoch rows for each policy over the evaluation runs
-    that the report kept."""
+    whose MOS the report kept, one block of rows per (policy, run)."""
     labels = [ch.label for ch in cfg.scenario.channels]
     # mos_cells[r][t]: run r's MOS columns at epoch t, formatted once.
-    mos_cells = [[[format(m, ".9g") for m in epoch]
-                  for epoch in np.asarray(run.mos).T.tolist()]
-                 for run in report.runs]
+    mos_cells = [[",".join(format(m, ".9g") for m in epoch) for epoch in run.T.tolist()]
+                 for run in report.mos]
+    epochs = range(report.mos.shape[2])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["policy", "run", "epoch"]
-                        + [f"mos_{l}" for l in labels]
-                        + ["chosen_interface", "cumulative_handoffs"])
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["policy", "run", "epoch"] + [f"mos_{l}" for l in labels]
+            + ["chosen_interface", "cumulative_handoffs"])
         for name, result in report.policies.items():
-            for r, path_seq in enumerate(result.paths):
-                cum = 0
-                for t, (chosen, cells) in enumerate(zip(path_seq, mos_cells[r])):
-                    cum += t > 0 and chosen != path_seq[t - 1]
-                    writer.writerow([name, r, t, *cells, chosen, cum])
+            paths = result.paths
+            handoffs = np.cumsum(np.diff(paths, axis=1, prepend=paths[:, :1]) != 0, axis=1)
+            for r, (chosen, cum) in enumerate(zip(paths.tolist(), handoffs.tolist())):
+                fh.write(trace_io.format_rows([name, r], "%d,%s,%d,%d",
+                                              (epochs, mos_cells[r], chosen, cum)))
 
 
 def _report_row(path) -> dict:

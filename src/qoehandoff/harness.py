@@ -16,8 +16,8 @@ import numpy as np
 from .errors import DomainError
 from .hmm import (EmConfig, HmmModel, cross_validate_folds, em_train,
                   forward_filter, predict_next_states)
-from .netsim import (ROAMING, ScenarioConfig, SimRun, congestion_scenario,
-                     generate_runs, roaming_scenario, run_blocks)
+from .netsim import (ROAMING, ScenarioConfig, congestion_scenario, generate_runs,
+                     roaming_scenario, run_blocks)
 from .policies import (QTable, RewardConfig, exploit_action, m4_policy_step,
                        naive_policy_step, oracle_policy, q_iteration, reward)
 from .probing import RnlEstimator
@@ -75,18 +75,19 @@ class HarnessConfig:
             raise DomainError("gamma must be in [0, 1)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyResult:
-    handoff_count: int = 0
-    mos_sum: float = 0.0
-    mos_epochs: int = 0
-    reward_sum: float = 0.0
-    # One attachment sequence per evaluated run (for timeline exports).
-    paths: list = field(default_factory=list)
+    """One policy's totals over the evaluation runs; `paths[b, t]` is the
+    interface it attached run b to at epoch t."""
+
+    handoff_count: int
+    mos_sum: float
+    reward_sum: float
+    paths: np.ndarray
 
     @property
     def mean_mos(self) -> float:
-        return self.mos_sum / self.mos_epochs if self.mos_epochs else float("nan")
+        return self.mos_sum / self.paths.size if self.paths.size else float("nan")
 
     def as_dict(self) -> dict:
         return {"handoff_count": self.handoff_count,
@@ -99,9 +100,9 @@ class EvaluationReport:
     policies: dict[str, PolicyResult]
     prediction_accuracy: dict[str, float]
     metadata: dict = field(default_factory=dict)
-    # The evaluation runs behind `PolicyResult.paths`, kept for timeline
-    # exports; never serialized.
-    runs: list[SimRun] = field(default_factory=list, repr=False)
+    # The evaluation runs' MOS behind `PolicyResult.paths`, on axes (run,
+    # interface, epoch), kept for timeline exports; never serialized.
+    mos: np.ndarray | None = field(default=None, repr=False)
 
     def reductions(self) -> dict[str, float | None]:
         """Handoff-count reduction of the learned policy vs each baseline."""
@@ -163,79 +164,69 @@ def train_interface_models(cfg: HarnessConfig):
     return models, accuracy
 
 
-@dataclass(frozen=True)
-class RunFeatures:
-    """Per-epoch features of a block of B equal-length runs that no policy
-    action can change: probing is multi-homed and always on, so every
-    interface is observed (and filtered) whichever one is attached.
+def joint_rows(observations: np.ndarray, models, qoe_maps, n_states: int) -> np.ndarray:
+    """The Q-table rows of a block of B equal-length runs, from its delays
+    on axes (run, interface, epoch), as `RunBlock.delays_s` holds them.
 
-    `observations[b, i, t]` is interface i's epoch-t probe RTT: every
-    lossless probe of an epoch carries that epoch's delay sample.
-    `joint_base[b, t]` is the Q-table row for the QoE bands predicted
-    after epoch t with interface 0 attached; add the attached interface's
-    index for its row. `rnl[b][t]` holds each interface's load estimate
-    after epoch t, None while the estimator warms up.
+    Probing is multi-homed and always on, so every interface is observed
+    (and filtered) whichever one is attached: each epoch's probe RTT is
+    that epoch's delay sample. Each interface's beliefs come from one
+    batched `forward_filter` call under its model; its predicted band is
+    its `qoe_maps` entry of `predict_next_states` (the MAP state of the
+    one-step-ahead belief). Entry [b, t] folds the bands predicted after
+    epoch t row-major, as `JointState.index` folds them, with interface 0
+    attached; add the attached interface's index for its row.
     """
+    n_runs, n_if, duration = observations.shape
+    rows = np.zeros((n_runs, duration), dtype=int)
+    for i, (model, qmap) in enumerate(zip(models, qoe_maps)):
+        beliefs, _ = forward_filter(model, observations[:, i])
+        predicted = predict_next_states(model, beliefs) - 1
+        rows = rows * n_states + np.asarray(qmap)[predicted] - 1
+    return rows * n_if
 
-    observations: np.ndarray
-    joint_base: np.ndarray | None = None
-    rnl: list | None = None
 
-
-def run_features(observations: np.ndarray, models=None, qoe_maps=None,
-                 n_states: int = 0, with_rnl: bool = False) -> RunFeatures:
-    """Compute a block's action-independent features in one pass, from its
-    delays on axes (run, interface, epoch), as `RunBlock.delays_s` holds them.
-
-    With `models` (one HMM per interface, and its state -> QoE band map)
-    each interface's beliefs come from one batched `forward_filter` call;
-    the predicted band is the map of `predict_next_states` (the MAP state
-    of the one-step-ahead belief), folded row-major into `joint_base` as
-    `JointState.index` folds it. `with_rnl` adds the load-metric series of the m4 baseline.
-    """
-    n_runs, n_if, _ = observations.shape
-    joint_base = rnl = None
-    if models is not None:
-        joint_base = np.zeros((n_runs, observations.shape[2]), dtype=int)
-        for i, (model, qmap) in enumerate(zip(models, qoe_maps)):
-            beliefs, _ = forward_filter(model, observations[:, i])
-            predicted = predict_next_states(model, beliefs) - 1
-            joint_base = joint_base * n_states + np.asarray(qmap)[predicted] - 1
-        joint_base *= n_if
-    if with_rnl:
-        rnl = []
-        for run_obs in observations.tolist():
-            estimators = [RnlEstimator() for _ in range(n_if)]
-            series = []
-            for epoch_obs in zip(*run_obs):
-                for est, rtt in zip(estimators, epoch_obs):
-                    est.update(rtt)
-                series.append([est.rnl if est.initialized else None
+def rnl_series(observations: np.ndarray) -> list:
+    """The m4 baseline's load series of a block of runs, from its delays on
+    axes (run, interface, epoch): entry [b][t] holds each interface's load
+    estimate after epoch t, None while its estimator warms up."""
+    series = []
+    for run_obs in observations.tolist():
+        estimators = [RnlEstimator() for _ in run_obs]
+        run_series = []
+        for epoch_obs in zip(*run_obs):
+            for est, rtt in zip(estimators, epoch_obs):
+                est.update(rtt)
+            run_series.append([est.rnl if est.initialized else None
                                for est in estimators])
-            rnl.append(series)
-    return RunFeatures(observations, joint_base, rnl)
+        series.append(run_series)
+    return series
 
 
-def account(cfg: HarnessConfig, run: SimRun, path: list[int]) -> PolicyResult:
-    """Handoffs, realized MOS and rewards of one run driven along `path`.
+def account(cfg: HarnessConfig, mos: np.ndarray, paths) -> PolicyResult:
+    """Handoffs, realized MOS and rewards of a block of runs, with MOS on
+    axes (run, interface, epoch), driven along `paths` (run, epoch).
 
-    Epoch t > 0 is a handoff when `path[t] != path[t-1]`: it pays the MOS
-    penalty (floored at 1.0) and the handoff cost, any other epoch the
-    minimum cost. The sums run in epoch order, as a per-epoch loop adds
-    them, so they do not depend on NumPy's summation order.
+    Epoch t > 0 is a handoff when `paths[b, t] != paths[b, t-1]`: it pays
+    the MOS penalty (floored at 1.0) and the handoff cost, any other epoch
+    the minimum cost. Each run's sums run in epoch order and the runs are
+    added in run order, as a per-epoch loop adds them, so the totals do
+    not depend on NumPy's summation order.
     """
     rc = cfg.reward_cfg
-    mos = np.asarray(run.mos)[path, np.arange(run.duration)]
-    handoff = np.diff(path, prepend=path[0]) != 0
-    realized = np.where(handoff,
-                        np.maximum(mos - cfg.scenario.handoff_penalty_mos, 1.0), mos)
+    paths = np.asarray(paths)
+    attached = np.take_along_axis(mos, paths[:, None, :], axis=1)[:, 0]
+    handoff = np.diff(paths, axis=1, prepend=paths[:, :1]) != 0
+    realized = np.where(handoff, np.maximum(
+        attached - cfg.scenario.handoff_penalty_mos, 1.0), attached)
     rewards = reward(realized, np.where(handoff, rc.handoff_cost, rc.cost_min), rc)
     mos_sum = reward_sum = 0.0
-    for m, r in zip(realized.tolist(), rewards.tolist()):
+    for m, r in zip(np.cumsum(realized, axis=1)[:, -1].tolist(),
+                    np.cumsum(rewards, axis=1)[:, -1].tolist()):
         mos_sum += m
         reward_sum += r
     return PolicyResult(handoff_count=int(handoff.sum()), mos_sum=mos_sum,
-                        mos_epochs=run.duration, reward_sum=reward_sum, paths=[path])
+                        reward_sum=reward_sum, paths=paths)
 
 
 def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
@@ -252,8 +243,8 @@ def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
     episodes = range(_TRAIN_RUN_OFFSET, _TRAIN_RUN_OFFSET + cfg.training_episodes)
     for block in run_blocks(scenario, episodes):
         # Axes (run, epoch t - 1, attachment c, action a).
-        base = run_features(block.delays_s, models, qoe_maps, qtable.n_states) \
-            .joint_base[:, :, None, None]
+        base = joint_rows(block.delays_s, models, qoe_maps,
+                          qtable.n_states)[:, :, None, None]
         pairs = (base[:, :-1] + attached) * n_if + action
         moves += np.bincount((pairs * n_rows + base[:, 1:] + action).ravel(),
                              minlength=moves.size).reshape(moves.shape)
@@ -274,8 +265,7 @@ def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
 def run_q_policy(joint_base: np.ndarray, greedy: list[int]) -> list[int]:
     """Drive one run with the Q-agent and return its attachment path: each
     epoch it takes `greedy[row]`, the greedy action (`exploit_action`) of
-    its Q-table row; `joint_base` is the run's row of
-    `RunFeatures.joint_base`."""
+    its Q-table row; `joint_base` is the run's row of `joint_rows`."""
     current, path = 0, [0]
     for base in joint_base[:-1].tolist():
         current = greedy[base + current]
@@ -283,38 +273,27 @@ def run_q_policy(joint_base: np.ndarray, greedy: list[int]) -> list[int]:
     return path
 
 
-def _baseline_path(cfg: HarnessConfig, run: SimRun, kind: str,
+def _baseline_path(cfg: HarnessConfig, kind: str, states: np.ndarray,
                    observations: np.ndarray, rnl) -> list[int]:
     """Drive one run with a baseline and return its attachment path;
-    `observations` and `rnl` are the run's entries of its block's
-    `RunFeatures`."""
+    `states` and `observations` are the run's rows of its block, on axes
+    (interface, epoch), and `rnl` its entry of `rnl_series` (m4 only)."""
     if kind == "best":
         # Every run starts attached to interface 0, whatever the oracle's
         # first pick; a move off it counts from epoch 1.
-        return [0] + oracle_policy([run.states[i] for i in range(run.n_interfaces)],
-                                   start=0)[1:]
+        return [0] + oracle_policy(list(states), start=0)[1:]
     if kind == "naive":
         # Delay-only weighted-QoS scoring on the latest measurements.
         owds = (observations.T / 2.0).tolist()
-    elif kind != "m4":
-        raise DomainError(f"unknown baseline {kind!r}")
     current = 0
     path = [current]
-    for t in range(1, run.duration):
+    for t in range(1, observations.shape[1]):
         if kind == "naive":
             current = naive_policy_step(owds[t - 1], current)
         else:
             current = m4_policy_step(rnl[t - 1], current, cfg.m4_margin_s)
         path.append(current)
     return path
-
-
-def _merge(into: PolicyResult, part: PolicyResult) -> None:
-    into.handoff_count += part.handoff_count
-    into.mos_sum += part.mos_sum
-    into.mos_epochs += part.mos_epochs
-    into.reward_sum += part.reward_sum
-    into.paths.extend(part.paths)
 
 
 def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
@@ -327,31 +306,28 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
     scenario = cfg.scenario
     if scenario.kind == ROAMING and len(scenario.channels) < 2:
         raise DomainError("policy comparison needs at least two interfaces")
-    eval_block = generate_runs(scenario, range(scenario.runs))
+    # All policies share one block of evaluation runs.
+    block = generate_runs(scenario, range(scenario.runs))
+    rnl = rnl_series(block.delays_s) if "m4" in cfg.policies_enabled \
+        else [None] * scenario.runs
 
-    results = {name: PolicyResult() for name in cfg.policies_enabled}
+    results = {}
     accuracy: dict[str, float] = {}
-    n_states = scenario.scheme.state_count
-    models = qoe_maps = qtable = greedy = None
-    if "proposed" in cfg.policies_enabled:
-        models, accuracy = train_interface_models(cfg)
-        qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
-                                     scenario.scheme)
-                    for m, ch in zip(models, scenario.channels)]
-        qtable = fit_q_table(cfg, models, qoe_maps)
-        greedy = [exploit_action(qtable, s) for s in range(len(qtable.values))]
-
-    # All policies share one feature block over the evaluation runs.
-    features = run_features(eval_block.delays_s, models, qoe_maps, n_states,
-                            with_rnl="m4" in cfg.policies_enabled)
-    for b, run in enumerate(eval_block.runs):
-        for name in cfg.policies_enabled:
-            if name == "proposed":
-                path = run_q_policy(features.joint_base[b], greedy)
-            else:
-                path = _baseline_path(cfg, run, name, features.observations[b],
-                                      features.rnl[b] if features.rnl else None)
-            _merge(results[name], account(cfg, run, path))
+    qtable = None
+    for name in cfg.policies_enabled:
+        if name == "proposed":
+            models, accuracy = train_interface_models(cfg)
+            qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
+                                         scenario.scheme)
+                        for m, ch in zip(models, scenario.channels)]
+            qtable = fit_q_table(cfg, models, qoe_maps)
+            greedy = [exploit_action(qtable, s) for s in range(len(qtable.values))]
+            paths = [run_q_policy(rows, greedy) for rows in joint_rows(
+                block.delays_s, models, qoe_maps, scenario.scheme.state_count)]
+        else:
+            paths = [_baseline_path(cfg, name, *run) for run in
+                     zip(block.states, block.delays_s, rnl)]
+        results[name] = account(cfg, block.mos, paths)
 
     metadata = {
         "scenario": scenario.kind,
@@ -362,7 +338,7 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
         "training_episodes": cfg.training_episodes if qtable is not None else 0,
     }
     return EvaluationReport(policies=results, prediction_accuracy=accuracy,
-                            metadata=metadata, runs=list(eval_block.runs))
+                            metadata=metadata, mos=block.mos)
 
 
 # The [scenario], [qlearn] and [harness] keys; [reward] sets the fields of
@@ -454,6 +430,9 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
     hmm_states = tuple(int(x) for x in ha.get("hmm_states", "").split(",") if x.strip())
     if not hmm_states and kind == "roaming":
         hmm_states = (2, 3)
+    em_seed = int(ha.get("em_seed", 0))
+    if em_seed < 0:
+        raise DomainError("em_seed must be >= 0")
     return HarnessConfig(
         scenario=scenario, reward_cfg=reward_cfg,
         gamma=parser.getfloat("qlearn", "gamma", fallback=0.95),
@@ -462,7 +441,7 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
         training_episodes=int(ha.get("training_episodes", 150)),
         hmm_training_runs=int(ha.get("hmm_training_runs", 10)),
         hmm_states=hmm_states,
-        em=EmConfig(seed=int(ha.get("em_seed", 0))),
+        em=EmConfig(seed=em_seed),
     )
 
 

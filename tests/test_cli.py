@@ -312,18 +312,18 @@ class TestComparePolicies:
         lines = (out / "timeline.csv").read_text().splitlines()
         assert lines[0].startswith("policy,run,epoch,mos_WLAN,mos_CDMA2000")
         assert len(lines) == 1 + 4 * 2 * 40  # policies x runs x epochs
-        # Row by row from the report's evaluation runs and paths.
+        # Row by row from the report's evaluation MOS and paths.
         report = harness.run_comparison(harness.load_config(cfg))
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["policy", "run", "epoch", "mos_WLAN", "mos_CDMA2000",
                          "chosen_interface", "cumulative_handoffs"])
         for name, result in report.policies.items():
-            for r, path in enumerate(result.paths):
-                run = report.runs[r]
-                for t in range(run.duration):
+            for r, path in enumerate(result.paths.tolist()):
+                mos = report.mos[r]
+                for t in range(len(path)):
                     writer.writerow([name, r, t]
-                                    + [format(float(m[t]), ".9g") for m in run.mos]
+                                    + [format(float(m[t]), ".9g") for m in mos]
                                     + [path[t], count_handoffs(path[:t + 1])])
         assert (out / "timeline.csv").read_text() == expected.getvalue()
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from qoehandoff.errors import DomainError
-from qoehandoff.harness import run_features
+from qoehandoff.harness import rnl_series
 from qoehandoff.netsim import (MIN_DELAY_S, ROAMING, ChannelModel,
                                ScenarioConfig, _sample_chains,
                                congestion_scenario, congestion_wlan_g711_model,
                                generate_run, generate_runs,
                                roaming_cdma_g729_model, roaming_scenario,
                                roaming_wlan_g729_model, step_environment)
+from qoehandoff.probing import RnlEstimator
 from qoehandoff.qoe_model import quantize_mos
 from test_qoe_model import reference_band, reference_mos
 
@@ -206,14 +207,19 @@ class TestStepEnvironment:
 
     def test_probes_cover_all_interfaces(self):
         # Probing is multi-homed and always on: every epoch observes every
-        # interface, and a lossless probe carries the epoch's delay sample.
+        # interface, and a lossless probe carries the epoch's delay sample,
+        # so each interface's load estimate follows its own delays.
         cfg = roaming_scenario(seed=5, runs=1, duration_epochs=30)
         block = generate_runs(cfg, [0])
         (run,) = block.runs
-        observations = run_features(block.delays_s).observations[0]
-        assert observations.shape == (run.n_interfaces, run.duration)
+        (series,) = rnl_series(block.delays_s)
+        assert len(series) == run.duration
         for i in range(run.n_interfaces):
-            assert observations[i].tolist() == run.delays_s[i].tolist()
+            estimator = RnlEstimator()
+            for t, delay in enumerate(run.delays_s[i].tolist()):
+                estimator.update(delay)
+                assert series[t][i] == \
+                    (estimator.rnl if estimator.initialized else None)
 
     def test_bounds_checked(self):
         run = self.make_run()
