@@ -70,10 +70,9 @@ def cmd_simulate(args) -> int:
         for block in netsim.run_blocks(scenario,
                                        sorted(range(scenario.runs), key=_run_id)):
             traces = []
-            for run, sums in zip(block.runs, block.mos.sum(axis=2)):
-                traces += trace_io.traces_from_run(run, labels,
-                                                   run_id=_run_id(run.run_index))
-                run_mos_sums[run.run_index] = sums
+            for r, delays, mos in zip(block.run_indices, block.delays_s, block.mos):
+                traces += trace_io.traces_from_run(delays, mos, labels, _run_id(r))
+            run_mos_sums[list(block.run_indices)] = block.mos.sum(axis=2)
             fh.write(trace_io.write_traces(traces, header=False))
     mos_sums = np.zeros(len(labels))
     for sums in run_mos_sums:
@@ -125,7 +124,9 @@ def cmd_train_hmm(args) -> int:
     (model, report), scores = cross_validate_folds(dataset, args.folds, args.states,
                                                    scheme, config, groups=run_ids)
     for i, (c, t) in enumerate(scores):
-        print(f"fold {i + 1}: accuracy {c / t:.4f} ({c}/{t})")
+        # A fold whose held-out traces hold one sample each scores nothing.
+        accuracy = f"{c / t:.4f}" if t else "n/a"
+        print(f"fold {i + 1}: accuracy {accuracy} ({c}/{t})")
     total_c = sum(c for c, _ in scores)
     total_t = sum(t for _, t in scores)
     print(f"mean accuracy: {total_c / total_t:.4f}")

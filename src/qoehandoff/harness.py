@@ -48,7 +48,7 @@ class HarnessConfig:
     policies_enabled: tuple[str, ...]
     training_episodes: int
     hmm_training_runs: int
-    hmm_states: tuple[int, ...]   # () fits the scheme's state count
+    hmm_states: tuple[int, ...]
     em: EmConfig
 
     def __post_init__(self):
@@ -61,7 +61,7 @@ class HarnessConfig:
                     if self.policies_enabled.count(p) > 1}
         if repeated:
             raise DomainError(f"policies listed twice: {sorted(repeated)}")
-        if self.hmm_states and len(self.hmm_states) != len(self.scenario.channels):
+        if len(self.hmm_states) != len(self.scenario.channels):
             raise DomainError("hmm_states must give one state count per interface")
         if any(k < 1 for k in self.hmm_states):
             raise DomainError("hmm_states must be >= 1")
@@ -151,7 +151,7 @@ def train_interface_models(cfg: HarnessConfig):
     models = []
     accuracy = {}
     for i, channel in enumerate(scenario.channels):
-        k = cfg.hmm_states[i] if cfg.hmm_states else scenario.scheme.state_count
+        k = cfg.hmm_states[i]
         dataset = list(zip(block.delays_s[:, i], block.mos[:, i]))
         if len(dataset) >= 2:
             (model, _), scores = cross_validate_folds(dataset, 2, k, scenario.scheme,
@@ -428,8 +428,8 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
     policies = tuple(p.strip() for p in
                      ha.get("policies", ",".join(ALL_POLICIES)).split(",") if p.strip())
     hmm_states = tuple(int(x) for x in ha.get("hmm_states", "").split(",") if x.strip())
-    if not hmm_states and kind == "roaming":
-        hmm_states = (2, 3)
+    if not hmm_states:
+        hmm_states = (2, 3) if kind == "roaming" else (scenario.scheme.state_count,)
     em_seed = int(ha.get("em_seed", 0))
     if em_seed < 0:
         raise DomainError("em_seed must be >= 0")

@@ -206,13 +206,6 @@ def _lockstep_em(seqs, starts, cfg: EmConfig):
             for j in range(n)]
 
 
-def _run_em(seqs, means, variances, prior, tm, cfg: EmConfig):
-    """One EM run from the given starting point. Returns (ll_history, best,
-    converged, iterations) as `_lockstep_em` does for one start."""
-    return _lockstep_em(seqs, [(0, range(len(seqs)), means, variances, prior, tm)],
-                        cfg)[0]
-
-
 def _restart_starts(seqs, k: int, config: EmConfig) -> list:
     """Starting (means, variances, prior, tm) of every restart of one fit,
     drawn in restart order from a generator seeded with `config.seed`."""

@@ -19,6 +19,8 @@ class GaussianEmission:
     variance: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.mean) and np.isfinite(self.variance)):
+            raise DomainError("emission mean and variance must be finite")
         if self.variance < VARIANCE_FLOOR:
             raise DomainError(f"variance below floor {VARIANCE_FLOOR}")
 
@@ -44,6 +46,8 @@ class HmmModel:
         n = len(self.emissions)
         if prior.shape != (n,) or tm.shape != (n, n):
             raise DomainError("prior/transition shapes do not match state count")
+        if not (np.isfinite(prior).all() and np.isfinite(tm).all()):
+            raise DomainError("prior and transitions must be finite")
         if abs(prior.sum() - 1.0) > PROB_TOL or (prior < 0).any():
             raise DomainError("prior is not a probability vector")
         if (tm < 0).any() or np.abs(tm.sum(axis=1) - 1.0).max() > PROB_TOL:

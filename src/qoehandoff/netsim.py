@@ -79,17 +79,15 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class SimRun:
     """One generated run: raw delay samples, true MOS and true QoE states,
-    all per interface and of equal length."""
+    each on axes (interface, epoch)."""
 
-    run_index: int
-    seed: int
-    delays_s: tuple[np.ndarray, ...]      # raw samples, RTT or OWD per channel
-    mos: tuple[np.ndarray, ...]
-    states: tuple[np.ndarray, ...]        # quantized from true MOS, 1-based
+    delays_s: np.ndarray      # raw samples, RTT or OWD per channel
+    mos: np.ndarray
+    states: np.ndarray        # quantized from true MOS, 1-based
 
     @property
     def duration(self) -> int:
-        return len(self.delays_s[0])
+        return self.delays_s.shape[1]
 
     @property
     def n_interfaces(self) -> int:
@@ -112,12 +110,12 @@ BLOCK_RUNS = 16
 @dataclass(frozen=True)
 class RunBlock:
     """Runs generated in one pass, stacked on axes (run, interface, epoch);
-    `runs[b]` is row b as a `SimRun` whose arrays are views of these."""
+    row b is run `run_indices[b]`."""
 
+    run_indices: tuple[int, ...]
     delays_s: np.ndarray
     mos: np.ndarray
     states: np.ndarray
-    runs: tuple[SimRun, ...]
 
 
 def _uniforms(rngs, horizon: int) -> np.ndarray:
@@ -150,7 +148,7 @@ def generate_runs(cfg: ScenarioConfig, run_indices) -> RunBlock:
     """Generate a block of runs in one pass. Each run draws from its own
     streams, one per (cfg.seed, run index, channel) and one for its
     coverage regime, so a run is the same in any block."""
-    indices = list(run_indices)
+    indices = tuple(run_indices)
     shape = (len(indices), len(cfg.channels), cfg.duration_epochs)
     regime = None
     if cfg.kind == ROAMING:
@@ -177,11 +175,8 @@ def generate_runs(cfg: ScenarioConfig, run_indices) -> RunBlock:
         owd[:, ci] = delays[:, ci] / 2.0 if channel.delay_is_rtt else delays[:, ci]
         loss[:, ci] = np.asarray(channel.loss_per_state)[hidden]
     mos = mos_from_delay(owd, loss, cfg.codec)
-    states = quantize_mos(mos, cfg.scheme)
-    runs = tuple(SimRun(run_index=r, seed=cfg.seed, delays_s=tuple(delays[b]),
-                        mos=tuple(mos[b]), states=tuple(states[b]))
-                 for b, r in enumerate(indices))
-    return RunBlock(delays_s=delays, mos=mos, states=states, runs=runs)
+    return RunBlock(run_indices=indices, delays_s=delays, mos=mos,
+                    states=quantize_mos(mos, cfg.scheme))
 
 
 def run_blocks(cfg: ScenarioConfig, run_indices):
@@ -192,8 +187,10 @@ def run_blocks(cfg: ScenarioConfig, run_indices):
 
 
 def generate_run(cfg: ScenarioConfig, run_index: int) -> SimRun:
-    """Generate one run, fully determined by (cfg.seed, run_index)."""
-    return generate_runs(cfg, [run_index]).runs[0]
+    """Generate one run, fully determined by (cfg.seed, run_index): row 0
+    of a one-run block."""
+    block = generate_runs(cfg, [run_index])
+    return SimRun(block.delays_s[0], block.mos[0], block.states[0])
 
 
 def step_environment(run: SimRun, epoch: int, current: int, action: int,

@@ -14,7 +14,6 @@ computes; the Q-table functions take that row index.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -215,31 +214,6 @@ def oracle_policy(per_interface_states, start: int | None = None) -> list[int]:
         path.append(choice[t][path[-1]])
     path.reverse()
     return path
-
-
-def count_handoffs(path, start: int | None = None) -> int:
-    switches = sum(1 for a, b in zip(path, path[1:]) if a != b)
-    if start is not None and path and path[0] != start:
-        switches += 1
-    return switches
-
-
-def exhaustive_min_handoffs(per_interface_states, start: int | None = None) -> int:
-    """Brute-force reference for `oracle_policy` on short traces."""
-    states = [list(s) for s in per_interface_states]
-    n_if = len(states)
-    horizon = len(states[0])
-    best_sets = [
-        [i for i in range(n_if)
-         if states[i][t] == max(states[j][t] for j in range(n_if))]
-        for t in range(horizon)
-    ]
-    best = None
-    for combo in itertools.product(*best_sets):
-        c = count_handoffs(combo, start)
-        if best is None or c < best:
-            best = c
-    return best
 
 
 def q_iteration(rewards: np.ndarray, transitions: np.ndarray, gamma: float,

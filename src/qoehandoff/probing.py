@@ -1,17 +1,13 @@
-"""Passive probe bookkeeping: per-epoch RTT aggregation, lost-probe
-imputation, signaling overhead, and the smoothed load metric (EWMA of RTT
-plus weighted EWMA of RTT jitter) used by the load-based baseline policy.
+"""Passive probe bookkeeping: per-epoch RTT aggregation, signaling
+overhead, and the smoothed load metric (EWMA of RTT plus weighted EWMA of
+RTT jitter) used by the load-based baseline policy.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-
-THRESHOLD_CLAMP = "threshold_clamp"
-CARRY_FORWARD = "carry_forward"
 
 
 @dataclass(frozen=True)
@@ -19,27 +15,12 @@ class ProbeConfig:
     probes_per_second: int = 5
     ba_packet_bytes: int = 24
     late_threshold_s: float = 0.650
-    imputation: str = THRESHOLD_CLAMP
 
     def __post_init__(self):
         if self.probes_per_second < 1:
             raise DomainError("probes_per_second must be >= 1")
         if self.ba_packet_bytes <= 0:
             raise DomainError("ba_packet_bytes must be > 0")
-        if self.imputation not in (THRESHOLD_CLAMP, CARRY_FORWARD):
-            raise DomainError(f"unknown imputation mode {self.imputation!r}")
-
-
-@dataclass(frozen=True)
-class ProbeRecord:
-    epoch_t: int
-    interface: int
-    rtt_s: float
-    imputed: bool = False
-
-    def __post_init__(self):
-        if self.rtt_s <= 0:
-            raise DomainError("rtt_s must be > 0")
 
 
 def signaling_overhead_bps(config: ProbeConfig) -> int:
@@ -47,22 +28,16 @@ def signaling_overhead_bps(config: ProbeConfig) -> int:
     return config.probes_per_second * config.ba_packet_bytes * 8
 
 
-def aggregate_epoch(records, config: ProbeConfig,
-                    previous_rtt_s: float | None = None) -> tuple[float, bool]:
-    """Reduce one epoch's received probes to a single RTT.
+def aggregate_epoch(rtts, config: ProbeConfig) -> tuple[float, bool]:
+    """Reduce one epoch's received probe RTTs to a single RTT.
 
-    Returns (rtt_s, imputed). With zero received probes the value is imputed:
-    the lateness threshold under ``threshold_clamp``, the previous epoch's
-    value under ``carry_forward``.
+    Returns (rtt_s, imputed): the mean RTT, or the lateness threshold,
+    imputed, when no probe arrived.
     """
-    rtts = [r.rtt_s for r in records]
+    rtts = list(rtts)
     if rtts:
         return sum(rtts) / len(rtts), False
-    if config.imputation == THRESHOLD_CLAMP:
-        return config.late_threshold_s, True
-    if previous_rtt_s is None:
-        raise DomainError("carry_forward imputation needs a previous epoch value")
-    return previous_rtt_s, True
+    return config.late_threshold_s, True
 
 
 @dataclass
@@ -115,10 +90,3 @@ class RnlEstimator:
         self.last_rtt = rtt_s
         self.count += 1
         return self.rnl
-
-
-def rnl_update(est: RnlEstimator, rtt_s: float) -> tuple[RnlEstimator, float]:
-    """Pure-style wrapper: returns an updated copy and the new load value."""
-    est = copy.copy(est)
-    rnl = est.update(rtt_s)
-    return est, rnl

@@ -187,8 +187,9 @@ def write_traces(traces, header: bool = True) -> str:
     return "".join(blocks)
 
 
-def traces_from_run(run, labels, run_id: str) -> list[DelayTrace]:
-    """Package a simulated run's per-interface delays and MOS as traces."""
-    epochs = np.arange(run.duration)
-    return [DelayTrace(run_id, label, epochs, run.delays_s[i], run.mos[i])
-            for i, label in enumerate(labels)]
+def traces_from_run(delays_s, mos, labels, run_id: str) -> list[DelayTrace]:
+    """Package one simulated run's delays and MOS, each on axes (interface,
+    epoch) as a row of a `RunBlock` holds them, as one trace per interface."""
+    epochs = np.arange(delays_s.shape[1])
+    return [DelayTrace(run_id, label, epochs, d, m)
+            for label, d, m in zip(labels, delays_s, mos)]

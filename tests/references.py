@@ -1,0 +1,167 @@
+"""Plain-Python references the tests check the package against: the
+per-sample MOS chain, per-run stepwise generation, per-sequence scaled
+filtering and forward-backward, one-start EM, the pure load update and
+brute-force minimal handoffs. Nothing the commands run lives here."""
+
+import bisect
+import copy
+import itertools
+
+import numpy as np
+
+from qoehandoff.hmm.em import _lockstep_em
+from qoehandoff.hmm.inference import predict_belief
+from qoehandoff.netsim import MIN_DELAY_S, ROAMING
+from qoehandoff.qoe_model import DELAY_KNEE_S, MOS_MAX, MOS_MIN, R0
+
+
+def reference_mos(owd_s, loss_fraction, codec):
+    """The MOS chain for one sample, in Python floats with min/max clamps."""
+    d_ms = owd_s * 1000.0
+    delay_impairment = 0.024 * d_ms
+    if owd_s > DELAY_KNEE_S:
+        delay_impairment += 0.11 * (d_ms - DELAY_KNEE_S * 1000.0)
+    ie = codec.equipment_impairment
+    loss_impairment = ie + (95.0 - ie) * loss_fraction / (loss_fraction
+                                                         + codec.loss_robustness)
+    r = min(max(R0 - delay_impairment - loss_impairment, 0.0), 100.0)
+    mos = 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r)
+    return min(max(mos, MOS_MIN), MOS_MAX)
+
+
+def reference_band(mos, scheme):
+    """The band of one MOS value by `bisect_right` over the boundaries."""
+    return bisect.bisect_right(scheme.boundaries, min(max(mos, MOS_MIN), MOS_MAX)) + 1
+
+
+def sample_chain(model, horizon, rng):
+    """A state path drawn with one `rng.choice` per step, and its Gaussian
+    observations."""
+    states = np.empty(horizon, dtype=int)
+    states[0] = rng.choice(model.n_states, p=model.prior)
+    for t in range(1, horizon):
+        states[t] = rng.choice(model.n_states, p=model.transitions[states[t - 1]])
+    obs = rng.normal(model.means()[states], np.sqrt(model.variances()[states]))
+    return states, obs
+
+
+def reference_run(cfg, run_index):
+    """`generate_run` step by step: one `rng.choice` per chain step, one
+    regime flip per epoch, and the MOS chain and band of each sample."""
+    horizon = cfg.duration_epochs
+    regime = None
+    if cfg.kind == ROAMING:
+        rng = np.random.default_rng([cfg.seed, run_index, 0xFF])
+        flips = rng.random(horizon) < 1.0 / cfg.dwell_mean_epochs
+        regime = [0]
+        for t in range(1, horizon):
+            regime.append(1 - regime[-1] if flips[t] else regime[-1])
+    columns = []
+    for ci, channel in enumerate(cfg.channels):
+        rng = np.random.default_rng([cfg.seed, run_index, ci])
+        gen = channel.generator
+        if regime is not None and channel.regime_states is not None:
+            dominant, recessive = channel.regime_states
+            hidden = [dominant - 1 if r == ci else recessive - 1 for r in regime]
+        else:
+            hidden = [int(rng.choice(gen.n_states, p=gen.prior))]
+            for t in range(1, horizon):
+                hidden.append(int(rng.choice(gen.n_states,
+                                             p=gen.transitions[hidden[-1]])))
+        hidden = np.array(hidden)
+        delay = np.clip(rng.normal(gen.means()[hidden],
+                                   np.sqrt(gen.variances()[hidden])),
+                        MIN_DELAY_S, None)
+        owd = delay / 2.0 if channel.delay_is_rtt else delay
+        mos = [reference_mos(o, channel.loss_per_state[h], cfg.codec)
+               for o, h in zip(owd.tolist(), hidden.tolist())]
+        columns.append((delay.tolist(), mos,
+                        [reference_band(m, cfg.scheme) for m in mos]))
+    return columns
+
+
+def reference_forward(flp, prior, tm):
+    """Per-sequence scaled forward recursion, one frame at a time."""
+    T, n = flp.shape
+    filtered = np.empty((T, n))
+    loglik = 0.0
+    pred = prior
+    for t in range(T):
+        m = flp[t].max()
+        a = pred * np.exp(flp[t] - m)
+        filtered[t] = a / a.sum()
+        loglik += np.log(a.sum()) + m
+        pred = filtered[t] @ tm
+    return filtered, loglik
+
+
+def filter_step(model, belief, observation):
+    """One frame of `reference_forward` for one interface's belief;
+    `belief` None starts from the prior."""
+    flp = model.frame_log_likelihood(np.array([observation]))
+    pred = model.prior if belief is None else predict_belief(model, belief)
+    return reference_forward(flp, pred, model.transitions)[0][0]
+
+
+def reference_forward_backward(flp, prior, tm):
+    """Per-sequence forward-backward with a per-step outer-product xi sum."""
+    T, n = flp.shape
+    m = flp.max(axis=1)
+    b = np.exp(flp - m[:, None])
+    alpha = np.empty((T, n))
+    scale = np.empty(T)
+    pred = prior
+    for t in range(T):
+        a = pred * b[t]
+        scale[t] = a.sum()
+        alpha[t] = a / scale[t]
+        pred = alpha[t] @ tm
+    beta = np.ones((T, n))
+    xi_sum = np.zeros((n, n))
+    for t in range(T - 2, -1, -1):
+        w = b[t + 1] * beta[t + 1]
+        beta[t] = (tm @ w) / scale[t + 1]
+        xi_sum += np.outer(alpha[t], w) * tm / scale[t + 1]
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return gamma, xi_sum, np.log(scale).sum() + m.sum()
+
+
+def run_em(seqs, means, variances, prior, tm, cfg):
+    """One EM run from the given starting point. Returns (ll_history, best,
+    converged, iterations) as the lock-step EM does for one start."""
+    return _lockstep_em(seqs, [(0, range(len(seqs)), means, variances, prior, tm)],
+                        cfg)[0]
+
+
+def rnl_update(est, rtt_s):
+    """Pure-style load update: an updated copy of the estimator and the new
+    load value; `est` is left as it was."""
+    est = copy.copy(est)
+    rnl = est.update(rtt_s)
+    return est, rnl
+
+
+def count_handoffs(path, start=None):
+    switches = sum(1 for a, b in zip(path, path[1:]) if a != b)
+    if start is not None and path and path[0] != start:
+        switches += 1
+    return switches
+
+
+def exhaustive_min_handoffs(per_interface_states, start=None):
+    """Brute-force reference for `oracle_policy` on short traces."""
+    states = [list(s) for s in per_interface_states]
+    n_if = len(states)
+    horizon = len(states[0])
+    best_sets = [
+        [i for i in range(n_if)
+         if states[i][t] == max(states[j][t] for j in range(n_if))]
+        for t in range(horizon)
+    ]
+    best = None
+    for combo in itertools.product(*best_sets):
+        c = count_handoffs(combo, start)
+        if best is None or c < best:
+            best = c
+    return best

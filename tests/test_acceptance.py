@@ -13,18 +13,17 @@ from qoehandoff.cli import main
 from qoehandoff.harness import default_roaming_harness, run_comparison
 from qoehandoff.hmm import (EmConfig, cross_validate_folds, em_train,
                             forward_filter, prediction_accuracy)
-from qoehandoff.hmm.em import _run_em, state_band_map
+from qoehandoff.hmm.em import state_band_map
 from qoehandoff.hmm.model import GaussianEmission, HmmModel
 from qoehandoff.netsim import (congestion_wlan_g711_model,
                                roaming_cdma_g729_model)
 from qoehandoff.policies import (JointState, QLearningConfig, QTable,
-                                 count_handoffs, exhaustive_min_handoffs,
                                  oracle_policy, q_star, q_update, reward,
                                  value_iteration, RewardConfig)
-from qoehandoff.probing import ProbeConfig, RnlEstimator, rnl_update, \
-    signaling_overhead_bps
+from qoehandoff.probing import ProbeConfig, RnlEstimator, signaling_overhead_bps
 from qoehandoff.qoe_model import G729, ROAMING_SCHEME, mos_from_delay
-from test_hmm_em import sample_chain as _sample_chain
+from references import (count_handoffs, exhaustive_min_handoffs, rnl_update,
+                        run_em as _run_em, sample_chain as _sample_chain)
 
 
 def _verdict(number: int, description: str, ok: bool) -> None:

@@ -1,6 +1,8 @@
 """The per-layer benchmark patches the program's functions by name
 (`perfbench/tracer.py`, `PROBES`); every name it lists must stay bound in
-the module it patches, or a traced benchmark run cannot start."""
+the module it patches, or a traced benchmark run cannot start. And every
+benchmark workload's output checks (`perfbench/run.py`) must pass on
+the program as it is."""
 
 import ast
 import importlib
@@ -8,10 +10,13 @@ import importlib.util
 import itertools
 from pathlib import Path
 
+import pytest
+
 from qoehandoff.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+RUN_PATH = ROOT / "perfbench" / "run.py"
 KEPT_BOUND = "kept bound because perfbench/tracer.py patches"
 
 FAST_CONFIG = """
@@ -108,3 +113,31 @@ def test_traced_comparison_runs_every_hook(tmp_path):
     assert t.calls["hmm.predict_belief"] == 0
     assert t.calls["probing.aggregate_epoch"] == 0
     assert t.counts["netsim.generate_run.repeat_calls"] == 0
+
+
+def load_bench():
+    # `run.py` imports its references as `reference`, from its own folder.
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(RUN_PATH.parent))
+        spec.loader.exec_module(module)
+    return module
+
+
+BENCH = load_bench()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH.WORKLOADS))
+def test_bench_workload_passes_its_checks(name, tmp_path, monkeypatch):
+    # One set-up and one pass of the job, then the checks the benchmark
+    # runs on its last pass.
+    monkeypatch.syspath_prepend(str(RUN_PATH.parent))
+    q = BENCH.Program()
+    wl = BENCH.WORKLOADS[name](0)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    wl.build(q, inputs)
+    _, codes, stdout = BENCH.run_pass(q, wl, tmp_path / "out")
+    assert codes and not any(codes)
+    assert wl.check(q, tmp_path / "out", stdout) == []

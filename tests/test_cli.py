@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, em_train,
 from qoehandoff.netsim import (ScenarioConfig, congestion_scenario,
                                generate_runs, roaming_cdma_g729_model,
                                roaming_scenario)
-from qoehandoff.policies import RewardConfig, count_handoffs
+from qoehandoff.policies import RewardConfig
 from qoehandoff.qoe_model import ROAMING_SCHEME
 from qoehandoff.trace_io import (DelayTrace, read_traces, traces_from_run,
                                  write_traces)
-from test_netsim import reference_run
+from references import count_handoffs, reference_run
 
 FAST_CONFIG = """
 [scenario]
@@ -133,10 +134,11 @@ class TestSimulate:
         cfg = factory(runs=runs, duration_epochs=duration, seed=3)
         labels = [ch.label for ch in cfg.channels]
         traces, mos_sums = [], [0.0] * len(labels)
-        for run in generate_runs(cfg, range(runs)).runs:
-            traces += traces_from_run(run, labels, f"run{run.run_index:03d}")
+        block = generate_runs(cfg, range(runs))
+        for r, delays, mos in zip(block.run_indices, block.delays_s, block.mos):
+            traces += traces_from_run(delays, mos, labels, f"run{r:03d}")
             for i in range(len(labels)):
-                mos_sums[i] += np.sum(run.mos[i])
+                mos_sums[i] += np.sum(mos[i])
         assert (out / "traces.csv").read_bytes() == write_traces(traces).encode()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mean_mos_per_interface"] == \
@@ -166,6 +168,27 @@ class TestTrainHmmAndPredict:
         assert lines[0] == "run_id,interface,epoch,predicted_state"
         # One prediction per sample except the first of each trace.
         assert len(lines) == 1 + 2 * 2 * (20 - 1)
+
+    def test_fold_with_nothing_to_score(self, tmp_path, capsys):
+        # Run r1 holds one sample, so the fold that holds it out makes no
+        # prediction; the other folds and the mean are still scored.
+        rng = np.random.default_rng(3)
+        lines = ["run_id,interface,epoch,rtt_s,mos"]
+        for run, length in (("r0", 30), ("r1", 1), ("r2", 30)):
+            for epoch in range(length):
+                lines.append(f"{run},WLAN,{epoch},{rng.uniform(0.01, 0.6):.9g},"
+                             f"{rng.uniform(1.0, 4.5):.9g}")
+        traces = tmp_path / "traces.csv"
+        traces.write_text("\n".join(lines) + "\n")
+        assert main(["train-hmm", "--traces", str(traces), "--states", "2",
+                     "--folds", "3", "--out", str(tmp_path / "model")]) == 0
+        folds = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("fold ", "mean accuracy"))]
+        assert len(folds) == 4
+        assert folds[1] == "fold 2: accuracy n/a (0/0)"
+        for line in (folds[0], folds[2]):
+            assert line.endswith("/29)") and "n/a" not in line
+        assert re.fullmatch(r"mean accuracy: \d\.\d{4}", folds[3])
 
 
 def reference_predictions(model, traces_text):
@@ -542,6 +565,24 @@ class TestMalformedDocuments:
                                 str(sim_dir / "traces.csv"), "--out", str(tmp_path)],
                                capsys, "model document is not UTF-8 text: "
                                        "'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["prior", "transitions", "mean", "variance"])
+    def test_predict_with_non_finite_model(self, tmp_path, sim_dir, capsys, field,
+                                           value):
+        doc = json.loads(roaming_cdma_g729_model().to_text())
+        if field == "prior":
+            doc["prior"][0] = value
+        elif field == "transitions":
+            doc["transitions"][0][0] = value
+        else:
+            doc["emissions"][0][field] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))  # as NaN or Infinity
+        self.assert_data_error(["predict", "--model", str(model), "--traces",
+                                str(sim_dir / "traces.csv"), "--out", str(tmp_path)],
+                               capsys, "must be finite")
+        assert not (tmp_path / "predictions.csv").exists()
 
     def test_report_with_non_utf8_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

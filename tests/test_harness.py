@@ -24,6 +24,7 @@ from qoehandoff.policies import (JointState, QLearningConfig, QTable,
                                  reward)
 from qoehandoff.probing import RnlEstimator
 from qoehandoff.qoe_model import G711, G729, ROAMING_SCHEME
+from references import filter_step
 
 
 def small_harness(**overrides):
@@ -99,15 +100,6 @@ class TestTrainInterfaceModels:
         assert set(accuracy) == {"WLAN", "CDMA2000"}
         for phi in accuracy.values():
             assert 0.0 <= phi <= 1.0
-
-
-def filter_step(model, belief, observation):
-    """One forward-filter update of one interface's belief, one sample at a
-    time; `belief` None starts from the prior."""
-    flp = model.frame_log_likelihood(np.array([observation]))[0]
-    pred = model.prior if belief is None else predict_belief(model, belief)
-    post = pred * np.exp(flp - flp.max())
-    return post / post.sum()
 
 
 def joint_row(models, beliefs, qoe_maps, current, n_states):
@@ -293,9 +285,9 @@ class TestBlockFeatures:
                                          scenario.scheme)
                         for m, ch in zip(models, scenario.channels)]
             rows = joint_rows(block.delays_s, models, qoe_maps, n_states)
-            for b, run in enumerate(block.runs):
-                joint_base, rnl = reference_features(run, models, qoe_maps,
-                                                     n_states)
+            for b in range(5):
+                joint_base, rnl = reference_features(generate_run(scenario, b),
+                                                     models, qoe_maps, n_states)
                 assert rows[b].tolist() == joint_base
                 assert series[b] == rnl
 
@@ -378,7 +370,8 @@ class TestPolicyLoopsMatchPerEpochReference:
             drawn.values = np.random.default_rng(4).uniform(size=drawn.values.shape)
             for table in (fitted, drawn):
                 greedy = [exploit_action(table, s) for s in range(len(table.values))]
-                for b, run in enumerate(block.runs):
+                for b in range(6):
+                    run = generate_run(scenario, b)
                     path = harness.run_q_policy(rows[b], greedy)
                     expected, totals = reference_q_policy(cfg, run, models,
                                                           qoe_maps, table)
@@ -391,7 +384,8 @@ class TestPolicyLoopsMatchPerEpochReference:
         for cfg in (small_harness(), penalising_harness()):
             block = generate_runs(cfg.scenario, range(6))
             series = rnl_series(block.delays_s)
-            for b, run in enumerate(block.runs):
+            for b in range(6):
+                run = generate_run(cfg.scenario, b)
                 for kind in ("best", "naive", "m4"):
                     path = harness._baseline_path(cfg, kind, block.states[b],
                                                   block.delays_s[b], series[b])
@@ -539,7 +533,7 @@ hmm_states = 2, 3
         # No harness stage reads probe settings, so [probe] is unknown.
         path = tmp_path / "probed.ini"
         path.write_text("[scenario]\nkind = roaming\n[probe]\n"
-                        "probes_per_second = 10\nimputation = carry_forward\n")
+                        "probes_per_second = 10\nlate_threshold_s = 0.5\n")
         with pytest.raises(DomainError) as exc:
             load_config(path)
         assert str(exc.value) == f"config file {path}: unknown config section [probe]"

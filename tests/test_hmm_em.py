@@ -11,18 +11,7 @@ from qoehandoff.hmm.em import (REL_TOL, SCREEN_ITERATIONS, _lockstep_em,
                                _restart_starts, state_band_map)
 from qoehandoff.hmm.model import VARIANCE_FLOOR
 from qoehandoff.qoe_model import CONGESTION_SCHEME, ROAMING_SCHEME, quantize_mos
-from test_hmm_inference import reference_forward_backward
-
-
-def sample_chain(model, horizon, rng):
-    """A state path drawn with one `rng.choice` per step, and its Gaussian
-    observations."""
-    states = np.empty(horizon, dtype=int)
-    states[0] = rng.choice(model.n_states, p=model.prior)
-    for t in range(1, horizon):
-        states[t] = rng.choice(model.n_states, p=model.transitions[states[t - 1]])
-    obs = rng.normal(model.means()[states], np.sqrt(model.variances()[states]))
-    return states, obs
+from references import reference_forward_backward, sample_chain
 
 
 def well_separated_model():
@@ -125,7 +114,7 @@ class TestEmTrain:
 
 def reference_em(seqs, means, variances, prior, tm, cfg):
     """EM one sequence at a time through a per-sequence forward-backward.
-    Returns (ll_history, best, converged, iterations) as `_run_em` does."""
+    Returns (ll_history, best, converged, iterations) as `run_em` does."""
     k = means.size
     history, best, prev = [], None, -np.inf
     for iteration in range(1, cfg.max_iterations + 1):

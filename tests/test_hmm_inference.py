@@ -14,6 +14,7 @@ from qoehandoff.hmm import (GaussianEmission, HmmModel, forward_filter,
 from qoehandoff.hmm import _kernels_py
 from qoehandoff.hmm.em import _Pool, _e_step
 from qoehandoff.hmm.model import VARIANCE_FLOOR
+from references import reference_forward, reference_forward_backward
 
 
 def random_model(rng, n):
@@ -111,45 +112,6 @@ class TestForwardFilterOracle:
         model = random_model(np.random.default_rng(0), 2)
         with pytest.raises(DomainError):
             forward_filter(model, np.zeros((2, 3, 4)))
-
-
-def reference_forward(flp, prior, tm):
-    """Per-sequence scaled forward recursion, one frame at a time."""
-    T, n = flp.shape
-    filtered = np.empty((T, n))
-    loglik = 0.0
-    pred = prior
-    for t in range(T):
-        m = flp[t].max()
-        a = pred * np.exp(flp[t] - m)
-        filtered[t] = a / a.sum()
-        loglik += np.log(a.sum()) + m
-        pred = filtered[t] @ tm
-    return filtered, loglik
-
-
-def reference_forward_backward(flp, prior, tm):
-    """Per-sequence forward-backward with a per-step outer-product xi sum."""
-    T, n = flp.shape
-    m = flp.max(axis=1)
-    b = np.exp(flp - m[:, None])
-    alpha = np.empty((T, n))
-    scale = np.empty(T)
-    pred = prior
-    for t in range(T):
-        a = pred * b[t]
-        scale[t] = a.sum()
-        alpha[t] = a / scale[t]
-        pred = alpha[t] @ tm
-    beta = np.ones((T, n))
-    xi_sum = np.zeros((n, n))
-    for t in range(T - 2, -1, -1):
-        w = b[t + 1] * beta[t + 1]
-        beta[t] = (tm @ w) / scale[t + 1]
-        xi_sum += np.outer(alpha[t], w) * tm / scale[t + 1]
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    return gamma, xi_sum, np.log(scale).sum() + m.sum()
 
 
 def brute_log_evidence(flp, prior, tm):

@@ -5,7 +5,7 @@ import pytest
 
 from qoehandoff.errors import DomainError
 from qoehandoff.harness import rnl_series
-from qoehandoff.netsim import (MIN_DELAY_S, ROAMING, ChannelModel,
+from qoehandoff.netsim import (MIN_DELAY_S, ChannelModel,
                                ScenarioConfig, _sample_chains,
                                congestion_scenario, congestion_wlan_g711_model,
                                generate_run, generate_runs,
@@ -13,7 +13,7 @@ from qoehandoff.netsim import (MIN_DELAY_S, ROAMING, ChannelModel,
                                roaming_wlan_g729_model, step_environment)
 from qoehandoff.probing import RnlEstimator
 from qoehandoff.qoe_model import quantize_mos
-from test_qoe_model import reference_band, reference_mos
+from references import reference_run
 
 
 def stationary_distribution(tm):
@@ -22,41 +22,6 @@ def stationary_distribution(tm):
     idx = np.argmin(np.abs(values - 1.0))
     pi = np.real(vectors[:, idx])
     return pi / pi.sum()
-
-
-def reference_run(cfg, run_index):
-    """`generate_run` step by step: one `rng.choice` per chain step, one
-    regime flip per epoch, and the MOS chain and band of each sample."""
-    horizon = cfg.duration_epochs
-    regime = None
-    if cfg.kind == ROAMING:
-        rng = np.random.default_rng([cfg.seed, run_index, 0xFF])
-        flips = rng.random(horizon) < 1.0 / cfg.dwell_mean_epochs
-        regime = [0]
-        for t in range(1, horizon):
-            regime.append(1 - regime[-1] if flips[t] else regime[-1])
-    columns = []
-    for ci, channel in enumerate(cfg.channels):
-        rng = np.random.default_rng([cfg.seed, run_index, ci])
-        gen = channel.generator
-        if regime is not None and channel.regime_states is not None:
-            dominant, recessive = channel.regime_states
-            hidden = [dominant - 1 if r == ci else recessive - 1 for r in regime]
-        else:
-            hidden = [int(rng.choice(gen.n_states, p=gen.prior))]
-            for t in range(1, horizon):
-                hidden.append(int(rng.choice(gen.n_states,
-                                             p=gen.transitions[hidden[-1]])))
-        hidden = np.array(hidden)
-        delay = np.clip(rng.normal(gen.means()[hidden],
-                                   np.sqrt(gen.variances()[hidden])),
-                        MIN_DELAY_S, None)
-        owd = delay / 2.0 if channel.delay_is_rtt else delay
-        mos = [reference_mos(o, channel.loss_per_state[h], cfg.codec)
-               for o, h in zip(owd.tolist(), hidden.tolist())]
-        columns.append((delay.tolist(), mos,
-                        [reference_band(m, cfg.scheme) for m in mos]))
-    return columns
 
 
 class TestGroundTruthModels:
@@ -156,23 +121,21 @@ class TestGenerateRuns:
         n_if = len(cfg.channels)
         assert block.delays_s.shape == (len(indices), n_if, 30)
         assert block.mos.shape == block.states.shape == block.delays_s.shape
+        assert block.run_indices == tuple(indices)
         for b, r in enumerate(indices):
-            run = block.runs[b]
-            assert (run.run_index, run.seed) == (r, cfg.seed)
             for i, (delay, mos, state) in enumerate(reference_run(cfg, r)):
                 assert block.delays_s[b, i].tolist() == delay
                 assert block.mos[b, i].tolist() == mos
                 assert block.states[b, i].tolist() == state
             alone = generate_run(cfg, r)
             for name in ("delays_s", "mos", "states"):
-                for got, want in zip(getattr(run, name), getattr(alone, name)):
-                    assert got.tolist() == want.tolist()
+                assert getattr(block, name)[b].tolist() == getattr(alone, name).tolist()
 
     @pytest.mark.parametrize("make", [roaming_scenario, congestion_scenario])
     def test_empty_block(self, make):
         cfg = make(duration_epochs=12)
         block = generate_runs(cfg, [])
-        assert block.runs == ()
+        assert block.run_indices == ()
         for array in (block.delays_s, block.mos, block.states):
             assert array.shape == (0, len(cfg.channels), 12)
 
@@ -211,12 +174,11 @@ class TestStepEnvironment:
         # so each interface's load estimate follows its own delays.
         cfg = roaming_scenario(seed=5, runs=1, duration_epochs=30)
         block = generate_runs(cfg, [0])
-        (run,) = block.runs
         (series,) = rnl_series(block.delays_s)
-        assert len(series) == run.duration
-        for i in range(run.n_interfaces):
+        assert len(series) == cfg.duration_epochs
+        for i, delays in enumerate(block.delays_s[0]):
             estimator = RnlEstimator()
-            for t, delay in enumerate(run.delays_s[i].tolist()):
+            for t, delay in enumerate(delays.tolist()):
                 estimator.update(delay)
                 assert series[t][i] == \
                     (estimator.rnl if estimator.initialized else None)

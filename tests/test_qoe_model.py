@@ -4,7 +4,6 @@ Golden values were hand-derived from the R-factor formulas (see the
 inline arithmetic next to each constant).
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -16,25 +15,7 @@ from qoehandoff.qoe_model import (CONGESTION_SCHEME, DELAY_KNEE_S, G711, G729,
                                   MOS_MAX, MOS_MIN, R0, ROAMING_SCHEME,
                                   CodecProfile, QuantizationScheme,
                                   mos_from_delay, mos_from_r, quantize_mos)
-
-
-def reference_mos(owd_s, loss_fraction, codec):
-    """The MOS chain for one sample, in Python floats with min/max clamps."""
-    d_ms = owd_s * 1000.0
-    delay_impairment = 0.024 * d_ms
-    if owd_s > DELAY_KNEE_S:
-        delay_impairment += 0.11 * (d_ms - DELAY_KNEE_S * 1000.0)
-    ie = codec.equipment_impairment
-    loss_impairment = ie + (95.0 - ie) * loss_fraction / (loss_fraction
-                                                         + codec.loss_robustness)
-    r = min(max(R0 - delay_impairment - loss_impairment, 0.0), 100.0)
-    mos = 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r)
-    return min(max(mos, MOS_MIN), MOS_MAX)
-
-
-def reference_band(mos, scheme):
-    """The band of one MOS value by `bisect_right` over the boundaries."""
-    return bisect.bisect_right(scheme.boundaries, min(max(mos, MOS_MIN), MOS_MAX)) + 1
+from references import reference_band, reference_mos
 
 
 class TestMosFromDelay:

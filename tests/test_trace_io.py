@@ -144,7 +144,7 @@ class TestSimulatorBridge:
     def test_traces_from_run_conserves_samples(self):
         cfg = roaming_scenario(seed=0, runs=1, duration_epochs=30)
         run = generate_run(cfg, 0)
-        traces = traces_from_run(run, ["WLAN", "CDMA2000"], "run000")
+        traces = traces_from_run(run.delays_s, run.mos, ["WLAN", "CDMA2000"], "run000")
         assert len(traces) == 2
         for i, trace in enumerate(traces):
             assert np.allclose(trace.rtts(), run.delays_s[i])
@@ -157,7 +157,7 @@ class TestSimulatorBridge:
         traces = []
         for r in range(cfg.runs):
             run = generate_run(cfg, r)
-            traces.extend(traces_from_run(run, ["WLAN", "CDMA2000"],
+            traces.extend(traces_from_run(run.delays_s, run.mos, ["WLAN", "CDMA2000"],
                                           f"run{r:03d}"))
         text = write_traces(traces)
         restored = read_traces(text)
@@ -308,7 +308,8 @@ class TestColumns:
 
     def test_traces_from_run_leave_the_run_writable(self):
         run = generate_run(roaming_scenario(seed=0, runs=1, duration_epochs=5), 0)
-        (trace, _) = traces_from_run(run, ["WLAN", "CDMA2000"], "run000")
+        (trace, _) = traces_from_run(run.delays_s, run.mos, ["WLAN", "CDMA2000"],
+                                     "run000")
         assert trace.epochs.tolist() == list(range(5))
         assert run.delays_s[0].flags.writeable and run.mos[0].flags.writeable
 
