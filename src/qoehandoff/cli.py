@@ -103,7 +103,8 @@ def _read_trace_file(path) -> list[trace_io.DelayTrace]:
 
 def _load_dataset(path):
     """(rtts, mos) arrays of each trace in a trace CSV, and each trace's
-    run id; every mos cell must be set."""
+    run id; every mos cell must be set, and some trace must hold the two
+    samples that one transition needs."""
     dataset, run_ids = [], []
     for trace in _read_trace_file(path):
         if np.isnan(trace.mos).any():
@@ -111,6 +112,8 @@ def _load_dataset(path):
                 f"run {trace.run_id}/{trace.interface_label}: mos column required here")
         dataset.append((trace.rtt_s, trace.mos))
         run_ids.append(trace.run_id)
+    if not any(rtts.size >= 2 for rtts, _ in dataset):
+        raise TraceValidationError(f"{path}: no trace holds two or more samples")
     return dataset, run_ids
 
 

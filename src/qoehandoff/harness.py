@@ -186,23 +186,6 @@ def joint_rows(observations: np.ndarray, models, qoe_maps, n_states: int) -> np.
     return rows * n_if
 
 
-def rnl_series(observations: np.ndarray) -> list:
-    """The m4 baseline's load series of a block of runs, from its delays on
-    axes (run, interface, epoch): entry [b][t] holds each interface's load
-    estimate after epoch t, None while its estimator warms up."""
-    series = []
-    for run_obs in observations.tolist():
-        estimators = [RnlEstimator() for _ in run_obs]
-        run_series = []
-        for epoch_obs in zip(*run_obs):
-            for est, rtt in zip(estimators, epoch_obs):
-                est.update(rtt)
-            run_series.append([est.rnl if est.initialized else None
-                               for est in estimators])
-        series.append(run_series)
-    return series
-
-
 def account(cfg: HarnessConfig, mos: np.ndarray, paths) -> PolicyResult:
     """Handoffs, realized MOS and rewards of a block of runs, with MOS on
     axes (run, interface, epoch), driven along `paths` (run, epoch).
@@ -273,27 +256,30 @@ def run_q_policy(joint_base: np.ndarray, greedy: list[int]) -> list[int]:
     return path
 
 
-def _baseline_path(cfg: HarnessConfig, kind: str, states: np.ndarray,
-                   observations: np.ndarray, rnl) -> list[int]:
-    """Drive one run with a baseline and return its attachment path;
-    `states` and `observations` are the run's rows of its block, on axes
-    (interface, epoch), and `rnl` its entry of `rnl_series` (m4 only)."""
+def _baseline_paths(cfg: HarnessConfig, kind: str, block) -> np.ndarray:
+    """Drive every run of the evaluation block with a baseline and return
+    the attachment paths (run, epoch). The oracle plans each run apart;
+    naive and m4 decide each epoch for all runs at once, on the
+    measurements up to the previous epoch."""
     if kind == "best":
         # Every run starts attached to interface 0, whatever the oracle's
         # first pick; a move off it counts from epoch 1.
-        return [0] + oracle_policy(list(states), start=0)[1:]
-    if kind == "naive":
-        # Delay-only weighted-QoS scoring on the latest measurements.
-        owds = (observations.T / 2.0).tolist()
-    current = 0
-    path = [current]
-    for t in range(1, observations.shape[1]):
+        return np.array([[0] + oracle_policy(list(states), start=0)[1:]
+                         for states in block.states])
+    delays = block.delays_s
+    paths = np.zeros((delays.shape[0], delays.shape[2]), dtype=int)
+    load = RnlEstimator()
+    for t in range(1, paths.shape[1]):
+        current, last = paths[:, t - 1], delays[:, :, t - 1]
         if kind == "naive":
-            current = naive_policy_step(owds[t - 1], current)
+            # Delay-only weighted-QoS scoring on the latest measurements.
+            paths[:, t] = naive_policy_step(last / 2.0, current)
         else:
-            current = m4_policy_step(rnl[t - 1], current, cfg.m4_margin_s)
-        path.append(current)
-    return path
+            load.update(last)
+            # m4 stays put while its estimators warm up.
+            paths[:, t] = m4_policy_step(load.rnl, current, cfg.m4_margin_s) \
+                if load.initialized else current
+    return paths
 
 
 def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
@@ -308,8 +294,6 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
         raise DomainError("policy comparison needs at least two interfaces")
     # All policies share one block of evaluation runs.
     block = generate_runs(scenario, range(scenario.runs))
-    rnl = rnl_series(block.delays_s) if "m4" in cfg.policies_enabled \
-        else [None] * scenario.runs
 
     results = {}
     accuracy: dict[str, float] = {}
@@ -325,8 +309,7 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
             paths = [run_q_policy(rows, greedy) for rows in joint_rows(
                 block.delays_s, models, qoe_maps, scenario.scheme.state_count)]
         else:
-            paths = [_baseline_path(cfg, name, *run) for run in
-                     zip(block.states, block.delays_s, rnl)]
+            paths = _baseline_paths(cfg, name, block)
         results[name] = account(cfg, block.mos, paths)
 
     metadata = {
@@ -342,15 +325,16 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
 
 
 # The [scenario], [qlearn] and [harness] keys; [reward] sets the fields of
-# RewardConfig, which hold its keys' defaults. Any other section or key is
-# rejected, so a misspelt setting cannot silently keep its default.
+# RewardConfig, which hold its keys' defaults, each parsed as a float. Any
+# other section or key is rejected, so a misspelt setting cannot silently
+# keep its default.
 _SCENARIO_KEYS = {"kind", "codec", "duration_epochs", "runs", "seed",
                   "dwell_mean_epochs", "handoff_penalty_mos"}
 _ROAMING_ONLY_KEYS = {"dwell_mean_epochs", "handoff_penalty_mos"}
 _SECTION_KEYS = {"qlearn": {"gamma"},
                  "harness": {"policies", "hmm_states", "m4_margin_s",
-                             "training_episodes", "hmm_training_runs", "em_seed"}}
-_SECTION_DEFAULTS = {"reward": RewardConfig()}
+                             "training_episodes", "hmm_training_runs", "em_seed"},
+                 "reward": {f.name for f in dataclasses.fields(RewardConfig)}}
 
 
 def load_config(path) -> HarnessConfig:
@@ -379,8 +363,6 @@ def _check_keys(parser: configparser.ConfigParser, kind: str) -> None:
                 else _SCENARIO_KEYS - _ROAMING_ONLY_KEYS
         elif name in _SECTION_KEYS:
             known = _SECTION_KEYS[name]
-        elif name in _SECTION_DEFAULTS:
-            known = {f.name for f in dataclasses.fields(_SECTION_DEFAULTS[name])}
         else:
             raise DomainError(f"unknown config section [{name}]")
         for key in parser[name]:
@@ -388,16 +370,6 @@ def _check_keys(parser: configparser.ConfigParser, kind: str) -> None:
                 where = f"[{name}] for kind {kind}" if key in _ROAMING_ONLY_KEYS \
                     else f"[{name}]"
                 raise DomainError(f"unknown config key {key!r} in {where}")
-
-
-def _section_config(parser: configparser.ConfigParser, name: str):
-    """The section's defaults with each key the file sets parsed as a
-    float (every field of RewardConfig is one), in field order."""
-    defaults = _SECTION_DEFAULTS[name]
-    section = parser[name] if parser.has_section(name) else {}
-    return dataclasses.replace(defaults, **{
-        f.name: float(section[f.name])
-        for f in dataclasses.fields(defaults) if f.name in section})
 
 
 def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
@@ -423,7 +395,8 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
         raise DomainError(f"unknown scenario kind {kind!r}")
     _check_keys(parser, kind)
 
-    reward_cfg = _section_config(parser, "reward")
+    rw = parser["reward"] if parser.has_section("reward") else {}
+    reward_cfg = RewardConfig(**{key: float(value) for key, value in rw.items()})
     ha = parser["harness"] if parser.has_section("harness") else {}
     policies = tuple(p.strip() for p in
                      ha.get("policies", ",".join(ALL_POLICIES)).split(",") if p.strip())

@@ -33,7 +33,7 @@ from . import _kernels_py
 from .inference import forward_filter, length_blocks, predict_next_states
 # Unused here; kept bound because perfbench/tracer.py patches this name.
 from .inference import predict_next_state  # noqa: F401
-from .model import VARIANCE_FLOOR, GaussianEmission, HmmModel
+from .model import VARIANCE_FLOOR, GaussianEmission, HmmModel, gaussian_log_density
 
 
 # A start converges when an iteration raises its log-likelihood by less
@@ -127,9 +127,8 @@ def _e_step(pool: _Pool, row_start, row_seq, means, variances, prior, tm):
             continue
         x = stacked[pool.pos[row_seq[sel]]]
         st = row_start[sel]
-        var = variances[st][:, None, :]
-        diff = x[:, :, None] - means[st][:, None, :]
-        flp = -0.5 * (diff * diff / var + np.log(2.0 * np.pi * var))
+        flp = gaussian_log_density(x[:, :, None], means[st][:, None, :],
+                                   variances[st][:, None, :])
         gamma, xi[sel], ll[sel] = _kernels_py.forward_backward(flp, prior[st], tm[st])
         gamma0[sel] = gamma[:, 0]
         w[sel] = gamma.sum(axis=1)

@@ -13,6 +13,13 @@ PROB_TOL = 1e-9
 VARIANCE_FLOOR = 1e-8
 
 
+def gaussian_log_density(x, mean, variance):
+    """Gaussian log-density of `x` under (`mean`, `variance`), broadcast
+    element-wise; the one emission density of fitting and filtering."""
+    diff = x - mean
+    return -0.5 * (diff * diff / variance + np.log(2.0 * np.pi * variance))
+
+
 @dataclass(frozen=True)
 class GaussianEmission:
     mean: float
@@ -70,10 +77,7 @@ class HmmModel:
             raise DomainError("observations must be a non-empty 1-D sequence")
         if not np.isfinite(obs).all():
             raise DomainError("observations must be finite")
-        mu = self.means()
-        var = self.variances()
-        diff = obs[:, None] - mu[None, :]
-        return -0.5 * (diff * diff / var + np.log(2.0 * np.pi * var))
+        return gaussian_log_density(obs[:, None], self.means(), self.variances())
 
     def to_text(self) -> str:
         """Human-readable JSON document; floats round-trip exactly."""

@@ -144,32 +144,30 @@ def epsilon_greedy_action(q: QTable, s: int, epsilon: float,
     return exploit_action(q, s)
 
 
-def m4_policy_step(rnl_per_interface, current: int, margin: float) -> int:
+def m4_policy_step(rnl, current, margin: float):
     """Move to the lowest-load interface when its advantage beats `margin`
-    (in seconds). Stays put while any estimator is still warming up."""
-    if any(v is None for v in rnl_per_interface):
-        return current
-    target = int(np.argmin(rnl_per_interface))
-    if target == current:
-        return current
-    if rnl_per_interface[current] - rnl_per_interface[target] > margin:
-        return target
-    return current
+    (in seconds). `rnl` holds the interfaces' loads on its last axis,
+    one row per entry of `current`; ties go to the lowest index."""
+    rnl = np.asarray(rnl, dtype=float)
+    current = np.asarray(current)
+    target = rnl.argmin(axis=-1)
+    on_current = np.take_along_axis(rnl, current[..., None], axis=-1)[..., 0]
+    return np.where(on_current - rnl.min(axis=-1) > margin, target, current)
 
 
-def naive_policy_step(delays, current: int) -> int:
+def naive_policy_step(delays, current):
     """Weighted-QoS scoring on delay alone: each interface scores the
     reciprocal of its delay; pick the argmax, ties stay on the current
-    interface."""
-    scores = []
-    for delay in delays:
-        if delay <= 0.0:
-            raise DomainError("delay must be > 0")
-        scores.append(1.0 / delay)
-    best = max(scores)
-    if scores[current] == best:
-        return current
-    return int(np.argmax(scores))
+    interface, else go to the lowest index. `delays` holds the interfaces
+    on its last axis, one row per entry of `current`."""
+    delays = np.asarray(delays, dtype=float)
+    if (delays <= 0.0).any():
+        raise DomainError("delay must be > 0")
+    scores = 1.0 / delays
+    current = np.asarray(current)
+    on_current = np.take_along_axis(scores, current[..., None], axis=-1)[..., 0]
+    return np.where(on_current == scores.max(axis=-1), current,
+                    scores.argmax(axis=-1))
 
 
 def oracle_policy(per_interface_states, start: int | None = None) -> list[int]:

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -47,7 +49,9 @@ class RnlEstimator:
     Maintains Z (EWMA of RTT over a window of h samples) and J (EWMA of
     absolute RTT jitter), reporting Z + c*J. J is seeded from the first
     jitter sample, so the jitter term only contributes from the third
-    sample onward; before that the estimate is Z alone.
+    sample onward; before that the estimate is Z alone. Each update takes
+    one RTT, or an array of RTTs that each get an estimate of their own
+    (element-wise, as one estimator per element would compute them).
     """
 
     h: int = 5
@@ -72,8 +76,8 @@ class RnlEstimator:
         # The seeded J only enters once it has been smoothed at least once.
         return self.z + self.c * self.j if self.count >= 3 else self.z
 
-    def update(self, rtt_s: float) -> float:
-        if rtt_s <= 0:
+    def update(self, rtt_s):
+        if np.any(rtt_s <= 0):
             raise DomainError("rtt_s must be > 0")
         w = 1.0 / self.h
         if self.count == 0:
@@ -84,9 +88,9 @@ class RnlEstimator:
             if self.count == 1:
                 # J seeded with the first jitter sample, then immediately
                 # folded through the same EWMA, which leaves it unchanged.
-                self.j = abs(d)
+                self.j = np.abs(d)
             else:
-                self.j = w * abs(d) + (1.0 - w) * self.j
+                self.j = w * np.abs(d) + (1.0 - w) * self.j
         self.last_rtt = rtt_s
         self.count += 1
         return self.rnl

@@ -113,6 +113,9 @@ def test_traced_comparison_runs_every_hook(tmp_path):
     assert t.calls["hmm.predict_belief"] == 0
     assert t.calls["probing.aggregate_epoch"] == 0
     assert t.counts["netsim.generate_run.repeat_calls"] == 0
+    # The m4 baseline updates one load estimate of every run and interface
+    # per epoch after the first (30 epochs).
+    assert t.calls["probing.rnl_update"] == 29
 
 
 def load_bench():

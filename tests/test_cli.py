@@ -441,6 +441,19 @@ class TestExitCodes:
         assert main(["train-hmm", "--traces", str(bad),
                      "--out", str(tmp_path)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("rows", [
+        "",
+        "r0,WLAN,0,0.1,4.0\nr1,WLAN,0,0.2,3.0\nr1,CDMA2000,0,0.3,3.5\n",
+    ], ids=["header-only", "single-sample-traces"])
+    def test_untrainable_traces_is_data_error(self, tmp_path, capsys, rows):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("run_id,interface,epoch,rtt_s,mos\n" + rows)
+        assert main(["train-hmm", "--traces", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            f"error: {bad}: no trace holds two or more samples\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["train-hmm", "predict"])
     @pytest.mark.parametrize("rtt", ["nan", "inf"])
     def test_non_finite_rtt_names_the_sample(self, tmp_path, capsys, command, rtt):

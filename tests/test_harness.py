@@ -11,7 +11,7 @@ from qoehandoff import harness, netsim
 from qoehandoff.errors import DomainError
 from qoehandoff.harness import (ALL_POLICIES, EvaluationReport, HarnessConfig,
                                 PolicyResult, default_roaming_harness,
-                                joint_rows, load_config, rnl_series,
+                                joint_rows, load_config,
                                 run_comparison, state_to_qoe_map,
                                 train_interface_models)
 from qoehandoff.hmm import EmConfig, predict_belief
@@ -120,7 +120,7 @@ def reference_features(run, models, qoe_maps, n_states):
         joint_base.append(joint_row(models, beliefs, qoe_maps, 0, n_states))
         for est, delays in zip(estimators, run.delays_s):
             est.update(float(delays[t]))
-        rnl.append([est.rnl if est.initialized else None for est in estimators])
+        rnl.append([est.rnl for est in estimators])
     return joint_base, rnl
 
 
@@ -230,9 +230,10 @@ def flipped_inputs(cfg):
 
 def reference_baseline_path(cfg, run, kind):
     """The baselines epoch by epoch, naive and m4 each deciding on the
-    measurements up to the previous epoch, and the oracle following its
-    minimal-handoff sequence from interface 0. Returns the attachment path
-    and its per-epoch totals."""
+    measurements up to the previous epoch (m4 staying put while its
+    estimators warm up), and the oracle following its minimal-handoff
+    sequence from interface 0. Returns the attachment path and its
+    per-epoch totals."""
     estimators = [RnlEstimator(h=5, c=5.0) for _ in range(run.n_interfaces)]
     oracle = oracle_policy(run.states, start=0)
     current, path = 0, [0]
@@ -245,10 +246,12 @@ def reference_baseline_path(cfg, run, kind):
         if kind == "best":
             action = oracle[t]
         elif kind == "naive":
-            action = naive_policy_step([rtt / 2.0 for rtt in last], current)
+            action = int(naive_policy_step([rtt / 2.0 for rtt in last], current))
+        elif all(e.initialized for e in estimators):
+            action = int(m4_policy_step([e.rnl for e in estimators], current,
+                                        cfg.m4_margin_s))
         else:
-            action = m4_policy_step([e.rnl if e.initialized else None
-                                     for e in estimators], current, cfg.m4_margin_s)
+            action = current
         reference_step(cfg, run, t, current, action, totals)
         current = action
         path.append(current)
@@ -279,7 +282,12 @@ class TestBlockFeatures:
         fitted, _ = train_interface_models(cfg)
         generators = [ch.generator for ch in scenario.channels]
         block = generate_runs(scenario, range(5))
-        series = rnl_series(block.delays_s)
+        # The m4 load estimates of every run, on axes (run, epoch, interface).
+        load, loads = RnlEstimator(), []
+        for t in range(scenario.duration_epochs):
+            load.update(block.delays_s[:, :, t])
+            loads.append(load.rnl)
+        loads = np.stack(loads, axis=1)
         for models in (fitted, generators, [flipped(m) for m in generators]):
             qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
                                          scenario.scheme)
@@ -289,7 +297,7 @@ class TestBlockFeatures:
                 joint_base, rnl = reference_features(generate_run(scenario, b),
                                                      models, qoe_maps, n_states)
                 assert rows[b].tolist() == joint_base
-                assert series[b] == rnl
+                assert loads[b].tolist() == rnl
 
     def test_report_independent_of_training_block_size(self, monkeypatch):
         cfg = small_harness()
@@ -381,17 +389,17 @@ class TestPolicyLoopsMatchPerEpochReference:
                     assert accounted(result) == totals
 
     def test_baselines_act_as_reference(self):
-        for cfg in (small_harness(), penalising_harness()):
+        no_margin = dataclasses.replace(small_harness(), m4_margin_s=0.0)
+        for cfg in (small_harness(), penalising_harness(), no_margin):
             block = generate_runs(cfg.scenario, range(6))
-            series = rnl_series(block.delays_s)
-            for b in range(6):
-                run = generate_run(cfg.scenario, b)
-                for kind in ("best", "naive", "m4"):
-                    path = harness._baseline_path(cfg, kind, block.states[b],
-                                                  block.delays_s[b], series[b])
+            for kind in ("best", "naive", "m4"):
+                paths = harness._baseline_paths(cfg, kind, block)
+                assert paths.shape == (6, cfg.scenario.duration_epochs)
+                for b in range(6):
+                    run = generate_run(cfg.scenario, b)
                     expected, totals = reference_baseline_path(cfg, run, kind)
-                    assert path == expected
-                    result = harness.account(cfg, block.mos[b:b + 1], [path])
+                    assert paths[b].tolist() == expected
+                    result = harness.account(cfg, block.mos[b:b + 1], paths[b:b + 1])
                     assert accounted(result) == totals
 
     def test_report_sums_the_runs_totals(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qoehandoff.errors import DomainError
-from qoehandoff.harness import rnl_series
 from qoehandoff.netsim import (MIN_DELAY_S, ChannelModel,
                                ScenarioConfig, _sample_chains,
                                congestion_scenario, congestion_wlan_g711_model,
@@ -171,17 +170,21 @@ class TestStepEnvironment:
     def test_probes_cover_all_interfaces(self):
         # Probing is multi-homed and always on: every epoch observes every
         # interface, and a lossless probe carries the epoch's delay sample,
-        # so each interface's load estimate follows its own delays.
-        cfg = roaming_scenario(seed=5, runs=1, duration_epochs=30)
-        block = generate_runs(cfg, [0])
-        (series,) = rnl_series(block.delays_s)
-        assert len(series) == cfg.duration_epochs
-        for i, delays in enumerate(block.delays_s[0]):
-            estimator = RnlEstimator()
-            for t, delay in enumerate(delays.tolist()):
-                estimator.update(delay)
-                assert series[t][i] == \
-                    (estimator.rnl if estimator.initialized else None)
+        # so each interface's load estimate follows its own delays. One
+        # estimator over the block's (run, interface) slabs keeps, element
+        # by element, the estimate of a scalar estimator of that pair.
+        cfg = roaming_scenario(seed=5, runs=3, duration_epochs=30)
+        block = generate_runs(cfg, range(3))
+        load = RnlEstimator()
+        scalar = [[RnlEstimator() for _ in run] for run in block.delays_s]
+        for t in range(cfg.duration_epochs):
+            load.update(block.delays_s[:, :, t])
+            assert load.rnl.shape == (3, len(cfg.channels))
+            for b, estimators in enumerate(scalar):
+                for i, estimator in enumerate(estimators):
+                    estimator.update(float(block.delays_s[b, i, t]))
+                    assert load.rnl[b, i] == estimator.rnl
+                    assert load.initialized == estimator.initialized
 
     def test_bounds_checked(self):
         run = self.make_run()

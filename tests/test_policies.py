@@ -214,9 +214,6 @@ class TestActionSelection:
 
 
 class TestM4Policy:
-    def test_warmup_stays_put(self):
-        assert m4_policy_step([None, 0.1], 0, 0.02) == 0
-
     def test_switches_past_margin(self):
         assert m4_policy_step([0.20, 0.10], 0, 0.02) == 1
 
@@ -225,6 +222,21 @@ class TestM4Policy:
 
     def test_already_on_best_stays(self):
         assert m4_policy_step([0.10, 0.30], 0, 0.02) == 0
+
+    def test_tie_stays_else_lowest_index(self):
+        assert m4_policy_step([0.10, 0.10, 0.30], 1, 0.0) == 1
+        assert m4_policy_step([0.10, 0.30, 0.10], 1, 0.0) == 0
+
+    def test_rows_act_as_single_calls(self):
+        # Few distinct loads, so rows tie often.
+        rng = np.random.default_rng(0)
+        rnl = rng.choice([0.10, 0.11, 0.12, 0.30], size=(200, 3))
+        current = rng.integers(3, size=200)
+        for margin in (0.0, 0.015, 0.02):
+            rows = m4_policy_step(rnl, current, margin)
+            assert rows.shape == (200,)
+            assert rows.tolist() == [int(m4_policy_step(r.tolist(), int(c), margin))
+                                     for r, c in zip(rnl, current)]
 
 
 class TestNaivePolicy:
@@ -241,6 +253,17 @@ class TestNaivePolicy:
         for delays in ([0.0], [0.1, -0.2]):
             with pytest.raises(DomainError):
                 naive_policy_step(delays, 0)
+        with pytest.raises(DomainError):
+            naive_policy_step([[0.1, 0.2], [0.3, 0.0]], [0, 0])
+
+    def test_rows_act_as_single_calls(self):
+        rng = np.random.default_rng(1)
+        delays = rng.choice([0.05, 0.1, 0.2], size=(200, 3))
+        current = rng.integers(3, size=200)
+        rows = naive_policy_step(delays, current)
+        assert rows.shape == (200,)
+        assert rows.tolist() == [int(naive_policy_step(d.tolist(), int(c)))
+                                 for d, c in zip(delays, current)]
 
 
 class TestOraclePolicy:
