@@ -39,6 +39,12 @@ EXIT_DATA = 3
 
 SCHEMES = {"congestion": CONGESTION_SCHEME, "roaming": ROAMING_SCHEME}
 
+# Samples `predict` filters per chunk of traces, so that its working set
+# does not grow with the trace file. A chunk's filter, prediction and row
+# text take about 105 B per sample at N = 3 states (tracemalloc peak), so
+# 1.7 MB here; smaller chunks cost time in the per-step filter loop.
+PREDICT_CHUNK_SAMPLES = 16_384
+
 
 def _scenario_from_args(args) -> netsim.ScenarioConfig:
     """The scenario's factory settings; a codec only when `--codec` is given,
@@ -118,14 +124,23 @@ def _load_dataset(path):
 
 
 def cmd_train_hmm(args) -> int:
+    if args.folds < 2:
+        raise DomainError("folds must be >= 2")
+    if args.states < 1:
+        raise DomainError("states must be >= 1")
     scheme = SCHEMES[args.scheme]
     config = EmConfig(seed=args.seed)
     dataset, run_ids = _load_dataset(args.traces)
     # Folds hold out whole runs. Traces sort by (run, interface), so folds
     # by trace index would hold out one interface of each run and score it
     # under a model fitted to the others.
-    (model, report), scores = cross_validate_folds(dataset, args.folds, args.states,
-                                                   scheme, config, groups=run_ids)
+    try:
+        (model, report), scores = cross_validate_folds(
+            dataset, args.folds, args.states, scheme, config, groups=run_ids)
+    except DomainError as exc:
+        # The arguments are valid, so the file's data cannot support them:
+        # too few runs for the folds, or too few distinct delays for the states.
+        raise TraceValidationError(f"{args.traces}: {exc}") from None
     for i, (c, t) in enumerate(scores):
         # A fold whose held-out traces hold one sample each scores nothing.
         accuracy = f"{c / t:.4f}" if t else "n/a"
@@ -144,9 +159,23 @@ def cmd_train_hmm(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    model = load_model(args.model)
-    traces = _read_trace_file(args.traces)
+def _chunks(traces, budget: int):
+    """`traces` in order, as consecutive lists of at most `budget` samples
+    each; a trace longer than the budget is a chunk of its own."""
+    chunk, size = [], 0
+    for trace in traces:
+        if chunk and size + trace.rtt_s.size > budget:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(trace)
+        size += trace.rtt_s.size
+    if chunk:
+        yield chunk
+
+
+def _prediction_rows(model, traces) -> str:
+    """The predictions.csv rows of `traces`, in their order; each group of
+    equal-length traces is filtered in one `forward_filter` call."""
     states = [None] * len(traces)
     for ids, block in length_blocks([trace.rtt_s for trace in traces]):
         try:
@@ -160,14 +189,28 @@ def cmd_predict(args) -> int:
                 "under the model") from None
         for i, row in zip(ids, predict_next_states(model, beliefs[:, :-1]).tolist()):
             states[i] = row
+    return "".join(trace_io.format_rows([trace.run_id, trace.interface_label], "%d,%d",
+                                        (trace.epochs[1:].tolist(), predicted))
+                   for trace, predicted in zip(traces, states))
+
+
+def cmd_predict(args) -> int:
+    model = load_model(args.model)
+    traces = _read_trace_file(args.traces)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "predictions.csv"
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("run_id,interface,epoch,predicted_state\n")
-        for trace, predicted in zip(traces, states):
-            fh.write(trace_io.format_rows([trace.run_id, trace.interface_label], "%d,%d",
-                                          (trace.epochs[1:].tolist(), predicted)))
+    # Each chunk's rows are written before the next chunk is filtered, so
+    # a failure can come after earlier rows are on disk: remove them.
+    fh = open(out_path, "w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            fh.write("run_id,interface,epoch,predicted_state\n")
+            for chunk in _chunks(traces, PREDICT_CHUNK_SAMPLES):
+                fh.write(_prediction_rows(model, chunk))
+    except BaseException:
+        out_path.unlink(missing_ok=True)
+        raise
     print(f"wrote {out_path}")
     return 0
 

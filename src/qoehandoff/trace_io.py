@@ -154,8 +154,12 @@ def read_traces(source) -> list[DelayTrace]:
     except UnicodeDecodeError as exc:
         raise TraceParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: "
                               f"{exc.reason}") from None
-    return [DelayTrace(run_id, interface, *map(np.concatenate, zip(*parts)))
-            for (run_id, interface), parts in sorted(segments.items())]
+    # Each trace's slices are dropped as soon as it is joined, so the
+    # slices and the joined columns are never all held together.
+    traces = []
+    for key in sorted(segments):
+        traces.append(DelayTrace(*key, *map(np.concatenate, zip(*segments.pop(key)))))
+    return traces
 
 
 def format_rows(keys, row_format: str, columns) -> str:

@@ -5,11 +5,12 @@ import dataclasses
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qoehandoff import harness, netsim, trace_io
+from qoehandoff import cli, harness, netsim, trace_io
 from qoehandoff.cli import EXIT_DATA, EXIT_USAGE, _load_dataset, main
 from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, em_train,
                             forward_filter, load_model, predict_next_state,
@@ -203,8 +204,35 @@ def reference_predictions(model, traces_text):
     return rows
 
 
+# Chunk budgets in samples: the module's own (None), one trace per chunk,
+# budgets that split an equal-length group across chunks, and the whole
+# file in one chunk.
+CHUNK_BUDGETS = [None, 1, 12, 250, 10**9]
+
+
+def predict_by_budget(monkeypatch, tmp_path, model_path, traces, budgets=CHUNK_BUDGETS):
+    """Run `predict` under each chunk budget: the exit codes, and the
+    (rows, length) of each `forward_filter` block per budget."""
+    codes, blocks = [], []
+
+    def spy(model, block):
+        blocks[-1].append(block.shape)
+        return forward_filter(model, block)
+
+    for budget in budgets:
+        blocks.append([])
+        with monkeypatch.context() as m:
+            m.setattr(cli, "forward_filter", spy)
+            if budget is not None:
+                m.setattr(cli, "PREDICT_CHUNK_SAMPLES", budget)
+            codes.append(main(["predict", "--model", str(model_path), "--traces",
+                               str(traces), "--out", str(tmp_path / f"pred{budget}")]))
+    return codes, blocks
+
+
 class TestPredictBlocks:
-    """`predict` filters each equal-length group of traces as one block."""
+    """`predict` filters each equal-length group of a chunk of traces as
+    one block."""
 
     def test_train_reports_the_winning_restart(self, tmp_path, sim_dir, capsys):
         # The final line describes the all-data fit as em_train makes it,
@@ -243,7 +271,7 @@ class TestPredictBlocks:
         assert (tmp_path / "legacy" / "predictions.csv").read_bytes() == \
             (tmp_path / "current" / "predictions.csv").read_bytes()
 
-    def test_ragged_traces_match_per_trace_reference(self, tmp_path):
+    def test_ragged_traces_match_per_trace_reference(self, tmp_path, monkeypatch):
         model = roaming_cdma_g729_model()
         save_model(model, tmp_path / "model.json")
         rng = np.random.default_rng(4)
@@ -256,17 +284,24 @@ class TestPredictBlocks:
                     lines.append(f"r{r:02d},{label},{3 * epoch + r},{rtt:.9g},")
         traces = tmp_path / "traces.csv"
         traces.write_text("\n".join(lines) + "\n")
-        code = main(["predict", "--model", str(tmp_path / "model.json"),
-                     "--traces", str(traces), "--out", str(tmp_path / "pred")])
-        assert code == 0
-        with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["run_id", "interface", "epoch", "predicted_state"]
+        codes, blocks = predict_by_budget(monkeypatch, tmp_path, tmp_path / "model.json",
+                                          traces)
+        assert codes == [0] * len(CHUNK_BUDGETS)
         expected = reference_predictions(model, traces.read_text())
         assert len(expected) == 2 * (3 * 100 + 3 * 4 + 2 * 1)
-        assert rows[1:] == expected
+        for budget, budget_blocks in zip(CHUNK_BUDGETS, blocks):
+            with open(tmp_path / f"pred{budget}" / "predictions.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["run_id", "interface", "epoch", "predicted_state"]
+            assert rows[1:] == expected
+            # Every trace is filtered once, and a block holds more than the
+            # budget only when it is one trace.
+            assert sum(n for n, _ in budget_blocks) == 20
+            assert all(n * length <= (budget or cli.PREDICT_CHUNK_SAMPLES) or n == 1
+                       for n, length in budget_blocks)
+        assert len(blocks[-1]) == 4  # the whole file: one block per length
 
-    def test_quoted_labels_match_per_trace_reference(self, tmp_path):
+    def test_quoted_labels_match_per_trace_reference(self, tmp_path, monkeypatch):
         # Labels that need csv quotes, or hold a `%`, come out as
         # csv.writer writes them.
         model = roaming_cdma_g729_model()
@@ -279,15 +314,16 @@ class TestPredictBlocks:
                 lines.append(f"{run_id},{label},{2 * epoch},{rtt:.9g},")
         traces = tmp_path / "traces.csv"
         traces.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = main(["predict", "--model", str(tmp_path / "model.json"),
-                     "--traces", str(traces), "--out", str(tmp_path / "pred")])
-        assert code == 0
+        codes, _ = predict_by_budget(monkeypatch, tmp_path, tmp_path / "model.json",
+                                     traces)
+        assert codes == [0] * len(CHUNK_BUDGETS)
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["run_id", "interface", "epoch", "predicted_state"])
         writer.writerows(reference_predictions(model, traces.read_text(encoding="utf-8")))
-        assert (tmp_path / "pred" / "predictions.csv").read_bytes() == \
-            expected.getvalue().encode("utf-8")
+        for budget in CHUNK_BUDGETS:
+            assert (tmp_path / f"pred{budget}" / "predictions.csv").read_bytes() == \
+                expected.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize("good", [
         "r0,WLAN,0,0.5,\nr0,WLAN,1,0.5,\n",
@@ -295,7 +331,7 @@ class TestPredictBlocks:
         "r0,WLAN,0,0.5,\nr0,WLAN,1,0.5,\nr0,WLAN,2,0.5,\n"
         "r1,WLAN,0,0.5,\nr1,WLAN,1,0.5,\n",
     ])
-    def test_zero_mass_names_the_trace(self, tmp_path, capsys, good):
+    def test_zero_mass_names_the_trace(self, tmp_path, capsys, monkeypatch, good):
         # The chain stays in state 2; an observation at state 1's mean has
         # zero density there.
         save_model(HmmModel(prior=np.array([0.0, 1.0]), transitions=np.eye(2),
@@ -305,12 +341,65 @@ class TestPredictBlocks:
         traces = tmp_path / "traces.csv"
         traces.write_text("run_id,interface,epoch,rtt_s,mos\n" + good
                           + "r9,WLAN,0,0.5,\nr9,WLAN,4,0.5,\nr9,WLAN,7,1.0,\n")
-        code = main(["predict", "--model", str(tmp_path / "model.json"),
-                     "--traces", str(traces), "--out", str(tmp_path / "pred")])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: run r9/WLAN observation 2 (epoch 7) has zero")
-        assert err.count("\n") == 1 and "row" not in err
+        # With a one-sample budget the bad trace, which sorts last, is the
+        # last of several chunks, so earlier chunks' rows are on disk when
+        # it fails.
+        budgets = [None, 1]
+        codes, blocks = predict_by_budget(monkeypatch, tmp_path, tmp_path / "model.json",
+                                          traces, budgets)
+        assert codes == [EXIT_USAGE] * len(budgets)
+        assert len(blocks[1]) == len(read_traces(traces.read_text()))
+        errs = capsys.readouterr().err.splitlines()
+        assert len(errs) == len(budgets)
+        for budget, err in zip(budgets, errs):
+            assert err.startswith("error: run r9/WLAN observation 2 (epoch 7) has zero")
+            assert "row" not in err
+            assert not (tmp_path / f"pred{budget}" / "predictions.csv").exists()
+
+
+def traced_allocation(fn) -> tuple[int, int]:
+    """Bytes that `fn()`'s result holds and bytes allocated at its peak,
+    each above the level it started at."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()  # noqa: F841 (held while it is measured)
+        current, peak = tracemalloc.get_traced_memory()
+        return current - base, peak - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPredictMemory:
+    # Samples per trace: 64 traces fill a chunk, so both files below are
+    # filtered in full chunks.
+    LENGTH = 300
+    # Growth allowed beyond that of the parsed traces: the reader's and the
+    # writer's per-trace bookkeeping.
+    SLACK_BYTES = 512 * 1024
+
+    def test_peak_grows_no_faster_than_the_parsed_traces(self, tmp_path, capsys):
+        assert 64 * self.LENGTH > cli.PREDICT_CHUNK_SAMPLES
+        save_model(roaming_cdma_g729_model(), tmp_path / "model.json")
+        rng = np.random.default_rng(6)
+        parsed, predicted = [], []
+        for count in (64, 256):
+            traces = tmp_path / f"traces{count}.csv"
+            traces.write_text(write_traces(
+                DelayTrace(f"r{i:03d}", "WLAN", np.arange(self.LENGTH),
+                           rng.uniform(0.05, 0.6, self.LENGTH), np.full(self.LENGTH, np.nan))
+                for i in range(count)))
+            parsed.append(traced_allocation(lambda: cli._read_trace_file(traces)))
+            predicted.append(traced_allocation(lambda: main(
+                ["predict", "--model", str(tmp_path / "model.json"),
+                 "--traces", str(traces), "--out", str(tmp_path / "pred")]))[1])
+        # No whole-file belief block or list of predictions is held.
+        assert predicted[1] - predicted[0] <= \
+            parsed[1][0] - parsed[0][0] + self.SLACK_BYTES
+        # Each trace's slices are dropped once it is joined, so the reader
+        # never holds the slices and the joined columns all together.
+        kept, peak = parsed[1]
+        assert peak <= 1.5 * kept
 
 
 class TestComparePolicies:
@@ -453,6 +542,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: {bad}: no trace holds two or more samples\n"
         assert not (tmp_path / "out").exists()
+
+    # Data that cannot support valid arguments is a data error naming the
+    # file; arguments no file could support are usage errors.
+    @pytest.mark.parametrize("rows, argv, code, message", [
+        ("r0,WLAN,0,0.1,4.0\nr0,WLAN,1,0.2,3.0\nr0,WLAN,2,0.3,3.5\n", [],
+         EXIT_DATA, "error: {traces}: folds must be in [2, 1]\n"),
+        ("r0,WLAN,0,0.1,4.0\nr0,WLAN,1,0.1,3.0\nr1,WLAN,0,0.1,3.5\nr1,WLAN,1,0.1,3.5\n",
+         ["--states", "2"],
+         EXIT_DATA, "error: {traces}: 2 states requested but only 1 distinct values\n"),
+        ("r0,WLAN,0,0.1,4.0\nr0,WLAN,1,0.2,3.0\nr1,WLAN,0,0.3,3.5\n", ["--folds", "1"],
+         EXIT_USAGE, "error: folds must be >= 2\n"),
+        ("r0,WLAN,0,0.1,4.0\nr0,WLAN,1,0.2,3.0\nr1,WLAN,0,0.3,3.5\n", ["--states", "0"],
+         EXIT_USAGE, "error: states must be >= 1\n"),
+    ], ids=["one-run", "one-distinct-delay", "one-fold", "no-states"])
+    def test_unfittable_request(self, tmp_path, capsys, rows, argv, code, message):
+        traces = tmp_path / "traces.csv"
+        traces.write_text("run_id,interface,epoch,rtt_s,mos\n" + rows)
+        out = tmp_path / "out"
+        assert main(["train-hmm", "--traces", str(traces), "--out", str(out)]
+                    + argv) == code
+        assert capsys.readouterr().err == message.format(traces=traces)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-hmm", "predict"])
     @pytest.mark.parametrize("rtt", ["nan", "inf"])

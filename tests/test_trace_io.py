@@ -397,6 +397,20 @@ SLICES = st.sampled_from([1, 2, 3, trace_io.SLICE_ROWS])
 
 
 class TestMatchesRowByRowReference:
+    def test_keys_repeating_across_slices(self):
+        # Three keys interleaved row by row and a fourth in one run of rows,
+        # each spread over several SLICE_ROWS slices, every slice holding
+        # several keys.
+        rows = [(f"r{k}", "WLAN", epoch, 0.01 * (k + 1) + 1e-5 * epoch, None)
+                for epoch in range(trace_io.SLICE_ROWS) for k in range(3)]
+        rows[700:700] = [("r1", "CDMA2000", epoch, 0.5, 4.0)
+                         for epoch in range(trace_io.SLICE_ROWS + 7)]
+        text = "".join(map(csv_line, [HEADER] + [
+            [run_id, label, epoch, format(rtt, ".9g"), "" if mos is None else mos]
+            for run_id, label, epoch, rtt, mos in rows]))
+        assert len(rows) > 4 * trace_io.SLICE_ROWS
+        assert columnar_read(text) == reference_read(text)
+
     @settings(max_examples=100, deadline=None)
     @given(TRACES)
     def test_writer_emits_the_same_bytes(self, traces):
