@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ZeroProbabilityError
 from .hmm import (EmConfig, HmmModel, cross_validate_folds, em_train,
                   forward_filter, predict_next_states)
 from .netsim import (ROAMING, ScenarioConfig, congestion_scenario, generate_runs,
@@ -164,9 +164,8 @@ def train_interface_models(cfg: HarnessConfig):
     return models, accuracy
 
 
-def joint_rows(observations: np.ndarray, models, qoe_maps, n_states: int) -> np.ndarray:
-    """The Q-table rows of a block of B equal-length runs, from its delays
-    on axes (run, interface, epoch), as `RunBlock.delays_s` holds them.
+def joint_rows(cfg: HarnessConfig, block, models, qoe_maps) -> np.ndarray:
+    """The Q-table rows (run, epoch) of a block of runs, from its delays.
 
     Probing is multi-homed and always on, so every interface is observed
     (and filtered) whichever one is attached: each epoch's probe RTT is
@@ -175,34 +174,50 @@ def joint_rows(observations: np.ndarray, models, qoe_maps, n_states: int) -> np.
     its `qoe_maps` entry of `predict_next_states` (the MAP state of the
     one-step-ahead belief). Entry [b, t] folds the bands predicted after
     epoch t row-major, as `JointState.index` folds them, with interface 0
-    attached; add the attached interface's index for its row.
+    attached; add the attached interface's index for its row. A delay of
+    zero probability under its model is a DomainError naming the
+    interface, the training episode or evaluation run, and the epoch.
     """
-    n_runs, n_if, duration = observations.shape
+    n_runs, n_if, duration = block.delays_s.shape
     rows = np.zeros((n_runs, duration), dtype=int)
     for i, (model, qmap) in enumerate(zip(models, qoe_maps)):
-        beliefs, _ = forward_filter(model, observations[:, i])
+        try:
+            beliefs, _ = forward_filter(model, block.delays_s[:, i])
+        except ZeroProbabilityError as exc:
+            run = block.run_indices[exc.row]
+            what = f"training episode {run - _TRAIN_RUN_OFFSET}" \
+                if run >= _TRAIN_RUN_OFFSET else f"evaluation run {run}"
+            raise DomainError(
+                f"{cfg.scenario.channels[i].label} delay of {what}, epoch "
+                f"{exc.observation}, has zero predicted probability under its "
+                "fitted model") from None
         predicted = predict_next_states(model, beliefs) - 1
-        rows = rows * n_states + np.asarray(qmap)[predicted] - 1
+        rows = rows * cfg.scenario.scheme.state_count + np.asarray(qmap)[predicted] - 1
     return rows * n_if
+
+
+def price_epochs(cfg: HarnessConfig, mos, handoff):
+    """Realized MOS and reward of epochs of MOS `mos`, `handoff` marking (by
+    broadcasting) those that hand off: a handoff pays the MOS penalty,
+    floored at 1.0, and the handoff cost; any other epoch the minimum cost."""
+    rc, penalty = cfg.reward_cfg, cfg.scenario.handoff_penalty_mos
+    realized = np.where(handoff, np.maximum(mos - penalty, 1.0), mos)
+    return realized, reward(realized, np.where(handoff, rc.handoff_cost, rc.cost_min), rc)
 
 
 def account(cfg: HarnessConfig, mos: np.ndarray, paths) -> PolicyResult:
     """Handoffs, realized MOS and rewards of a block of runs, with MOS on
     axes (run, interface, epoch), driven along `paths` (run, epoch).
 
-    Epoch t > 0 is a handoff when `paths[b, t] != paths[b, t-1]`: it pays
-    the MOS penalty (floored at 1.0) and the handoff cost, any other epoch
-    the minimum cost. Each run's sums run in epoch order and the runs are
+    Epoch t > 0 is a handoff when `paths[b, t] != paths[b, t-1]`, priced by
+    `price_epochs`. Each run's sums run in epoch order and the runs are
     added in run order, as a per-epoch loop adds them, so the totals do
     not depend on NumPy's summation order.
     """
-    rc = cfg.reward_cfg
     paths = np.asarray(paths)
     attached = np.take_along_axis(mos, paths[:, None, :], axis=1)[:, 0]
     handoff = np.diff(paths, axis=1, prepend=paths[:, :1]) != 0
-    realized = np.where(handoff, np.maximum(
-        attached - cfg.scenario.handoff_penalty_mos, 1.0), attached)
-    rewards = reward(realized, np.where(handoff, rc.handoff_cost, rc.cost_min), rc)
+    realized, rewards = price_epochs(cfg, attached, handoff)
     mos_sum = reward_sum = 0.0
     for m, r in zip(np.cumsum(realized, axis=1)[:, -1].tolist(),
                     np.cumsum(rewards, axis=1)[:, -1].tolist()):
@@ -216,7 +231,7 @@ def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
     """The table that Q-learning converges to replaying every transition of
     the training episodes (README, "How compare-policies runs"); a pair
     never seen keeps Q = 0."""
-    scenario, rc = cfg.scenario, cfg.reward_cfg
+    scenario = cfg.scenario
     n_if = len(scenario.channels)
     qtable = QTable(scenario.scheme.state_count, n_if)
     n_rows = len(qtable.values)
@@ -226,18 +241,15 @@ def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
     episodes = range(_TRAIN_RUN_OFFSET, _TRAIN_RUN_OFFSET + cfg.training_episodes)
     for block in run_blocks(scenario, episodes):
         # Axes (run, epoch t - 1, attachment c, action a).
-        base = joint_rows(block.delays_s, models, qoe_maps,
-                          qtable.n_states)[:, :, None, None]
+        base = joint_rows(cfg, block, models, qoe_maps)[:, :, None, None]
         pairs = (base[:, :-1] + attached) * n_if + action
         moves += np.bincount((pairs * n_rows + base[:, 1:] + action).ravel(),
                              minlength=moves.size).reshape(moves.shape)
         # Interface a's MOS at epoch t; the rewards are added one by one in
         # episode order, so the sums do not depend on the block size.
         mos = block.mos[:, None, :, 1:].transpose(0, 3, 1, 2)
-        np.add.at(reward_sums, pairs.ravel(), np.where(
-            attached == action, reward(mos, rc.cost_min, rc),
-            reward(np.maximum(mos - scenario.handoff_penalty_mos, 1.0),
-                   rc.handoff_cost, rc)).ravel())
+        np.add.at(reward_sums, pairs.ravel(),
+                  price_epochs(cfg, mos, attached != action)[1].ravel())
         del block, base, pairs, mos  # hold one block's arrays at a time
     visits = np.maximum(moves.sum(axis=2), 1)
     qtable.values = q_iteration(reward_sums.reshape(n_rows, n_if) / visits,
@@ -245,27 +257,28 @@ def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
     return qtable
 
 
-def run_q_policy(joint_base: np.ndarray, greedy: list[int]) -> list[int]:
-    """Drive one run with the Q-agent and return its attachment path: each
-    epoch it takes `greedy[row]`, the greedy action (`exploit_action`) of
-    its Q-table row; `joint_base` is the run's row of `joint_rows`."""
-    current, path = 0, [0]
-    for base in joint_base[:-1].tolist():
-        current = greedy[base + current]
-        path.append(current)
-    return path
+def run_q_policy(joint_base: np.ndarray, greedy) -> np.ndarray:
+    """Drive every run with the Q-agent and return the attachment paths
+    (run, epoch): each epoch a run takes `greedy[row]`, the greedy action
+    (`exploit_action`) of its Q-table row; `joint_base` is `joint_rows`."""
+    greedy = np.asarray(greedy)
+    paths = np.zeros(joint_base.shape, dtype=int)
+    for t in range(1, paths.shape[1]):
+        paths[:, t] = greedy[joint_base[:, t - 1] + paths[:, t - 1]]
+    return paths
 
 
 def _baseline_paths(cfg: HarnessConfig, kind: str, block) -> np.ndarray:
     """Drive every run of the evaluation block with a baseline and return
-    the attachment paths (run, epoch). The oracle plans each run apart;
-    naive and m4 decide each epoch for all runs at once, on the
+    the attachment paths (run, epoch). The oracle plans every run in one
+    call; naive and m4 decide each epoch for all runs at once, on the
     measurements up to the previous epoch."""
     if kind == "best":
         # Every run starts attached to interface 0, whatever the oracle's
         # first pick; a move off it counts from epoch 1.
-        return np.array([[0] + oracle_policy(list(states), start=0)[1:]
-                         for states in block.states])
+        paths = oracle_policy(block.states, start=0)
+        paths[:, 0] = 0
+        return paths
     delays = block.delays_s
     paths = np.zeros((delays.shape[0], delays.shape[2]), dtype=int)
     load = RnlEstimator()
@@ -306,8 +319,7 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
                         for m, ch in zip(models, scenario.channels)]
             qtable = fit_q_table(cfg, models, qoe_maps)
             greedy = [exploit_action(qtable, s) for s in range(len(qtable.values))]
-            paths = [run_q_policy(rows, greedy) for rows in joint_rows(
-                block.delays_s, models, qoe_maps, scenario.scheme.state_count)]
+            paths = run_q_policy(joint_rows(cfg, block, models, qoe_maps), greedy)
         else:
             paths = _baseline_paths(cfg, name, block)
         results[name] = account(cfg, block.mos, paths)

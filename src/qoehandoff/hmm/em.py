@@ -349,8 +349,10 @@ def cross_validate_folds(dataset, folds: int, k: int, scheme: QuantizationScheme
     if len(keys) != len(dataset):
         raise DomainError("groups must give one key per trace")
     order = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    if not 2 <= folds <= len(order):
-        raise DomainError(f"folds must be in [2, {len(order)}]")
+    if folds < 2:
+        raise DomainError("folds must be >= 2")
+    if folds > len(order):
+        raise DomainError(f"{folds} folds need at least {folds} runs, got {len(order)}")
     fold_of = [order[key] % folds for key in keys]
     trains = [[d for d, f in zip(dataset, fold_of) if f != fold]
               for fold in range(folds)]

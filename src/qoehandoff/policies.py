@@ -170,48 +170,41 @@ def naive_policy_step(delays, current):
                     scores.argmax(axis=-1))
 
 
-def oracle_policy(per_interface_states, start: int | None = None) -> list[int]:
+def oracle_policy(per_interface_states, start: int | None = None):
     """Offline minimal-handoff interface sequence that sits on a best-state
     interface at every epoch.
 
-    `per_interface_states` holds one QoE-state sequence per interface.
-    With `start` given, the first epoch counts a handoff if it forces a
-    move off that interface; otherwise the starting interface is free.
+    `per_interface_states` holds one QoE-state sequence per interface and
+    gives a list, or a block of them on axes (run, interface, epoch) and
+    gives a path per run on axes (run, epoch). With `start` given, the
+    first epoch counts a handoff if it forces a move off that interface;
+    otherwise the starting interface is free. Ties stay on the interface,
+    else come from the lowest index; a path ends on the lowest-cost, then
+    lowest, index.
     """
-    states = [list(s) for s in per_interface_states]
-    n_if = len(states)
-    horizon = len(states[0])
-    if any(len(s) != horizon for s in states):
-        raise DomainError("per-interface state sequences must share a length")
-    best_sets = []
-    for t in range(horizon):
-        top = max(states[i][t] for i in range(n_if))
-        best_sets.append([i for i in range(n_if) if states[i][t] == top])
-
-    INF = float("inf")
-    cost = [INF] * n_if
-    choice: list[list[int | None]] = []
-    for i in best_sets[0]:
-        cost[i] = 0 if (start is None or i == start) else 1
-    choice.append([None] * n_if)
+    try:
+        states = np.asarray(per_interface_states)
+    except ValueError:
+        raise DomainError("per-interface state sequences must share a length") from None
+    n_if, horizon = states.shape[-2:]
+    best = (states == states.max(axis=-2, keepdims=True)).reshape(-1, n_if, horizon)
+    runs = np.arange(len(best))
+    # cost[b, i]: the fewest handoffs of a best-state path of run b ending
+    # on interface i; switch[i, j] charges the move from j to i.
+    entry = 0.0 if start is None else 1.0 * (np.arange(n_if) != start)
+    cost = np.where(best[:, :, 0], entry, np.inf)
+    switch = 1.0 - np.eye(n_if)
+    back = np.zeros((horizon, len(runs), n_if), dtype=int)
     for t in range(1, horizon):
-        nxt = [INF] * n_if
-        back: list[int | None] = [None] * n_if
-        for i in best_sets[t]:
-            for j in best_sets[t - 1]:
-                c = cost[j] + (0 if i == j else 1)
-                if c < nxt[i] or (c == nxt[i] and j == i):
-                    nxt[i] = c
-                    back[i] = j
-        cost = nxt
-        choice.append(back)
-
-    end = min(best_sets[-1], key=lambda i: (cost[i], i))
-    path = [end]
+        moves = cost[:, None, :] + switch
+        low = moves.min(axis=2)
+        back[t] = np.where(low == cost, np.arange(n_if), moves.argmin(axis=2))
+        cost = np.where(best[:, :, t], low, np.inf)
+    paths = np.empty((len(runs), horizon), dtype=int)
+    paths[:, -1] = cost.argmin(axis=1)
     for t in range(horizon - 1, 0, -1):
-        path.append(choice[t][path[-1]])
-    path.reverse()
-    return path
+        paths[:, t - 1] = back[t, runs, paths[:, t]]
+    return paths if states.ndim == 3 else paths[0].tolist()
 
 
 def q_iteration(rewards: np.ndarray, transitions: np.ndarray, gamma: float,

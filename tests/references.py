@@ -1,7 +1,8 @@
 """Plain-Python references the tests check the package against: the
 per-sample MOS chain, per-run stepwise generation, per-sequence scaled
-filtering and forward-backward, one-start EM, the pure load update and
-brute-force minimal handoffs. Nothing the commands run lives here."""
+filtering and forward-backward, one-start EM, the pure load update,
+brute-force minimal handoffs and the per-run oracle loop. Nothing the
+commands run lives here."""
 
 import bisect
 import copy
@@ -165,3 +166,32 @@ def exhaustive_min_handoffs(per_interface_states, start=None):
         if best is None or c < best:
             best = c
     return best
+
+
+def reference_oracle(per_interface_states, start=None):
+    """`oracle_policy` of one run, epoch by epoch in Python: each epoch's
+    best-state interfaces take the fewest-handoff predecessor, staying on
+    a tie, else the lowest index; the path ends on the lowest-cost, then
+    lowest, index."""
+    states = [list(s) for s in per_interface_states]
+    n_if, horizon = len(states), len(states[0])
+    best_sets = [[i for i in range(n_if)
+                  if states[i][t] == max(s[t] for s in states)]
+                 for t in range(horizon)]
+    cost = [float("inf")] * n_if
+    for i in best_sets[0]:
+        cost[i] = 0 if start is None or i == start else 1
+    choice = [None]
+    for t in range(1, horizon):
+        nxt, back = [float("inf")] * n_if, [None] * n_if
+        for i in best_sets[t]:
+            for j in best_sets[t - 1]:
+                c = cost[j] + (i != j)
+                if c < nxt[i] or (c == nxt[i] and j == i):
+                    nxt[i], back[i] = c, j
+        cost = nxt
+        choice.append(back)
+    path = [min(best_sets[-1], key=lambda i: (cost[i], i))]
+    for t in range(horizon - 1, 0, -1):
+        path.append(choice[t][path[-1]])
+    return path[::-1]

@@ -106,7 +106,7 @@ def test_traced_comparison_runs_every_hook(tmp_path):
     # The Q-table is solved from counts: no training episode runs through
     # the agent loop.
     assert t.counts["harness.q_train.episodes"] == 0
-    assert t.counts["harness.q_eval.runs"] == 2
+    assert t.counts["harness.q_eval.runs"] == 1
     # The features are precomputed per block of runs, and the timeline
     # reuses the evaluation runs. (One HMM training run means no CV, whose
     # scoring would predict beliefs.)
@@ -116,6 +116,9 @@ def test_traced_comparison_runs_every_hook(tmp_path):
     # The m4 baseline updates one load estimate of every run and interface
     # per epoch after the first (30 epochs).
     assert t.calls["probing.rnl_update"] == 29
+    # The Q-agent and the oracle each decide for every evaluation run in
+    # one call.
+    assert t.calls["policies.oracle_policy"] == 1
 
 
 def load_bench():

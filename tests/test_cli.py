@@ -484,6 +484,24 @@ class TestComparePolicies:
         assert key in err.removeprefix(f"error: config file {cfg}: ")
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("episodes, what", [
+        ("", "training episode 0"),
+        ("training_episodes = 0\n", "evaluation run 0"),
+    ], ids=["training", "evaluation"])
+    def test_zero_probability_names_the_run(self, tmp_path, capsys, episodes, what):
+        # Three states fitted to one 3-epoch run pin each on a single
+        # sample, so the first delay of any other run has zero probability.
+        cfg = tmp_path / "pinned.ini"
+        cfg.write_text("[scenario]\nduration_epochs = 3\n\n[harness]\n"
+                       "hmm_states = 3,3\nhmm_training_runs = 1\n" + episodes)
+        out = tmp_path / "cmp"
+        code = main(["compare-policies", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: WLAN delay of {what}, epoch 0, has zero predicted " \
+            "probability under its fitted model\n"
+        assert not out.exists()
+
     def test_scenario_flags_without_config(self, tmp_path):
         out = tmp_path / "cmp"
         code = main(["compare-policies", "--seed", "3", "--runs", "2",
@@ -547,7 +565,10 @@ class TestExitCodes:
     # file; arguments no file could support are usage errors.
     @pytest.mark.parametrize("rows, argv, code, message", [
         ("r0,WLAN,0,0.1,4.0\nr0,WLAN,1,0.2,3.0\nr0,WLAN,2,0.3,3.5\n", [],
-         EXIT_DATA, "error: {traces}: folds must be in [2, 1]\n"),
+         EXIT_DATA, "error: {traces}: 2 folds need at least 2 runs, got 1\n"),
+        ("r0,WLAN,0,0.1,4.0\nr0,WLAN,1,0.2,3.0\nr1,WLAN,0,0.3,3.5\nr1,WLAN,1,0.2,3.0\n"
+         "r2,WLAN,0,0.1,3.5\nr2,WLAN,1,0.3,3.0\n", ["--folds", "5"],
+         EXIT_DATA, "error: {traces}: 5 folds need at least 5 runs, got 3\n"),
         ("r0,WLAN,0,0.1,4.0\nr0,WLAN,1,0.1,3.0\nr1,WLAN,0,0.1,3.5\nr1,WLAN,1,0.1,3.5\n",
          ["--states", "2"],
          EXIT_DATA, "error: {traces}: 2 states requested but only 1 distinct values\n"),
@@ -555,7 +576,8 @@ class TestExitCodes:
          EXIT_USAGE, "error: folds must be >= 2\n"),
         ("r0,WLAN,0,0.1,4.0\nr0,WLAN,1,0.2,3.0\nr1,WLAN,0,0.3,3.5\n", ["--states", "0"],
          EXIT_USAGE, "error: states must be >= 1\n"),
-    ], ids=["one-run", "one-distinct-delay", "one-fold", "no-states"])
+    ], ids=["one-run", "five-folds-three-runs", "one-distinct-delay", "one-fold",
+            "no-states"])
     def test_unfittable_request(self, tmp_path, capsys, rows, argv, code, message):
         traces = tmp_path / "traces.csv"
         traces.write_text("run_id,interface,epoch,rtt_s,mos\n" + rows)

@@ -268,6 +268,14 @@ def penalising_harness():
         cfg.scenario, handoff_penalty_mos=0.7))
 
 
+def floored_harness():
+    """`penalising_harness` with its QoE clamp below the 1.0 floor of a
+    handoff epoch's MOS, so that the floor shows in the rewards too."""
+    cfg = penalising_harness()
+    return dataclasses.replace(cfg, reward_cfg=dataclasses.replace(cfg.reward_cfg,
+                                                                   qoe_min=0.5))
+
+
 def flipped(model):
     """The model with each transition row reversed, so that a one-step
     prediction often leaves the filtered state."""
@@ -292,7 +300,7 @@ class TestBlockFeatures:
             qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
                                          scenario.scheme)
                         for m, ch in zip(models, scenario.channels)]
-            rows = joint_rows(block.delays_s, models, qoe_maps, n_states)
+            rows = joint_rows(cfg, block, models, qoe_maps)
             for b in range(5):
                 joint_base, rnl = reference_features(generate_run(scenario, b),
                                                      models, qoe_maps, n_states)
@@ -321,7 +329,7 @@ class TestFitQTable:
     of the training episodes converges to."""
 
     def test_matches_per_epoch_fixed_point(self):
-        for cfg in (small_harness(), penalising_harness()):
+        for cfg in (small_harness(), penalising_harness(), floored_harness()):
             models, qoe_maps = flipped_inputs(cfg)
             table = harness.fit_q_table(cfg, models, qoe_maps)
             transitions = reference_transitions(cfg, models, qoe_maps)
@@ -371,21 +379,20 @@ class TestPolicyLoopsMatchPerEpochReference:
             scenario = cfg.scenario
             models, qoe_maps = flipped_inputs(cfg)
             block = generate_runs(scenario, range(6))
-            rows = joint_rows(block.delays_s, models, qoe_maps,
-                              scenario.scheme.state_count)
+            rows = joint_rows(cfg, block, models, qoe_maps)
             fitted = harness.fit_q_table(cfg, models, qoe_maps)
             drawn = QTable(fitted.n_states, fitted.n_interfaces)
             drawn.values = np.random.default_rng(4).uniform(size=drawn.values.shape)
             for table in (fitted, drawn):
                 greedy = [exploit_action(table, s) for s in range(len(table.values))]
+                paths = harness.run_q_policy(rows, greedy)
+                assert paths.shape == (6, scenario.duration_epochs)
                 for b in range(6):
                     run = generate_run(scenario, b)
-                    path = harness.run_q_policy(rows[b], greedy)
                     expected, totals = reference_q_policy(cfg, run, models,
                                                           qoe_maps, table)
-                    assert path == expected
-                    result = harness.account(cfg, block.mos[b:b + 1], [path])
-                    assert result.paths.tolist() == [expected]
+                    assert paths[b].tolist() == expected
+                    result = harness.account(cfg, block.mos[b:b + 1], paths[b:b + 1])
                     assert accounted(result) == totals
 
     def test_baselines_act_as_reference(self):

@@ -342,7 +342,7 @@ class TestCrossValidation:
             expected.append(prediction_accuracy(model, held, ROAMING_SCHEME,
                                                 state_map))
         assert scores == expected
-        with pytest.raises(DomainError, match=r"folds must be in \[2, 3\]"):
+        with pytest.raises(DomainError, match="^4 folds need at least 4 runs, got 3$"):
             cross_validate_folds(dataset, 4, 2, ROAMING_SCHEME, groups=runs)
         with pytest.raises(DomainError, match="one key per trace"):
             cross_validate_folds(dataset, 2, 2, ROAMING_SCHEME, groups=runs[:5])

@@ -10,7 +10,7 @@ from qoehandoff.policies import (JointState, QLearningConfig, QTable,
                                  exploit_action, m4_policy_step,
                                  naive_policy_step, oracle_policy, q_star,
                                  q_update, reward, value_iteration)
-from references import count_handoffs, exhaustive_min_handoffs
+from references import count_handoffs, exhaustive_min_handoffs, reference_oracle
 
 
 class TestReward:
@@ -300,6 +300,27 @@ class TestOraclePolicy:
     def test_rejects_ragged_input(self):
         with pytest.raises(DomainError):
             oracle_policy([[1, 2], [1, 2, 3]])
+
+
+class TestOracleBlock:
+    """A block of runs gives, row by row, the paths of one-run list calls,
+    which are the per-epoch reference loop's, ties included."""
+
+    @pytest.mark.parametrize("start", [None, 0, 1])
+    @pytest.mark.parametrize("n_if", [1, 2, 3])
+    def test_rows_act_as_single_calls(self, n_if, start):
+        rng = np.random.default_rng(10 * n_if + (start or 0))
+        for horizon in (1, 2, 9):
+            # Two bands tie often; run 0 ties every interface at every epoch.
+            block = rng.integers(1, 3, (24, n_if, horizon))
+            block[0] = 2
+            paths = oracle_policy(block, start=start)
+            assert paths.shape == (24, horizon)
+            for states, path in zip(block.tolist(), paths.tolist()):
+                assert path == oracle_policy(states, start=start)
+                assert path == reference_oracle(states, start=start)
+                assert count_handoffs(path, start) == \
+                    exhaustive_min_handoffs(states, start)
 
 
 class TestCountHandoffs:
