@@ -66,20 +66,19 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = [ch.label for ch in scenario.channels]
     # Runs are generated in the order their traces sort in (run1000 sorts
-    # between run100 and run101), so each block's rows are written as soon
-    # as the block exists; the MOS sums are added in run order afterwards,
-    # so the summary's means do not depend on the write order.
+    # between run100 and run101), so each block's rows are rendered from
+    # its arrays and written as soon as the block exists; the MOS sums are
+    # added in run order afterwards, so the summary's means do not depend
+    # on the write order.
     run_mos_sums = np.empty((scenario.runs, len(labels)))
     trace_path = out_dir / "traces.csv"
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(trace_io.write_traces([]))
+        fh.write(",".join(trace_io.HEADER) + "\n")
         for block in netsim.run_blocks(scenario,
                                        sorted(range(scenario.runs), key=_run_id)):
-            traces = []
-            for r, delays, mos in zip(block.run_indices, block.delays_s, block.mos):
-                traces += trace_io.traces_from_run(delays, mos, labels, _run_id(r))
             run_mos_sums[list(block.run_indices)] = block.mos.sum(axis=2)
-            fh.write(trace_io.write_traces(traces, header=False))
+            fh.write(trace_io.block_rows([_run_id(r) for r in block.run_indices],
+                                         labels, block.delays_s, block.mos))
     mos_sums = np.zeros(len(labels))
     for sums in run_mos_sums:
         mos_sums += sums
@@ -108,19 +107,18 @@ def _read_trace_file(path) -> list[trace_io.DelayTrace]:
 
 
 def _load_dataset(path):
-    """(rtts, mos) arrays of each trace in a trace CSV, and each trace's
-    run id; every mos cell must be set, and some trace must hold the two
-    samples that one transition needs."""
-    dataset, run_ids = [], []
-    for trace in _read_trace_file(path):
+    """(rtts, mos) arrays of each trace in a trace CSV, and the traces;
+    every mos cell must be set, and some trace must hold the two samples
+    that one transition needs."""
+    traces = _read_trace_file(path)
+    for trace in traces:
         if np.isnan(trace.mos).any():
             raise TraceValidationError(
                 f"run {trace.run_id}/{trace.interface_label}: mos column required here")
-        dataset.append((trace.rtt_s, trace.mos))
-        run_ids.append(trace.run_id)
+    dataset = [(trace.rtt_s, trace.mos) for trace in traces]
     if not any(rtts.size >= 2 for rtts, _ in dataset):
         raise TraceValidationError(f"{path}: no trace holds two or more samples")
-    return dataset, run_ids
+    return dataset, traces
 
 
 def cmd_train_hmm(args) -> int:
@@ -130,13 +128,20 @@ def cmd_train_hmm(args) -> int:
         raise DomainError("states must be >= 1")
     scheme = SCHEMES[args.scheme]
     config = EmConfig(seed=args.seed)
-    dataset, run_ids = _load_dataset(args.traces)
+    dataset, traces = _load_dataset(args.traces)
     # Folds hold out whole runs. Traces sort by (run, interface), so folds
     # by trace index would hold out one interface of each run and score it
     # under a model fitted to the others.
     try:
         (model, report), scores = cross_validate_folds(
-            dataset, args.folds, args.states, scheme, config, groups=run_ids)
+            dataset, args.folds, args.states, scheme, config,
+            groups=[trace.run_id for trace in traces])
+    except ZeroProbabilityError as exc:
+        trace = traces[exc.row]
+        raise TraceValidationError(
+            f"{args.traces}: run {trace.run_id}/{trace.interface_label} epoch "
+            f"{trace.epochs[exc.observation]} has zero predicted probability under "
+            "a cross-validation fold's model") from None
     except DomainError as exc:
         # The arguments are valid, so the file's data cannot support them:
         # too few runs for the folds, or too few distinct delays for the states.

@@ -67,6 +67,14 @@ class HarnessConfig:
             raise DomainError("hmm_states must be >= 1")
         if self.training_episodes < 0:
             raise DomainError("training_episodes must be >= 0")
+        # The offsets keep the run sets disjoint only up to these sizes.
+        if self.scenario.runs > _TRAIN_RUN_OFFSET:
+            raise DomainError(f"runs must be <= {_TRAIN_RUN_OFFSET}, or evaluation "
+                              "runs would be training episodes")
+        if self.training_episodes > _HMM_RUN_OFFSET - _TRAIN_RUN_OFFSET:
+            raise DomainError(
+                f"training_episodes must be <= {_HMM_RUN_OFFSET - _TRAIN_RUN_OFFSET}, "
+                "or training episodes would be HMM training runs")
         if self.hmm_training_runs < 1:
             raise DomainError("hmm_training_runs must be >= 1")
         if not self.m4_margin_s >= 0:
@@ -144,7 +152,8 @@ def train_interface_models(cfg: HarnessConfig):
     """Fit one delay HMM per interface on held-out runs; with two or more
     runs, also returns the 2-fold cross-validated one-step prediction
     accuracy per interface, its folds fitted in the same lock-step EM as
-    the model."""
+    the model. A delay of zero probability under a fold's model is a
+    DomainError naming the interface, the HMM training run and the epoch."""
     scenario = cfg.scenario
     block = generate_runs(scenario, range(_HMM_RUN_OFFSET,
                                           _HMM_RUN_OFFSET + cfg.hmm_training_runs))
@@ -154,8 +163,15 @@ def train_interface_models(cfg: HarnessConfig):
         k = cfg.hmm_states[i]
         dataset = list(zip(block.delays_s[:, i], block.mos[:, i]))
         if len(dataset) >= 2:
-            (model, _), scores = cross_validate_folds(dataset, 2, k, scenario.scheme,
-                                                      cfg.em)
+            try:
+                (model, _), scores = cross_validate_folds(dataset, 2, k,
+                                                          scenario.scheme, cfg.em)
+            except ZeroProbabilityError as exc:
+                run = block.run_indices[exc.row] - _HMM_RUN_OFFSET
+                raise DomainError(
+                    f"{channel.label} delay of HMM training run {run}, epoch "
+                    f"{exc.observation}, has zero predicted probability under a "
+                    "cross-validation fold's model") from None
             accuracy[channel.label] = sum(c for c, _ in scores) \
                 / sum(t for _, t in scores)
         else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateModelError, DomainError
+from ..errors import DegenerateModelError, DomainError, ZeroProbabilityError
 from ..qoe_model import QuantizationScheme, quantize_mos
 from . import _kernels_py
 from .inference import forward_filter, length_blocks, predict_next_states
@@ -289,9 +289,13 @@ def em_train(observations, k: int,
 
 def _filtered_blocks(model: HmmModel, traces, scheme: QuantizationScheme):
     """Per length group of (observations, mos) traces: (beliefs (B, T, N),
-    QoE bands (B, T)), each group filtered in one `forward_filter` call."""
+    QoE bands (B, T)), each group filtered in one `forward_filter` call.
+    A ZeroProbabilityError's row is the index of its trace in `traces`."""
     for ids, block in length_blocks([obs for obs, _ in traces]):
-        beliefs, _ = forward_filter(model, block)
+        try:
+            beliefs, _ = forward_filter(model, block)
+        except ZeroProbabilityError as exc:
+            raise ZeroProbabilityError(exc.observation, int(ids[exc.row])) from None
         mos = np.array([traces[i][1] for i in ids], dtype=float)
         yield beliefs, quantize_mos(mos, scheme)
 
@@ -343,7 +347,8 @@ def cross_validate_folds(dataset, folds: int, k: int, scheme: QuantizationScheme
     folds are assigned round-robin over the groups in order of first
     appearance, so every trace is held out exactly once, together with
     the rest of its group. The all-data fit and the folds' fits run in one
-    lock-step EM.
+    lock-step EM. A delay of zero probability under a fold's model raises
+    ZeroProbabilityError with `row` the index of its trace in `dataset`.
     """
     keys = range(len(dataset)) if groups is None else list(groups)
     if len(keys) != len(dataset):
@@ -354,13 +359,23 @@ def cross_validate_folds(dataset, folds: int, k: int, scheme: QuantizationScheme
     if folds > len(order):
         raise DomainError(f"{folds} folds need at least {folds} runs, got {len(order)}")
     fold_of = [order[key] % folds for key in keys]
-    trains = [[d for d, f in zip(dataset, fold_of) if f != fold]
-              for fold in range(folds)]
-    full, *fits = _fit_all([[obs for obs, _ in train] for train in [dataset, *trains]],
+    trains = [[i for i, f in enumerate(fold_of) if f != fold] for fold in range(folds)]
+    full, *fits = _fit_all([[obs for obs, _ in dataset]]
+                           + [[dataset[i][0] for i in train] for train in trains],
                            k, config)
     scores = []
     for fold, (train, (model, _)) in enumerate(zip(trains, fits)):
-        held = [d for d, f in zip(dataset, fold_of) if f == fold]
-        state_map = state_band_map(model, train, scheme)
-        scores.append(prediction_accuracy(model, held, scheme, state_map))
+        held = [i for i, f in enumerate(fold_of) if f == fold]
+        state_map = _on_subset(state_band_map, model, dataset, train, scheme)
+        scores.append(_on_subset(prediction_accuracy, model, dataset, held, scheme,
+                                 state_map))
     return full, scores
+
+
+def _on_subset(score, model: HmmModel, dataset, ids, *args):
+    """`score(model, traces, *args)` over the traces of `dataset` at `ids`;
+    a ZeroProbabilityError's row is made the index of its trace in `dataset`."""
+    try:
+        return score(model, [dataset[i] for i in ids], *args)
+    except ZeroProbabilityError as exc:
+        raise ZeroProbabilityError(exc.observation, ids[exc.row]) from None

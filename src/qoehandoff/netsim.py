@@ -167,10 +167,15 @@ def generate_runs(cfg: ScenarioConfig, run_indices) -> RunBlock:
             hidden = np.where(regime == ci, dominant - 1, recessive - 1)
         else:
             hidden = _sample_chains(channel.generator, _uniforms(rngs, shape[2]))
-        mu = channel.generator.means()[hidden]
-        sigma = np.sqrt(channel.generator.variances()[hidden])
+        # `rng.normal(mu, sigma)` is `mu + sigma * z`, with z the stream's
+        # `standard_normal`: each run draws z in place, then the slab is
+        # scaled and shifted. The delays are bit-identical to `normal`'s as
+        # long as NumPy computes `loc + scale * z` without a fused
+        # multiply-add, as an x86-64 build with baseline X86_V2 does.
         for b, rng in enumerate(rngs):
-            delays[b, ci] = rng.normal(mu[b], sigma[b])
+            rng.standard_normal(out=delays[b, ci])
+        delays[:, ci] *= np.sqrt(channel.generator.variances()[hidden])
+        delays[:, ci] += channel.generator.means()[hidden]
         np.clip(delays[:, ci], MIN_DELAY_S, None, out=delays[:, ci])
         owd[:, ci] = delays[:, ci] / 2.0 if channel.delay_is_rtt else delays[:, ci]
         loss[:, ci] = np.asarray(channel.loss_per_state)[hidden]

@@ -120,12 +120,13 @@ class TestSimulate:
         if block_runs is not None:
             monkeypatch.setattr(netsim, "BLOCK_RUNS", block_runs)
         batch_sizes = []
+        block_rows = trace_io.block_rows
 
-        def spy(traces, *args, **kwargs):
-            batch_sizes.append(len(traces))
-            return write_traces(traces, *args, **kwargs)
+        def spy(run_ids, *args):
+            batch_sizes.append(len(run_ids))
+            return block_rows(run_ids, *args)
 
-        monkeypatch.setattr(trace_io, "write_traces", spy)
+        monkeypatch.setattr(trace_io, "block_rows", spy)
         out = tmp_path / "sim"
         assert main(["simulate", "--scenario", scenario, "--runs", str(runs),
                      "--duration", str(duration), "--seed", "3",
@@ -144,8 +145,8 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mean_mos_per_interface"] == \
             {label: mos_sums[i] / (runs * duration) for i, label in enumerate(labels)}
-        assert max(batch_sizes) <= netsim.BLOCK_RUNS * len(labels)
-        assert sum(batch_sizes) == runs * len(labels)
+        assert max(batch_sizes) <= netsim.BLOCK_RUNS
+        assert sum(batch_sizes) == runs
 
 
 class TestTrainHmmAndPredict:
@@ -459,6 +460,10 @@ class TestComparePolicies:
          "unknown config key 'trainig_episodes' in [harness]"),
         ("[harness]\npolicies = best, best\n", "policies listed twice: ['best']"),
         ("[harness]\ntraining_episodes = -5\n", "training_episodes must be >= 0"),
+        # Beyond these sizes the run-index offsets no longer keep the
+        # evaluation runs, training episodes and HMM runs apart.
+        ("[scenario]\nruns = 10001\n", "runs must be <= 10000"),
+        ("[harness]\ntraining_episodes = 10001\n", "training_episodes must be <= 10000"),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, needle):
         cfg = tmp_path / "bad.ini"
@@ -500,6 +505,21 @@ class TestComparePolicies:
         assert capsys.readouterr().err == \
             f"error: WLAN delay of {what}, epoch 0, has zero predicted " \
             "probability under its fitted model\n"
+        assert not out.exists()
+
+    def test_zero_probability_in_cross_validation_names_the_run(self, tmp_path, capsys):
+        # Each fold fits three states to one 3-epoch run, pinning each on
+        # a single sample; the held-out run's first delay then has zero
+        # probability.
+        cfg = tmp_path / "pinned.ini"
+        cfg.write_text("[scenario]\nduration_epochs = 3\n\n[harness]\n"
+                       "hmm_states = 3,3\nhmm_training_runs = 2\n")
+        out = tmp_path / "cmp"
+        code = main(["compare-policies", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: WLAN delay of HMM training run 0, epoch 0, has zero predicted " \
+            "probability under a cross-validation fold's model\n"
         assert not out.exists()
 
     def test_scenario_flags_without_config(self, tmp_path):
@@ -585,6 +605,27 @@ class TestExitCodes:
         assert main(["train-hmm", "--traces", str(traces), "--out", str(out)]
                     + argv) == code
         assert capsys.readouterr().err == message.format(traces=traces)
+        assert not out.exists()
+
+    def test_zero_probability_in_cross_validation_names_the_trace(self, tmp_path,
+                                                                  capsys):
+        # Fold 1 fits three states to r1 alone, each pinned on one of its
+        # delays. Of the held-out runs, r0 (filtered first, on its own as it
+        # is shorter) follows r1 and scores; r2's first delay (epoch 5) has
+        # zero probability.
+        traces = tmp_path / "traces.csv"
+        traces.write_text("run_id,interface,epoch,rtt_s,mos\n"
+                          + "".join(f"{run},WLAN,{t},{rtt},3.5\n"
+                                    for run, first, rtts in [("r0", 0, (0.1, 0.2)),
+                                                             ("r1", 0, (0.1, 0.2, 0.3)),
+                                                             ("r2", 5, (10, 11, 12))]
+                                    for t, rtt in enumerate(rtts, first)))
+        out = tmp_path / "out"
+        assert main(["train-hmm", "--traces", str(traces), "--states", "3",
+                     "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            f"error: {traces}: run r2/WLAN epoch 5 has zero predicted probability " \
+            "under a cross-validation fold's model\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-hmm", "predict"])

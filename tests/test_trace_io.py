@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qoehandoff import trace_io
 from qoehandoff.errors import TraceParseError, TraceValidationError
@@ -128,7 +128,7 @@ class TestWrite:
         traces = sorted(read_traces(SAMPLE),
                         key=lambda t: (t.run_id, t.interface_label))
         text = write_traces([]) + "".join(
-            write_traces(traces[i:i + batch], header=False)
+            write_traces(traces[i:i + batch]).partition("\n")[2]
             for i in range(0, len(traces), batch))
         assert write_traces([]) == ",".join(HEADER) + "\n"
         assert text == write_traces(traces[::-1])
@@ -394,6 +394,38 @@ TRACES = st.lists(st.tuples(LABELS, LABELS, SAMPLES), max_size=5,
                   unique_by=lambda t: t[:2])
 # Rows per column pass: one, a few, and the module's own.
 SLICES = st.sampled_from([1, 2, 3, trace_io.SLICE_ROWS])
+
+
+def _block(shape):
+    """Run ids in canonical order, interface labels, and the block's delays
+    and MOS as flat lists of runs x interfaces x epochs cells."""
+    runs, interfaces, epochs = shape
+    cells = runs * interfaces * epochs
+    return st.tuples(
+        st.lists(LABELS, min_size=runs, max_size=runs, unique=True).map(sorted),
+        st.lists(LABELS, min_size=interfaces, max_size=interfaces),
+        st.lists(st.floats(0.0, 1e308, exclude_min=True), min_size=cells, max_size=cells),
+        st.lists(st.floats(1.0, 5.0), min_size=cells, max_size=cells))
+
+
+BLOCKS = st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 6)).flatmap(_block)
+
+
+class TestBlockRows:
+    @settings(max_examples=100, deadline=None)
+    @given(BLOCKS)
+    @example((["r%d", "r,1"], ["W,LAN", 'C"DMA', "a\rb%"],
+              [0.1, 0.2, 0.3, 1e-3, 2.5, 0.7], [1.0, 5.0, 3.25] * 2))
+    def test_rows_equal_the_trace_writer(self, block):
+        # A block's rows are what `write_traces` renders for the traces of
+        # its runs, after the header.
+        run_ids, labels, delays, mos = block
+        shape = (len(run_ids), len(labels), -1)
+        delays, mos = np.reshape(delays, shape), np.reshape(mos, shape)
+        traces = [trace for run_id, d, m in zip(run_ids, delays, mos)
+                  for trace in traces_from_run(d, m, labels, run_id)]
+        assert write_traces([]) + trace_io.block_rows(run_ids, labels, delays, mos) \
+            == write_traces(traces)
 
 
 class TestMatchesRowByRowReference:
