@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ZeroProbabilityError
-from .hmm import (EmConfig, HmmModel, cross_validate_folds, em_train,
-                  forward_filter, predict_next_states)
+from .hmm import (EmConfig, cross_validate_folds, em_train, forward_filter,
+                  predict_next_bands, state_band_map)
 from .netsim import (ROAMING, ScenarioConfig, congestion_scenario, generate_runs,
                      roaming_scenario, run_blocks)
 from .policies import (QTable, RewardConfig, exploit_action, m4_policy_step,
@@ -26,7 +26,8 @@ from .hmm.inference import predict_belief  # noqa: F401
 from .netsim import generate_run, step_environment  # noqa: F401
 from .policies import epsilon_greedy_action, q_update  # noqa: F401
 from .probing import aggregate_epoch  # noqa: F401
-from .qoe_model import CODECS, mos_from_delay, quantize_mos
+from .qoe_model import mos_from_delay, quantize_mos  # noqa: F401
+from .qoe_model import CODECS
 
 ALL_POLICIES = ("best", "naive", "m4", "proposed")
 
@@ -139,26 +140,17 @@ class EvaluationReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def state_to_qoe_map(model: HmmModel, delay_is_rtt: bool, codec, scheme) -> list[int]:
-    """QoE band of each hidden state's typical delay (zero-loss MOS)."""
-    mapping = []
-    for emission in model.emissions:
-        owd = emission.mean / 2.0 if delay_is_rtt else emission.mean
-        mapping.append(quantize_mos(mos_from_delay(max(owd, 0.0), 0.0, codec), scheme))
-    return mapping
-
-
 def train_interface_models(cfg: HarnessConfig):
-    """Fit one delay HMM per interface on held-out runs; with two or more
-    runs, also returns the 2-fold cross-validated one-step prediction
-    accuracy per interface, its folds fitted in the same lock-step EM as
-    the model. A delay of zero probability under a fold's model is a
-    DomainError naming the interface, the HMM training run and the epoch."""
+    """Fit one delay HMM per interface on held-out runs. Returns the models,
+    their band tables (`state_band_map` on those runs) and, with two or
+    more runs, the 2-fold cross-validated one-step prediction accuracy per
+    interface, its folds fitted in the same lock-step EM as the model. A
+    delay of zero probability under a fold's model is a DomainError naming
+    the interface, the HMM training run and the epoch."""
     scenario = cfg.scenario
     block = generate_runs(scenario, range(_HMM_RUN_OFFSET,
                                           _HMM_RUN_OFFSET + cfg.hmm_training_runs))
-    models = []
-    accuracy = {}
+    models, tables, accuracy = [], [], {}
     for i, channel in enumerate(scenario.channels):
         k = cfg.hmm_states[i]
         dataset = list(zip(block.delays_s[:, i], block.mos[:, i]))
@@ -177,26 +169,27 @@ def train_interface_models(cfg: HarnessConfig):
         else:
             model, _ = em_train([obs for obs, _ in dataset], k, cfg.em)
         models.append(model)
-    return models, accuracy
+        tables.append(state_band_map(model, dataset, scenario.scheme))
+    return models, tables, accuracy
 
 
-def joint_rows(cfg: HarnessConfig, block, models, qoe_maps) -> np.ndarray:
+def joint_rows(cfg: HarnessConfig, block, models, band_tables) -> np.ndarray:
     """The Q-table rows (run, epoch) of a block of runs, from its delays.
 
     Probing is multi-homed and always on, so every interface is observed
     (and filtered) whichever one is attached: each epoch's probe RTT is
     that epoch's delay sample. Each interface's beliefs come from one
-    batched `forward_filter` call under its model; its predicted band is
-    its `qoe_maps` entry of `predict_next_states` (the MAP state of the
-    one-step-ahead belief). Entry [b, t] folds the bands predicted after
-    epoch t row-major, as `JointState.index` folds them, with interface 0
-    attached; add the attached interface's index for its row. A delay of
-    zero probability under its model is a DomainError naming the
-    interface, the training episode or evaluation run, and the epoch.
+    batched `forward_filter` call under its model, and its predicted band
+    from `predict_next_bands` under its band table. Entry [b, t] folds the
+    bands predicted after epoch t row-major, as `JointState.index` folds
+    them, with interface 0 attached; add the attached interface's index for
+    its row. A delay of zero probability under its model is a DomainError
+    naming the interface, the training episode or evaluation run, and the
+    epoch.
     """
     n_runs, n_if, duration = block.delays_s.shape
     rows = np.zeros((n_runs, duration), dtype=int)
-    for i, (model, qmap) in enumerate(zip(models, qoe_maps)):
+    for i, (model, table) in enumerate(zip(models, band_tables)):
         try:
             beliefs, _ = forward_filter(model, block.delays_s[:, i])
         except ZeroProbabilityError as exc:
@@ -207,8 +200,8 @@ def joint_rows(cfg: HarnessConfig, block, models, qoe_maps) -> np.ndarray:
                 f"{cfg.scenario.channels[i].label} delay of {what}, epoch "
                 f"{exc.observation}, has zero predicted probability under its "
                 "fitted model") from None
-        predicted = predict_next_states(model, beliefs) - 1
-        rows = rows * cfg.scenario.scheme.state_count + np.asarray(qmap)[predicted] - 1
+        bands = predict_next_bands(model, beliefs, table)
+        rows = rows * cfg.scenario.scheme.state_count + bands - 1
     return rows * n_if
 
 
@@ -243,7 +236,7 @@ def account(cfg: HarnessConfig, mos: np.ndarray, paths) -> PolicyResult:
                         reward_sum=reward_sum, paths=paths)
 
 
-def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
+def fit_q_table(cfg: HarnessConfig, models, band_tables) -> QTable:
     """The table that Q-learning converges to replaying every transition of
     the training episodes (README, "How compare-policies runs"); a pair
     never seen keeps Q = 0."""
@@ -257,7 +250,7 @@ def fit_q_table(cfg: HarnessConfig, models, qoe_maps) -> QTable:
     episodes = range(_TRAIN_RUN_OFFSET, _TRAIN_RUN_OFFSET + cfg.training_episodes)
     for block in run_blocks(scenario, episodes):
         # Axes (run, epoch t - 1, attachment c, action a).
-        base = joint_rows(cfg, block, models, qoe_maps)[:, :, None, None]
+        base = joint_rows(cfg, block, models, band_tables)[:, :, None, None]
         pairs = (base[:, :-1] + attached) * n_if + action
         moves += np.bincount((pairs * n_rows + base[:, 1:] + action).ravel(),
                              minlength=moves.size).reshape(moves.shape)
@@ -329,13 +322,10 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
     qtable = None
     for name in cfg.policies_enabled:
         if name == "proposed":
-            models, accuracy = train_interface_models(cfg)
-            qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
-                                         scenario.scheme)
-                        for m, ch in zip(models, scenario.channels)]
-            qtable = fit_q_table(cfg, models, qoe_maps)
+            models, tables, accuracy = train_interface_models(cfg)
+            qtable = fit_q_table(cfg, models, tables)
             greedy = [exploit_action(qtable, s) for s in range(len(qtable.values))]
-            paths = run_q_policy(joint_rows(cfg, block, models, qoe_maps), greedy)
+            paths = run_q_policy(joint_rows(cfg, block, models, tables), greedy)
         else:
             paths = _baseline_paths(cfg, name, block)
         results[name] = account(cfg, block.mos, paths)

@@ -2,9 +2,9 @@
 
 from ._kernels_py import BACKEND
 from .em import (EmConfig, TrainingReport, cross_validate_folds, em_train,
-                 prediction_accuracy)
-from .inference import (forward_filter, predict_belief, predict_next_state,
-                        predict_next_states)
+                 prediction_accuracy, state_band_map)
+from .inference import (forward_filter, predict_belief, predict_next_bands,
+                        predict_next_state, predict_next_states)
 from .model import GaussianEmission, HmmModel, load_model, save_model
 
 __all__ = [
@@ -18,8 +18,10 @@ __all__ = [
     "forward_filter",
     "load_model",
     "predict_belief",
+    "predict_next_bands",
     "predict_next_state",
     "predict_next_states",
     "prediction_accuracy",
     "save_model",
+    "state_band_map",
 ]

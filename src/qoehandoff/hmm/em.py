@@ -30,7 +30,7 @@ import numpy as np
 from ..errors import DegenerateModelError, DomainError, ZeroProbabilityError
 from ..qoe_model import QuantizationScheme, quantize_mos
 from . import _kernels_py
-from .inference import forward_filter, length_blocks, predict_next_states
+from .inference import forward_filter, length_blocks, predict_next_bands
 # Unused here; kept bound because perfbench/tracer.py patches this name.
 from .inference import predict_next_state  # noqa: F401
 from .model import VARIANCE_FLOOR, GaussianEmission, HmmModel, gaussian_log_density
@@ -300,38 +300,30 @@ def _filtered_blocks(model: HmmModel, traces, scheme: QuantizationScheme):
         yield beliefs, quantize_mos(mos, scheme)
 
 
-def state_band_map(model: HmmModel, traces, scheme: QuantizationScheme) -> list[int]:
-    """Majority QoE band observed while each hidden state was the MAP state.
-
-    Lets a model with fewer states than the scheme has bands (e.g. a
-    2-state fit of 3-band data) still be scored against quantized MOS.
-    """
-    counts = np.zeros((model.n_states, scheme.state_count), dtype=int)
+def state_band_map(model: HmmModel, traces, scheme: QuantizationScheme) -> np.ndarray:
+    """P(band | state), shape (N, bands): the share of each QoE band among
+    the epochs of (observations, mos) traces at which each hidden state was
+    the MAP state. A state never MAP puts all its mass on its canonical
+    band (state N on the best band, state N-1 on the next, ...)."""
+    counts = np.zeros((model.n_states, scheme.state_count))
     for beliefs, bands in _filtered_blocks(model, traces, scheme):
         np.add.at(counts, (beliefs.argmax(axis=-1), bands - 1), 1)
-    mapping = []
-    for s in range(model.n_states):
-        if counts[s].sum() == 0:
-            # Unvisited state: fall back to the canonical ordering.
-            mapping.append(max(1, scheme.state_count - (model.n_states - 1 - s)))
-        else:
-            mapping.append(int(counts[s].argmax()) + 1)
-    return mapping
+    for s in np.flatnonzero(counts.sum(axis=1) == 0):
+        counts[s, max(0, scheme.state_count - model.n_states + s)] = 1
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 def prediction_accuracy(model: HmmModel, traces, scheme: QuantizationScheme,
-                        state_map: list[int]) -> tuple[int, int]:
+                        band_table) -> tuple[int, int]:
     """(correct, total) one-step predictions over (observations, mos) traces.
 
-    The state predicted from the belief at epoch t is scored against the
-    state quantized from the trace's true MOS at t+1 (micro-average).
-    `state_map` gives the QoE band of each hidden state.
+    The band predicted (`predict_next_bands` under `band_table`) from the
+    belief at epoch t is scored against the band quantized from the
+    trace's true MOS at t+1 (micro-average).
     """
-    band_of = np.asarray(state_map)
-    correct = 0
-    total = 0
+    correct = total = 0
     for beliefs, bands in _filtered_blocks(model, traces, scheme):
-        predicted = band_of[predict_next_states(model, beliefs[:, :-1]) - 1]
+        predicted = predict_next_bands(model, beliefs[:, :-1], band_table)
         correct += int((predicted == bands[:, 1:]).sum())
         total += predicted.size
     return correct, total
@@ -366,9 +358,9 @@ def cross_validate_folds(dataset, folds: int, k: int, scheme: QuantizationScheme
     scores = []
     for fold, (train, (model, _)) in enumerate(zip(trains, fits)):
         held = [i for i, f in enumerate(fold_of) if f == fold]
-        state_map = _on_subset(state_band_map, model, dataset, train, scheme)
+        table = _on_subset(state_band_map, model, dataset, train, scheme)
         scores.append(_on_subset(prediction_accuracy, model, dataset, held, scheme,
-                                 state_map))
+                                 table))
     return full, scores
 
 

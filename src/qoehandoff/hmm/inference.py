@@ -1,4 +1,4 @@
-"""Forward filtering and one-step state prediction."""
+"""Forward filtering and one-step state and QoE band prediction."""
 
 from __future__ import annotations
 
@@ -71,6 +71,17 @@ def predict_next_states(model: HmmModel, beliefs) -> np.ndarray:
     the 1-based MAP next states, shape (...), ties toward the lower index."""
     beliefs = _probability_vectors(model, beliefs)
     return np.argmax(beliefs @ model.transitions, axis=-1) + 1
+
+
+def predict_next_bands(model: HmmModel, beliefs, band_table) -> np.ndarray:
+    """The 1-based most probable next QoE bands for a block of beliefs
+    (..., N), under `band_table` P(band | state), one row per state
+    (`hmm.em.state_band_map`); ties toward the lower band."""
+    beliefs = _probability_vectors(model, beliefs)
+    table = np.asarray(band_table, dtype=float)
+    if table.ndim != 2 or table.shape[0] != model.n_states:
+        raise DomainError("band table needs one row per state")
+    return np.argmax(beliefs @ model.transitions @ table, axis=-1) + 1
 
 
 def length_blocks(sequences) -> list[tuple[np.ndarray, np.ndarray]]:

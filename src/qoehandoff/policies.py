@@ -161,7 +161,7 @@ def naive_policy_step(delays, current):
     interface, else go to the lowest index. `delays` holds the interfaces
     on its last axis, one row per entry of `current`."""
     delays = np.asarray(delays, dtype=float)
-    if (delays <= 0.0).any():
+    if not (delays > 0.0).all():
         raise DomainError("delay must be > 0")
     scores = 1.0 / delays
     current = np.asarray(current)

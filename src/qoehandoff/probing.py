@@ -77,7 +77,7 @@ class RnlEstimator:
         return self.z + self.c * self.j if self.count >= 3 else self.z
 
     def update(self, rtt_s):
-        if np.any(rtt_s <= 0):
+        if not np.all(np.greater(rtt_s, 0)):
             raise DomainError("rtt_s must be > 0")
         w = 1.0 / self.h
         if self.count == 0:

@@ -80,7 +80,7 @@ def mos_from_delay(owd_s, loss_fraction, codec: CodecProfile):
     """
     owd = np.asarray(owd_s, dtype=float)
     loss = np.asarray(loss_fraction, dtype=float)
-    if (owd < 0).any():
+    if not (owd >= 0).all():
         raise DomainError("one-way delay must be >= 0")
     if not ((0.0 <= loss) & (loss <= 1.0)).all():
         raise DomainError("loss fraction must be in [0, 1]")
@@ -108,8 +108,11 @@ def mos_from_r(r):
 def quantize_mos(mos, scheme: QuantizationScheme):
     """1-based QoE state index of the band containing `mos`.
 
-    Elementwise on arrays (an int array out); a scalar gives an int.
+    Elementwise on arrays (an int array out); a scalar gives an int. A NaN
+    MOS is a DomainError.
     """
+    if np.isnan(mos).any():
+        raise DomainError("mos must not be NaN")
     state = np.searchsorted(scheme.boundaries, np.clip(mos, MOS_MIN, MOS_MAX),
                             side="right") + 1
     return int(state) if state.ndim == 0 else state

@@ -12,18 +12,16 @@ from qoehandoff.errors import DomainError
 from qoehandoff.harness import (ALL_POLICIES, EvaluationReport, HarnessConfig,
                                 PolicyResult, default_roaming_harness,
                                 joint_rows, load_config,
-                                run_comparison, state_to_qoe_map,
-                                train_interface_models)
-from qoehandoff.hmm import EmConfig, predict_belief
-from qoehandoff.netsim import (generate_run, generate_runs,
-                               roaming_cdma_g729_model, roaming_wlan_g729_model,
-                               step_environment)
+                                run_comparison, train_interface_models)
+from qoehandoff.hmm import EmConfig, predict_belief, state_band_map
+from qoehandoff.netsim import (CONGESTION_LOSS_PER_STATE, generate_run,
+                               generate_runs, step_environment)
 from qoehandoff.policies import (JointState, QLearningConfig, QTable,
                                  RewardConfig, exploit_action, m4_policy_step,
                                  naive_policy_step, oracle_policy, q_update,
                                  reward)
 from qoehandoff.probing import RnlEstimator
-from qoehandoff.qoe_model import G711, G729, ROAMING_SCHEME
+from qoehandoff.qoe_model import G711, G729, mos_from_delay, quantize_mos
 from references import filter_step
 
 
@@ -33,22 +31,14 @@ def small_harness(**overrides):
                                hmm_training_runs=4, **overrides)
 
 
-class TestStateToQoeMap:
-    def test_wlan_states_split_bands(self):
-        # Out-of-coverage RTT ~0.99 s maps to the worst band, in-coverage
-        # ~0.05 s to a good one.
-        mapping = state_to_qoe_map(roaming_wlan_g729_model(),
-                                   delay_is_rtt=True, codec=G729,
-                                   scheme=ROAMING_SCHEME)
-        assert len(mapping) == 2
-        assert mapping[0] == 1
-        assert mapping[1] >= 2
-
-    def test_cdma_monotone(self):
-        mapping = state_to_qoe_map(roaming_cdma_g729_model(),
-                                   delay_is_rtt=True, codec=G729,
-                                   scheme=ROAMING_SCHEME)
-        assert mapping == sorted(mapping)
+def band_tables(cfg, models):
+    """Each model's P(band | state) table, counted on the HMM training runs
+    as `train_interface_models` counts it."""
+    block = generate_runs(cfg.scenario, range(
+        harness._HMM_RUN_OFFSET, harness._HMM_RUN_OFFSET + cfg.hmm_training_runs))
+    return [state_band_map(m, list(zip(block.delays_s[:, i], block.mos[:, i])),
+                           cfg.scenario.scheme)
+            for i, m in enumerate(models)]
 
 
 def policy_result(handoffs, mos_sum=0.0, epochs=1):
@@ -93,22 +83,39 @@ class TestEvaluationReport:
 class TestTrainInterfaceModels:
     def test_one_model_per_interface(self):
         cfg = small_harness()
-        models, accuracy = train_interface_models(cfg)
+        models, tables, accuracy = train_interface_models(cfg)
         assert len(models) == 2
         assert models[0].n_states == 2   # WLAN coverage on/off
         assert models[1].n_states == 3
         assert set(accuracy) == {"WLAN", "CDMA2000"}
         for phi in accuracy.values():
             assert 0.0 <= phi <= 1.0
+        for table, expected in zip(tables, band_tables(cfg, models)):
+            assert np.array_equal(table, expected)
+
+    def test_congestion_table_bands_the_lossy_state_worst(self, tmp_path):
+        # The 25%-loss state has the highest delay, so it is the fitted
+        # model's state 1; counted on the runs' MOS, which carries the loss,
+        # its table row puts most mass on band 1. The zero-loss MOS of its
+        # mean delay alone would band it 2.
+        assert CONGESTION_LOSS_PER_STATE[0] == 0.25
+        path = tmp_path / "congestion.ini"
+        path.write_text("[scenario]\nkind = wlan_congestion\n")
+        cfg = load_config(path)
+        models, tables, _ = train_interface_models(cfg)
+        assert (tables[0].argmax(axis=1) + 1).tolist() == [1, 2, 3]
+        worst_mean = models[0].emissions[0].mean
+        assert quantize_mos(mos_from_delay(worst_mean, 0.0, G711),
+                            cfg.scenario.scheme) == 2
 
 
-def joint_row(models, beliefs, qoe_maps, current, n_states):
-    bands = tuple(qmap[int(np.argmax(predict_belief(m, b)))]
-                  for m, b, qmap in zip(models, beliefs, qoe_maps))
+def joint_row(models, beliefs, tables, current, n_states):
+    bands = tuple(1 + int(np.argmax(predict_belief(m, b) @ table))
+                  for m, b, table in zip(models, beliefs, tables))
     return JointState(bands, current).index(n_states)
 
 
-def reference_features(run, models, qoe_maps, n_states):
+def reference_features(run, models, tables, n_states):
     """Joint-state rows (interface 0 attached) and load series, epoch by
     epoch."""
     beliefs = [None] * run.n_interfaces
@@ -117,7 +124,7 @@ def reference_features(run, models, qoe_maps, n_states):
     for t in range(run.duration):
         beliefs = [filter_step(m, b, float(run.delays_s[i][t]))
                    for i, (m, b) in enumerate(zip(models, beliefs))]
-        joint_base.append(joint_row(models, beliefs, qoe_maps, 0, n_states))
+        joint_base.append(joint_row(models, beliefs, tables, 0, n_states))
         for est, delays in zip(estimators, run.delays_s):
             est.update(float(delays[t]))
         rnl.append([est.rnl for est in estimators])
@@ -148,7 +155,7 @@ def accounted(result):
             result.reward_sum]
 
 
-def reference_q_policy(cfg, run, models, qoe_maps, qtable):
+def reference_q_policy(cfg, run, models, tables, qtable):
     """The frozen Q-agent epoch by epoch, its state looked up from beliefs
     filtered through the previous epoch. Returns the attachment path and
     its per-epoch totals."""
@@ -159,7 +166,7 @@ def reference_q_policy(cfg, run, models, qoe_maps, qtable):
     totals = [0, 0.0, 0, 0.0]
     reference_step(cfg, run, 0, None, current, totals)
     for t in range(1, run.duration):
-        s = joint_row(models, beliefs, qoe_maps, current, n_states)
+        s = joint_row(models, beliefs, tables, current, n_states)
         action = exploit_action(qtable, s)
         reference_step(cfg, run, t, current, action, totals)
         beliefs = [filter_step(m, b, float(run.delays_s[i][t]))
@@ -169,7 +176,7 @@ def reference_q_policy(cfg, run, models, qoe_maps, qtable):
     return path, totals
 
 
-def reference_transitions(cfg, models, qoe_maps):
+def reference_transitions(cfg, models, tables):
     """Every (row, action, reward, next row) of the training episodes, epoch
     by epoch: at each epoch t >= 1, for each attachment c and action a, the
     row from beliefs filtered through epoch t - 1 with c attached, the
@@ -183,7 +190,7 @@ def reference_transitions(cfg, models, qoe_maps):
         beliefs = [filter_step(m, None, float(run.delays_s[i][0]))
                    for i, m in enumerate(models)]
         for t in range(1, run.duration):
-            rows = [joint_row(models, beliefs, qoe_maps, c, n_states)
+            rows = [joint_row(models, beliefs, tables, c, n_states)
                     for c in range(n_if)]
             rewards = [[reference_step(cfg, run, t, c, a, [0, 0.0, 0, 0.0])
                         for a in range(n_if)] for c in range(n_if)]
@@ -192,7 +199,7 @@ def reference_transitions(cfg, models, qoe_maps):
             for c in range(n_if):
                 for a in range(n_if):
                     transitions.append((rows[c], a, rewards[c][a],
-                                        joint_row(models, beliefs, qoe_maps, a,
+                                        joint_row(models, beliefs, tables, a,
                                                   n_states)))
     return transitions
 
@@ -219,13 +226,9 @@ def reference_fixed_point(transitions, n_rows, n_actions, gamma):
 
 def flipped_inputs(cfg):
     """Models whose one-step predictions often leave the filtered state,
-    and their state -> QoE band maps."""
-    scenario = cfg.scenario
-    models = [flipped(ch.generator) for ch in scenario.channels]
-    qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
-                                 scenario.scheme)
-                for m, ch in zip(models, scenario.channels)]
-    return models, qoe_maps
+    and their band tables."""
+    models = [flipped(ch.generator) for ch in cfg.scenario.channels]
+    return models, band_tables(cfg, models)
 
 
 def reference_baseline_path(cfg, run, kind):
@@ -287,7 +290,7 @@ class TestBlockFeatures:
         cfg = small_harness()
         scenario = cfg.scenario
         n_states = scenario.scheme.state_count
-        fitted, _ = train_interface_models(cfg)
+        fitted, _, _ = train_interface_models(cfg)
         generators = [ch.generator for ch in scenario.channels]
         block = generate_runs(scenario, range(5))
         # The m4 load estimates of every run, on axes (run, epoch, interface).
@@ -297,13 +300,11 @@ class TestBlockFeatures:
             loads.append(load.rnl)
         loads = np.stack(loads, axis=1)
         for models in (fitted, generators, [flipped(m) for m in generators]):
-            qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
-                                         scenario.scheme)
-                        for m, ch in zip(models, scenario.channels)]
-            rows = joint_rows(cfg, block, models, qoe_maps)
+            tables = band_tables(cfg, models)
+            rows = joint_rows(cfg, block, models, tables)
             for b in range(5):
                 joint_base, rnl = reference_features(generate_run(scenario, b),
-                                                     models, qoe_maps, n_states)
+                                                     models, tables, n_states)
                 assert rows[b].tolist() == joint_base
                 assert loads[b].tolist() == rnl
 
@@ -316,11 +317,11 @@ class TestBlockFeatures:
 
     def test_q_table_independent_of_training_block_size(self, monkeypatch):
         cfg = small_harness()
-        models, qoe_maps = flipped_inputs(cfg)
-        expected = harness.fit_q_table(cfg, models, qoe_maps)
+        models, tables = flipped_inputs(cfg)
+        expected = harness.fit_q_table(cfg, models, tables)
         for block in (1, 3, 1000):
             monkeypatch.setattr(netsim, "BLOCK_RUNS", block)
-            table = harness.fit_q_table(cfg, models, qoe_maps)
+            table = harness.fit_q_table(cfg, models, tables)
             assert np.array_equal(table.values, expected.values)
 
 
@@ -330,9 +331,9 @@ class TestFitQTable:
 
     def test_matches_per_epoch_fixed_point(self):
         for cfg in (small_harness(), penalising_harness(), floored_harness()):
-            models, qoe_maps = flipped_inputs(cfg)
-            table = harness.fit_q_table(cfg, models, qoe_maps)
-            transitions = reference_transitions(cfg, models, qoe_maps)
+            models, tables = flipped_inputs(cfg)
+            table = harness.fit_q_table(cfg, models, tables)
+            transitions = reference_transitions(cfg, models, tables)
             n_rows, n_actions = table.values.shape
             expected = reference_fixed_point(transitions, n_rows, n_actions,
                                              cfg.gamma)
@@ -348,13 +349,9 @@ class TestFitQTable:
         # gamma = 0.95 are still far from it after as many sweeps. The
         # models are the ones `run_comparison` fits.
         cfg = small_harness()
-        models, _ = train_interface_models(cfg)
-        scenario = cfg.scenario
-        qoe_maps = [state_to_qoe_map(m, ch.delay_is_rtt, scenario.codec,
-                                     scenario.scheme)
-                    for m, ch in zip(models, scenario.channels)]
-        table = harness.fit_q_table(cfg, models, qoe_maps)
-        transitions = reference_transitions(cfg, models, qoe_maps)
+        models, tables, _ = train_interface_models(cfg)
+        table = harness.fit_q_table(cfg, models, tables)
+        transitions = reference_transitions(cfg, models, tables)
         replay = QTable(table.n_states, table.n_interfaces)
         step = QLearningConfig(alpha=0.02, gamma=cfg.gamma)
         for _ in range(400):
@@ -377,10 +374,10 @@ class TestPolicyLoopsMatchPerEpochReference:
     def test_q_agent_acts_as_reference(self):
         for cfg in (small_harness(), penalising_harness()):
             scenario = cfg.scenario
-            models, qoe_maps = flipped_inputs(cfg)
+            models, tables = flipped_inputs(cfg)
             block = generate_runs(scenario, range(6))
-            rows = joint_rows(cfg, block, models, qoe_maps)
-            fitted = harness.fit_q_table(cfg, models, qoe_maps)
+            rows = joint_rows(cfg, block, models, tables)
+            fitted = harness.fit_q_table(cfg, models, tables)
             drawn = QTable(fitted.n_states, fitted.n_interfaces)
             drawn.values = np.random.default_rng(4).uniform(size=drawn.values.shape)
             for table in (fitted, drawn):
@@ -390,7 +387,7 @@ class TestPolicyLoopsMatchPerEpochReference:
                 for b in range(6):
                     run = generate_run(scenario, b)
                     expected, totals = reference_q_policy(cfg, run, models,
-                                                          qoe_maps, table)
+                                                          tables, table)
                     assert paths[b].tolist() == expected
                     result = harness.account(cfg, block.mos[b:b + 1], paths[b:b + 1])
                     assert accounted(result) == totals
@@ -477,7 +474,7 @@ class TestRunComparison:
             assert result.handoff_count == handoffs, name
             assert abs(result.mean_mos - mean_mos) <= 1e-9, name
             assert abs(result.reward_sum - reward_sum) <= 1e-9, name
-        assert report.prediction_accuracy == {"CDMA2000": 0.762, "WLAN": 0.885}
+        assert report.prediction_accuracy == {"CDMA2000": 0.789, "WLAN": 0.885}
 
     def test_headline_holds_on_every_seed(self):
         # Criterion 8's bounds, on the default harness of seeds 0-19.

@@ -255,16 +255,22 @@ class TestStateBandMap:
             # MOS tracks the hidden state: high-delay state -> bad band.
             mos = np.where(states == 0, 1.5, 4.5)
             traces.append((obs, mos))
-        mapping = state_band_map(model, traces, ROAMING_SCHEME)
-        assert mapping == [1, 3]
+        table = state_band_map(model, traces, ROAMING_SCHEME)
+        assert table.shape == (2, 3)
+        np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert (table.argmax(axis=1) + 1).tolist() == [1, 3]
 
     def test_unvisited_state_falls_back_to_canonical_order(self):
         model = well_separated_model()
-        # Single trace far from state 1's mean: state 1 never MAP.
+        # Single trace far from state 1's mean: state 1 never MAP, and gets
+        # all its mass on its canonical band, 2 of 3.
         traces = [(np.full(20, 0.0) + 1e-3 * np.arange(20), np.full(20, 4.5))]
-        mapping = state_band_map(model, traces, ROAMING_SCHEME)
-        assert mapping[1] == 3
-        assert 1 <= mapping[0] <= 3
+        table = state_band_map(model, traces, ROAMING_SCHEME)
+        assert table.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        # Of three states, the two never MAP take bands 1 and 2.
+        traces = [(np.full(20, 0.1), np.full(20, 3.0))]
+        table = state_band_map(three_state_model(), traces, ROAMING_SCHEME)
+        assert table.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
 
 
 def micro_average(scores):
@@ -298,7 +304,7 @@ class TestCrossValidation:
         assert micro_average(scores) > 0.75
 
     def test_mismatched_state_count_supported(self):
-        # 2-state model scored against the 3-band scheme via the band map.
+        # 2-state model scored against the 3-band scheme via its band table.
         dataset = self.make_dataset()
         _, scores = cross_validate_folds(dataset, 2, 2, ROAMING_SCHEME,
                                          EmConfig(seed=0))
@@ -319,9 +325,8 @@ class TestCrossValidation:
             train = [d for i, d in enumerate(dataset) if i % 3 != fold]
             held = [d for i, d in enumerate(dataset) if i % 3 == fold]
             model, _ = em_train([obs for obs, _ in train], 2, cfg)
-            state_map = state_band_map(model, train, ROAMING_SCHEME)
-            expected.append(prediction_accuracy(model, held, ROAMING_SCHEME,
-                                                state_map))
+            table = state_band_map(model, train, ROAMING_SCHEME)
+            expected.append(prediction_accuracy(model, held, ROAMING_SCHEME, table))
         assert scores == expected
 
     def test_groups_hold_out_whole_runs(self):
@@ -338,9 +343,8 @@ class TestCrossValidation:
             train = [d for d, r in zip(dataset, runs) if r not in held_runs]
             held = [d for d, r in zip(dataset, runs) if r in held_runs]
             model, _ = em_train([obs for obs, _ in train], 2, cfg)
-            state_map = state_band_map(model, train, ROAMING_SCHEME)
-            expected.append(prediction_accuracy(model, held, ROAMING_SCHEME,
-                                                state_map))
+            table = state_band_map(model, train, ROAMING_SCHEME)
+            expected.append(prediction_accuracy(model, held, ROAMING_SCHEME, table))
         assert scores == expected
         with pytest.raises(DomainError, match="^4 folds need at least 4 runs, got 3$"):
             cross_validate_folds(dataset, 4, 2, ROAMING_SCHEME, groups=runs)
@@ -358,31 +362,40 @@ class TestCrossValidation:
         model = well_separated_model()
         dataset = self.make_dataset(n_traces=1, length=50)
         correct, total = prediction_accuracy(model, dataset, ROAMING_SCHEME,
-                                             state_map=[1, 3])
+                                             band_table=np.eye(3)[[0, 2]])
         assert total == 49
         assert 0 <= correct <= total
 
 
 def reference_band_map(model, traces, scheme):
-    """`state_band_map` one trace and one epoch at a time."""
-    counts = np.zeros((model.n_states, scheme.state_count), dtype=int)
+    """`state_band_map` one trace and one epoch at a time: per state, the
+    share of each band among the epochs it was MAP, or all the mass on its
+    canonical band if it never was."""
+    n_bands = scheme.state_count
+    counts = [[0] * n_bands for _ in range(model.n_states)]
     for obs, mos in traces:
         beliefs, _ = forward_filter(model, obs)
         for t in range(len(obs)):
-            counts[int(np.argmax(beliefs[t])), quantize_mos(mos[t], scheme) - 1] += 1
-    return [int(c.argmax()) + 1 if c.sum() else
-            max(1, scheme.state_count - (model.n_states - 1 - s))
-            for s, c in enumerate(counts)]
+            counts[int(np.argmax(beliefs[t]))][quantize_mos(mos[t], scheme) - 1] += 1
+    for s, row in enumerate(counts):
+        if sum(row) == 0:
+            row[max(1, n_bands - (model.n_states - 1 - s)) - 1] = 1
+    return [[c / sum(row) for c in row] for row in counts]
 
 
-def reference_accuracy(model, traces, scheme, state_map):
-    """`prediction_accuracy` one trace and one epoch at a time."""
+def reference_accuracy(model, traces, scheme, table):
+    """`prediction_accuracy` one trace and one epoch at a time: the band of
+    highest probability under the one-step-ahead belief, ties to the
+    lower band."""
     correct = total = 0
     for obs, mos in traces:
         beliefs, _ = forward_filter(model, obs)
         for t in range(len(obs) - 1):
-            pred, _ = predict_next_state(model, beliefs[t])
-            correct += state_map[pred - 1] == quantize_mos(mos[t + 1], scheme)
+            _, ahead = predict_next_state(model, beliefs[t])
+            scores = [sum(float(ahead[s]) * table[s][b] for s in range(len(table)))
+                      for b in range(len(table[0]))]
+            band = scores.index(max(scores)) + 1
+            correct += band == quantize_mos(mos[t + 1], scheme)
             total += 1
     return correct, total
 
@@ -405,11 +418,14 @@ class TestBlockScoring:
     def test_scores_match_per_epoch_reference(self, scheme):
         dataset = self.ragged_dataset()
         model = three_state_model()
-        state_map = state_band_map(model, dataset, scheme)
-        assert state_map == reference_band_map(model, dataset, scheme)
-        for mapping in (state_map, [1, 2, 3], [3, 1, 2]):
-            got = prediction_accuracy(model, dataset, scheme, mapping)
-            assert got == reference_accuracy(model, dataset, scheme, mapping)
+        table = state_band_map(model, dataset, scheme)
+        assert table.tolist() == reference_band_map(model, dataset, scheme)
+        drawn = np.random.default_rng(3).dirichlet(np.ones(3), size=3)
+        # One-hot tables of state -> band maps, and a table with no zeros.
+        for band_table in (table, np.eye(3), np.eye(3)[[2, 0, 1]], drawn):
+            got = prediction_accuracy(model, dataset, scheme, band_table)
+            assert got == reference_accuracy(model, dataset, scheme,
+                                              band_table.tolist())
         assert got[1] == sum(len(obs) - 1 for obs, _ in dataset)
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -421,7 +437,6 @@ class TestBlockScoring:
             train = [d for i, d in enumerate(dataset) if i % 3 != fold]
             held = [d for i, d in enumerate(dataset) if i % 3 == fold]
             model, _ = em_train([obs for obs, _ in train], k, cfg)
-            state_map = reference_band_map(model, train, ROAMING_SCHEME)
-            expected.append(reference_accuracy(model, held, ROAMING_SCHEME,
-                                               state_map))
+            table = reference_band_map(model, train, ROAMING_SCHEME)
+            expected.append(reference_accuracy(model, held, ROAMING_SCHEME, table))
         assert cross_validate_folds(dataset, 3, k, ROAMING_SCHEME, cfg)[1] == expected

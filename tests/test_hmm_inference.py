@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from qoehandoff.errors import DomainError, ZeroProbabilityError
 from qoehandoff.hmm import (GaussianEmission, HmmModel, forward_filter,
-                            predict_belief, predict_next_state,
-                            predict_next_states)
+                            predict_belief, predict_next_bands,
+                            predict_next_state, predict_next_states)
 from qoehandoff.hmm import _kernels_py
 from qoehandoff.hmm.em import _Pool, _e_step
 from qoehandoff.hmm.model import VARIANCE_FLOOR
@@ -346,6 +346,8 @@ class TestPrediction:
         model = random_model(np.random.default_rng(2), 2)
         with pytest.raises(DomainError):
             predict_next_states(model, bad)
+        with pytest.raises(DomainError):
+            predict_next_bands(model, bad, np.eye(2))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -364,3 +366,35 @@ class TestPrediction:
         b2, ll2 = forward_filter(shifted, obs + shift)
         assert np.abs(b1 - b2).max() <= 1e-9
         assert ll1 == pytest.approx(ll2, abs=1e-7)
+
+
+class TestBandPrediction:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_hot_table_of_a_permutation_maps_the_map_state(self, n):
+        # One band per state: the predicted band is the MAP next state's.
+        rng = np.random.default_rng(10 + n)
+        model = random_model(rng, n)
+        beliefs = rng.dirichlet(np.ones(n), size=(4, 7))
+        order = rng.permutation(n)
+        bands = predict_next_bands(model, beliefs, np.eye(n)[order])
+        assert bands.tolist() == (order[predict_next_states(model, beliefs) - 1]
+                                  + 1).tolist()
+
+    def test_band_mass_adds_over_states(self):
+        # States 2 and 3 share band 2: together they outweigh state 1, the
+        # MAP next state, so band 2 is predicted.
+        model = HmmModel(np.full(3, 1.0 / 3), np.eye(3),
+                         tuple(GaussianEmission(float(3 - i), 0.01)
+                               for i in range(3)))
+        belief = np.array([0.4, 0.35, 0.25])
+        assert predict_next_state(model, belief)[0] == 1
+        table = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        assert predict_next_bands(model, belief, table) == 2
+        # Equal band mass ties to the lower band.
+        assert predict_next_bands(model, np.array([0.5, 0.25, 0.25]), table) == 1
+
+    @pytest.mark.parametrize("table", [np.eye(3), np.ones(2), np.ones((2, 3, 1))])
+    def test_table_needs_one_row_per_state(self, table):
+        model = random_model(np.random.default_rng(2), 2)
+        with pytest.raises(DomainError, match="one row per state"):
+            predict_next_bands(model, np.array([0.5, 0.5]), table)

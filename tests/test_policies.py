@@ -250,7 +250,7 @@ class TestNaivePolicy:
         assert naive_policy_step([0.1, 0.1], current=0) == 0
 
     def test_zero_denominator_rejected(self):
-        for delays in ([0.0], [0.1, -0.2]):
+        for delays in ([0.0], [0.1, -0.2], [0.1, np.nan]):
             with pytest.raises(DomainError):
                 naive_policy_step(delays, 0)
         with pytest.raises(DomainError):

@@ -10,6 +10,7 @@ The 5-sample load fixture is hand-derived with h=5, c=5:
     0.30   0.06 + 0.8*0.1128= 0.15024  0.20   0.104   0.67024
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,6 +102,9 @@ class TestLoadEstimator:
             RnlEstimator().update(0.0)
         with pytest.raises(DomainError):
             RnlEstimator().update(-1.0)
+        for bad in (np.nan, np.array([0.1, np.nan])):
+            with pytest.raises(DomainError):
+                RnlEstimator().update(bad)
         with pytest.raises(DomainError):
             RnlEstimator(h=0)
 

@@ -68,6 +68,9 @@ class TestMosFromDelay:
             mos_from_delay(0.1, 1.5, G711)
         with pytest.raises(DomainError):
             mos_from_delay(0.1, -0.01, G711)
+        for owd, loss in ((np.nan, 0.0), (0.1, np.nan)):
+            with pytest.raises(DomainError):
+                mos_from_delay(owd, loss, G729)
 
     @given(st.floats(min_value=0.0, max_value=2.0),
            st.floats(min_value=0.0, max_value=1.0))
@@ -118,6 +121,11 @@ class TestQuantization:
     def test_out_of_range_mos_clamped(self):
         assert quantize_mos(0.0, CONGESTION_SCHEME) == 1
         assert quantize_mos(9.0, CONGESTION_SCHEME) == 3
+
+    def test_rejects_nan_mos(self):
+        # NaN is in no band; clipped, it would sort above every cut point.
+        with pytest.raises(DomainError, match="NaN"):
+            quantize_mos(np.nan, ROAMING_SCHEME)
 
     def test_state_count(self):
         assert CONGESTION_SCHEME.state_count == 3
@@ -182,3 +190,7 @@ class TestArrayForms:
             mos_from_delay(np.array([0.1, -0.001]), 0.0, G711)
         with pytest.raises(DomainError):
             mos_from_delay(np.array([0.1, 0.2]), np.array([0.0, 1.5]), G711)
+        with pytest.raises(DomainError):
+            mos_from_delay(np.array([0.1, np.nan]), 0.0, G711)
+        with pytest.raises(DomainError, match="NaN"):
+            quantize_mos(np.array([4.5, np.nan]), ROAMING_SCHEME)
