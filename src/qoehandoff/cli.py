@@ -27,8 +27,8 @@ from .errors import (DocumentError, DomainError, TraceParseError,
                      TraceValidationError, ZeroProbabilityError, parse_document,
                      read_document_text)
 from .hmm import (EmConfig, cross_validate_folds, forward_filter, load_model,
-                  save_model)
-from .hmm.inference import length_blocks, predict_next_states
+                  predict_next_bands, save_model)
+from .hmm.inference import length_blocks
 # Unused here; kept bound because perfbench/tracer.py patches these names.
 from .hmm import em_train  # noqa: F401
 from .hmm.inference import predict_next_state  # noqa: F401
@@ -47,13 +47,12 @@ PREDICT_CHUNK_SAMPLES = 16_384
 
 
 def _scenario_from_args(args) -> netsim.ScenarioConfig:
-    """The scenario's factory settings; a codec only when `--codec` is given,
-    so each scenario keeps the codec its channels are calibrated for."""
-    factory = netsim.roaming_scenario if args.scenario == "roaming" \
-        else netsim.congestion_scenario
-    codec = {} if args.codec is None else {"codec": CODECS[args.codec]}
-    return factory(duration_epochs=args.duration, runs=args.runs, seed=args.seed,
-                   **codec)
+    """The scenario from its factory, given only the settings that flags set;
+    the rest, such as the codec its channels are calibrated for, default."""
+    settings = {"codec": None if args.codec is None else CODECS[args.codec],
+                "duration_epochs": args.duration, "runs": args.runs, "seed": args.seed}
+    return netsim.scenario_factory(args.scenario)(
+        **{key: value for key, value in settings.items() if value is not None})
 
 
 def _run_id(run_index: int) -> str:
@@ -180,7 +179,8 @@ def _chunks(traces, budget: int):
 
 def _prediction_rows(model, traces) -> str:
     """The predictions.csv rows of `traces`, in their order; each group of
-    equal-length traces is filtered in one `forward_filter` call."""
+    equal-length traces is filtered in one `forward_filter` call. A model
+    file carries no band table, so each state is its own band (identity)."""
     states = [None] * len(traces)
     for ids, block in length_blocks([trace.rtt_s for trace in traces]):
         try:
@@ -192,7 +192,8 @@ def _prediction_rows(model, traces) -> str:
                 f"run {trace.run_id}/{trace.interface_label} observation "
                 f"{exc.observation} (epoch {epoch}) has zero predicted probability "
                 "under the model") from None
-        for i, row in zip(ids, predict_next_states(model, beliefs[:, :-1]).tolist()):
+        bands = predict_next_bands(model, beliefs[:, :-1], np.eye(model.n_states))
+        for i, row in zip(ids, bands.tolist()):
             states[i] = row
     return "".join(trace_io.format_rows([trace.run_id, trace.interface_label], "%d,%d",
                                         (trace.epochs[1:].tolist(), predicted))
@@ -221,17 +222,15 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare_policies(args) -> int:
-    overrides = {"seed": args.seed, "runs": args.runs,
-                 "duration_epochs": args.duration}
-    overrides = {key: value for key, value in overrides.items() if value is not None}
+    flags = {"seed": args.seed, "runs": args.runs, "duration_epochs": args.duration}
     if args.config:
-        if overrides:
+        if any(value is not None for value in flags.values()):
             print("error: --seed, --runs and --duration cannot be combined with "
                   "--config; set them in its [scenario] section", file=sys.stderr)
             return EXIT_USAGE
         cfg = harness.load_config(args.config)
     else:
-        cfg = harness.default_roaming_harness(**overrides)
+        cfg = harness.default_roaming_harness(**flags)
     report = harness.run_comparison(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -276,17 +275,21 @@ def _report_row(path) -> dict:
     policies = doc.get("policies", {})
     if not isinstance(metadata, dict) or not isinstance(policies, dict):
         raise DocumentError(f"report {path}: metadata and policies must be objects")
+    # A null or missing value is an empty cell; a JSON bool is no number.
     row = {"source": str(path)}
-    for key in ("scenario", "codec", "seed"):
+    for key, kind in (("scenario", str), ("codec", str), ("seed", int)):
         row[key] = metadata.get(key)
+        if row[key] is not None and type(row[key]) is not kind:
+            raise DocumentError(f"report {path}: metadata {key} must be "
+                                f"{'a string' if kind is str else 'an integer'} or null")
     for policy in harness.ALL_POLICIES:
         entry = policies.get(policy)
-        if not entry:
+        if entry is None:
             row[f"{policy}_handoffs"] = row[f"{policy}_mean_mos"] = ""
-        elif not (isinstance(entry, dict)
-                  and {"handoff_count", "mean_mos"} <= entry.keys()):
-            raise DocumentError(f"report {path}: policy {policy!r} needs "
-                                "handoff_count and mean_mos")
+        elif not (isinstance(entry, dict) and type(entry.get("handoff_count")) is int
+                  and type(entry.get("mean_mos")) in (int, float)):
+            raise DocumentError(f"report {path}: policy {policy!r} must be an object "
+                                "with an integer handoff_count and a numeric mean_mos")
         else:
             row[f"{policy}_handoffs"] = entry["handoff_count"]
             row[f"{policy}_mean_mos"] = entry["mean_mos"]
@@ -317,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=["roaming", "wlan_congestion"],
                    default="roaming")
     p.add_argument("--codec", choices=sorted(CODECS),
-                   help="default g729 for roaming, g711 for wlan_congestion")
-    p.add_argument("--runs", type=int, default=12)
-    p.add_argument("--duration", type=int, default=101)
-    p.add_argument("--seed", type=int, default=0)
+                   help="default: the one the scenario's channels are calibrated for")
+    p.add_argument("--runs", type=int)
+    p.add_argument("--duration", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -341,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-policies", help="evaluate handoff policies")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, help="default 0; not with --config")
-    p.add_argument("--runs", type=int, help="default 12; not with --config")
-    p.add_argument("--duration", type=int, help="default 101; not with --config")
+    p.add_argument("--seed", type=int, help="not with --config")
+    p.add_argument("--runs", type=int, help="not with --config")
+    p.add_argument("--duration", type=int, help="not with --config")
     p.add_argument("--timeline", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare_policies)

@@ -16,18 +16,18 @@ import numpy as np
 from .errors import DomainError, ZeroProbabilityError
 from .hmm import (EmConfig, cross_validate_folds, em_train, forward_filter,
                   predict_next_bands, state_band_map)
-from .netsim import (ROAMING, ScenarioConfig, congestion_scenario, generate_runs,
-                     roaming_scenario, run_blocks)
+from .netsim import (ROAMING, ScenarioConfig, generate_runs, run_blocks,
+                     scenario_factory)
 from .policies import (QTable, RewardConfig, exploit_action, m4_policy_step,
                        naive_policy_step, oracle_policy, q_iteration, reward)
 from .probing import RnlEstimator
+from .qoe_model import CODECS, quantize_mos
 # Unused here; kept bound because perfbench/tracer.py patches these names.
 from .hmm.inference import predict_belief  # noqa: F401
 from .netsim import generate_run, step_environment  # noqa: F401
 from .policies import epsilon_greedy_action, q_update  # noqa: F401
 from .probing import aggregate_epoch  # noqa: F401
-from .qoe_model import mos_from_delay, quantize_mos  # noqa: F401
-from .qoe_model import CODECS
+from .qoe_model import mos_from_delay  # noqa: F401
 
 ALL_POLICIES = ("best", "naive", "m4", "proposed")
 
@@ -285,7 +285,7 @@ def _baseline_paths(cfg: HarnessConfig, kind: str, block) -> np.ndarray:
     if kind == "best":
         # Every run starts attached to interface 0, whatever the oracle's
         # first pick; a move off it counts from epoch 1.
-        paths = oracle_policy(block.states, start=0)
+        paths = oracle_policy(quantize_mos(block.mos, cfg.scenario.scheme), start=0)
         paths[:, 0] = 0
         return paths
     delays = block.delays_s
@@ -342,14 +342,21 @@ def run_comparison(cfg: HarnessConfig) -> EvaluationReport:
                             metadata=metadata, mos=block.mos)
 
 
-# The [scenario], [qlearn] and [harness] keys; [reward] sets the fields of
-# RewardConfig, which hold its keys' defaults, each parsed as a float. Any
-# other section or key is rejected, so a misspelt setting cannot silently
-# keep its default.
-_SCENARIO_KEYS = {"kind", "codec", "duration_epochs", "runs", "seed",
-                  "dwell_mean_epochs", "handoff_penalty_mos"}
+def _codec(name: str):
+    if name not in CODECS:
+        raise DomainError(f"unknown codec {name!r}")
+    return CODECS[name]
+
+
+# Each [scenario] key but `kind` maps to its parser and sets the factory
+# parameter of its name (an unset key keeps the factory's default); only
+# the roaming factory takes the roaming-only keys. Each [reward] key sets a
+# RewardConfig field, parsed as a float. Any other section or key is
+# rejected, so a misspelt setting cannot silently keep its default.
+_SCENARIO_KEYS = {"codec": _codec, "duration_epochs": int, "runs": int, "seed": int,
+                  "dwell_mean_epochs": float, "handoff_penalty_mos": float}
 _ROAMING_ONLY_KEYS = {"dwell_mean_epochs", "handoff_penalty_mos"}
-_SECTION_KEYS = {"qlearn": {"gamma"},
+_SECTION_KEYS = {"scenario": {"kind", *_SCENARIO_KEYS}, "qlearn": {"gamma"},
                  "harness": {"policies", "hmm_states", "m4_margin_s",
                              "training_episodes", "hmm_training_runs", "em_seed"},
                  "reward": {f.name for f in dataclasses.fields(RewardConfig)}}
@@ -376,42 +383,23 @@ def _check_keys(parser: configparser.ConfigParser, kind: str) -> None:
     if parser.defaults():
         raise DomainError(f"unknown config section [{parser.default_section}]")
     for name in parser.sections():
-        if name == "scenario":
-            known = _SCENARIO_KEYS if kind == "roaming" \
-                else _SCENARIO_KEYS - _ROAMING_ONLY_KEYS
-        elif name in _SECTION_KEYS:
-            known = _SECTION_KEYS[name]
-        else:
+        if name not in _SECTION_KEYS:
             raise DomainError(f"unknown config section [{name}]")
         for key in parser[name]:
-            if key not in known:
-                where = f"[{name}] for kind {kind}" if key in _ROAMING_ONLY_KEYS \
-                    else f"[{name}]"
-                raise DomainError(f"unknown config key {key!r} in {where}")
+            if key in _ROAMING_ONLY_KEYS and kind != ROAMING:
+                raise DomainError(f"unknown config key {key!r} in [{name}] "
+                                  f"for kind {kind}")
+            if key not in _SECTION_KEYS[name]:
+                raise DomainError(f"unknown config key {key!r} in [{name}]")
 
 
 def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
     sc = parser["scenario"] if parser.has_section("scenario") else {}
-    kind = sc.get("kind", "roaming")
-    codec = CODECS.get(sc.get("codec", "g729" if kind == "roaming" else "g711"))
-    if codec is None:
-        raise DomainError(f"unknown codec {sc.get('codec')!r}")
-    common = dict(
-        codec=codec,
-        duration_epochs=int(sc.get("duration_epochs", 101)),
-        runs=int(sc.get("runs", 12)),
-        seed=int(sc.get("seed", 0)),
-    )
-    if kind == "roaming":
-        scenario = roaming_scenario(
-            dwell_mean_epochs=float(sc.get("dwell_mean_epochs", 40.0)),
-            handoff_penalty_mos=float(sc.get("handoff_penalty_mos", 0.3)),
-            **common)
-    elif kind == "wlan_congestion":
-        scenario = congestion_scenario(**common)
-    else:
-        raise DomainError(f"unknown scenario kind {kind!r}")
+    kind = sc.get("kind", ROAMING)
+    factory = scenario_factory(kind)
     _check_keys(parser, kind)
+    scenario = factory(**{key: _SCENARIO_KEYS[key](value)
+                          for key, value in sc.items() if key != "kind"})
 
     rw = parser["reward"] if parser.has_section("reward") else {}
     reward_cfg = RewardConfig(**{key: float(value) for key, value in rw.items()})
@@ -420,7 +408,7 @@ def _config_from(parser: configparser.ConfigParser) -> HarnessConfig:
                      ha.get("policies", ",".join(ALL_POLICIES)).split(",") if p.strip())
     hmm_states = tuple(int(x) for x in ha.get("hmm_states", "").split(",") if x.strip())
     if not hmm_states:
-        hmm_states = (2, 3) if kind == "roaming" else (scenario.scheme.state_count,)
+        hmm_states = (2, 3) if kind == ROAMING else (scenario.scheme.state_count,)
     em_seed = int(ha.get("em_seed", 0))
     if em_seed < 0:
         raise DomainError("em_seed must be >= 0")

@@ -4,7 +4,7 @@ from ._kernels_py import BACKEND
 from .em import (EmConfig, TrainingReport, cross_validate_folds, em_train,
                  prediction_accuracy, state_band_map)
 from .inference import (forward_filter, predict_belief, predict_next_bands,
-                        predict_next_state, predict_next_states)
+                        predict_next_state)
 from .model import GaussianEmission, HmmModel, load_model, save_model
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "predict_belief",
     "predict_next_bands",
     "predict_next_state",
-    "predict_next_states",
     "prediction_accuracy",
     "save_model",
     "state_band_map",

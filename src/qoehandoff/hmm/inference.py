@@ -66,13 +66,6 @@ def predict_next_state(model: HmmModel, belief: np.ndarray) -> tuple[int, np.nda
     return int(np.argmax(predicted)) + 1, predicted
 
 
-def predict_next_states(model: HmmModel, beliefs) -> np.ndarray:
-    """`predict_next_state` for a block of beliefs (..., N) in one product:
-    the 1-based MAP next states, shape (...), ties toward the lower index."""
-    beliefs = _probability_vectors(model, beliefs)
-    return np.argmax(beliefs @ model.transitions, axis=-1) + 1
-
-
 def predict_next_bands(model: HmmModel, beliefs, band_table) -> np.ndarray:
     """The 1-based most probable next QoE bands for a block of beliefs
     (..., N), under `band_table` P(band | state), one row per state

@@ -20,6 +20,16 @@ def gaussian_log_density(x, mean, variance):
     return -0.5 * (diff * diff / variance + np.log(2.0 * np.pi * variance))
 
 
+def _json_numbers(doc: dict, key: str, ndim: int):
+    """`doc[key]`, JSON numbers nested `ndim` deep, as floats; TypeError for
+    anything else, so a string such as "0.5", a bool or null is not converted."""
+    array = np.array(doc[key], dtype=object)
+    if array.ndim != ndim or not all(type(x) in (int, float) for x in array.flat):
+        raise TypeError(f"{key} must be " + ("a JSON number", "a list of JSON numbers",
+                                             "a list of lists of JSON numbers")[ndim])
+    return array.astype(float).tolist()
+
+
 @dataclass(frozen=True)
 class GaussianEmission:
     mean: float
@@ -99,14 +109,15 @@ class HmmModel:
             raise DocumentError("not a recognized model document")
         try:
             return cls(
-                prior=np.array(doc["prior"], dtype=float),
-                transitions=np.array(doc["transitions"], dtype=float),
-                emissions=tuple(GaussianEmission(float(e["mean"]), float(e["variance"]))
+                prior=_json_numbers(doc, "prior", 1),
+                transitions=_json_numbers(doc, "transitions", 2),
+                emissions=tuple(GaussianEmission(_json_numbers(e, "mean", 0),
+                                                 _json_numbers(e, "variance", 0))
                                 for e in doc["emissions"]),
             )
         except KeyError as exc:
             raise DocumentError(f"model document lacks key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DocumentError(f"malformed model document: {exc}") from exc
 
 

@@ -115,7 +115,6 @@ class RunBlock:
     run_indices: tuple[int, ...]
     delays_s: np.ndarray
     mos: np.ndarray
-    states: np.ndarray
 
 
 def _uniforms(rngs, horizon: int) -> np.ndarray:
@@ -179,9 +178,8 @@ def generate_runs(cfg: ScenarioConfig, run_indices) -> RunBlock:
         np.clip(delays[:, ci], MIN_DELAY_S, None, out=delays[:, ci])
         owd[:, ci] = delays[:, ci] / 2.0 if channel.delay_is_rtt else delays[:, ci]
         loss[:, ci] = np.asarray(channel.loss_per_state)[hidden]
-    mos = mos_from_delay(owd, loss, cfg.codec)
-    return RunBlock(run_indices=indices, delays_s=delays, mos=mos,
-                    states=quantize_mos(mos, cfg.scheme))
+    return RunBlock(run_indices=indices, delays_s=delays,
+                    mos=mos_from_delay(owd, loss, cfg.codec))
 
 
 def run_blocks(cfg: ScenarioConfig, run_indices):
@@ -193,17 +191,18 @@ def run_blocks(cfg: ScenarioConfig, run_indices):
 
 def generate_run(cfg: ScenarioConfig, run_index: int) -> SimRun:
     """Generate one run, fully determined by (cfg.seed, run_index): row 0
-    of a one-run block."""
+    of a one-run block, with its MOS quantized into QoE bands."""
     block = generate_runs(cfg, [run_index])
-    return SimRun(block.delays_s[0], block.mos[0], block.states[0])
+    return SimRun(block.delays_s[0], block.mos[0],
+                  quantize_mos(block.mos[0], cfg.scheme))
 
 
 def step_environment(run: SimRun, epoch: int, current: int, action: int,
-                     handoff_penalty_mos: float = 0.3) -> StepResult:
+                     handoff_penalty_mos: float) -> StepResult:
     """Apply an action at an epoch: the realized MOS on the interface after
     the action, and whether a handoff happened.
 
-    A switching epoch pays the configured MOS penalty, floored at 1.0.
+    A switching epoch pays the scenario's MOS penalty, floored at 1.0.
     """
     if not 0 <= epoch < run.duration:
         raise DomainError("epoch out of range")
@@ -267,7 +266,7 @@ CONGESTION_LOSS_PER_STATE = (0.25, 0.15, 0.0)
 
 
 def congestion_scenario(codec: CodecProfile = G711, duration_epochs: int = 101,
-                        runs: int = 100, seed: int = 0) -> ScenarioConfig:
+                        runs: int = 12, seed: int = 0) -> ScenarioConfig:
     channel = ChannelModel(generator=congestion_wlan_g711_model(),
                            loss_per_state=CONGESTION_LOSS_PER_STATE,
                            label="WLAN", delay_is_rtt=False)
@@ -278,8 +277,9 @@ def congestion_scenario(codec: CodecProfile = G711, duration_epochs: int = 101,
 
 def roaming_scenario(codec: CodecProfile = G729, duration_epochs: int = 101,
                      runs: int = 12, seed: int = 0,
-                     dwell_mean_epochs: float = 40.0,
-                     handoff_penalty_mos: float = 0.3) -> ScenarioConfig:
+                     dwell_mean_epochs: float = ScenarioConfig.dwell_mean_epochs,
+                     handoff_penalty_mos: float = ScenarioConfig.handoff_penalty_mos
+                     ) -> ScenarioConfig:
     wlan = ChannelModel(generator=roaming_wlan_g729_model(),
                         loss_per_state=(0.0, 0.0), label="WLAN",
                         delay_is_rtt=True, regime_states=(2, 1))
@@ -291,3 +291,11 @@ def roaming_scenario(codec: CodecProfile = G729, duration_epochs: int = 101,
                           channels=(wlan, cdma), scheme=ROAMING_SCHEME,
                           dwell_mean_epochs=dwell_mean_epochs,
                           handoff_penalty_mos=handoff_penalty_mos)
+
+
+def scenario_factory(kind: str):
+    """The factory of scenario `kind`, looked up by name at each call; its
+    keyword defaults are the scenario's defaults."""
+    if kind not in (ROAMING, WLAN_CONGESTION):
+        raise DomainError(f"unknown scenario kind {kind!r}")
+    return roaming_scenario if kind == ROAMING else congestion_scenario

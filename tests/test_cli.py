@@ -771,6 +771,31 @@ class TestMalformedDocuments:
                                capsys, "must be finite")
         assert not (tmp_path / "predictions.csv").exists()
 
+    # Only JSON numbers are read as numbers: a string, a bool, or an
+    # integer no float can hold is a data error, not a converted value.
+    @pytest.mark.parametrize("where,value,needle", [
+        (["prior", 0], "1", "prior must be a list of JSON numbers"),
+        (["prior", 0], True, "prior must be a list of JSON numbers"),
+        (["emissions", 0, "variance"], "0.01", "variance must be a JSON number"),
+        (["transitions", 0, 0], None,
+         "transitions must be a list of lists of JSON numbers"),
+        (["emissions", 0, "mean"], 10 ** 400, "int too large to convert to float"),
+    ], ids=["string-prior", "bool-prior", "string-variance", "null-transition",
+            "huge-mean"])
+    def test_predict_with_non_number_model(self, tmp_path, sim_dir, capsys, where,
+                                           value, needle):
+        doc = json.loads(roaming_cdma_g729_model().to_text())
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        self.assert_data_error(["predict", "--model", str(model), "--traces",
+                                str(sim_dir / "traces.csv"), "--out", str(tmp_path)],
+                               capsys, needle)
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_report_with_non_utf8_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"metadata": {"seed": "\xff"}}')
@@ -783,6 +808,21 @@ class TestMalformedDocuments:
         ("[]", "not a JSON object"),
         ('{"policies": {"naive": {"mean_mos": 3.0}}}', "handoff_count"),
         ('{"metadata": 5}', "must be objects"),
+        ('{"policies": {"naive": []}}', "policy 'naive' must be an object"),
+        ('{"policies": {"naive": 0}}', "policy 'naive' must be an object"),
+        ('{"policies": {"m4": {}}}', "with an integer handoff_count"),
+        ('{"policies": {"naive": {"handoff_count": [1], "mean_mos": 3.0}}}',
+         "with an integer handoff_count"),
+        ('{"policies": {"naive": {"handoff_count": true, "mean_mos": 3.0}}}',
+         "with an integer handoff_count"),
+        ('{"policies": {"naive": {"handoff_count": 1, "mean_mos": {"a": 1}}}}',
+         "a numeric mean_mos"),
+        ('{"policies": {"naive": {"handoff_count": 1, "mean_mos": false}}}',
+         "a numeric mean_mos"),
+        ('{"metadata": {"seed": [1, 2]}}', "metadata seed must be an integer or null"),
+        ('{"metadata": {"seed": 1.0}}', "metadata seed must be an integer or null"),
+        ('{"metadata": {"scenario": 5}}', "metadata scenario must be a string or null"),
+        ('{"metadata": {"codec": false}}', "metadata codec must be a string or null"),
     ])
     def test_report_with_malformed_file(self, tmp_path, capsys, text, needle):
         bad = tmp_path / "bad.json"
@@ -790,3 +830,16 @@ class TestMalformedDocuments:
         self.assert_data_error(["report", str(bad), "--out", str(tmp_path / "out")],
                                capsys, needle)
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_report_leaves_null_and_missing_values_empty(self, tmp_path):
+        doc = tmp_path / "sparse.json"
+        doc.write_text('{"metadata": {"seed": null, "codec": "g729"}, "policies": '
+                       '{"naive": null, "m4": {"handoff_count": 3, "mean_mos": 4}}}')
+        out = tmp_path / "out"
+        assert main(["report", str(doc), "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["scenario"], row["codec"], row["seed"]) == ("", "g729", "")
+        assert (row["naive_handoffs"], row["naive_mean_mos"]) == ("", "")
+        assert (row["best_handoffs"], row["m4_handoffs"], row["m4_mean_mos"]) == \
+            ("", "3", "4")

@@ -1,13 +1,14 @@
 """Policy comparison harness: configuration, training and reporting."""
 
 import dataclasses
+import inspect
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from qoehandoff import harness, netsim
+from qoehandoff import cli, harness, netsim
 from qoehandoff.errors import DomainError
 from qoehandoff.harness import (ALL_POLICIES, EvaluationReport, HarnessConfig,
                                 PolicyResult, default_roaming_harness,
@@ -679,3 +680,34 @@ em_seed = 7
                  sc.dwell_mean_epochs, sc.handoff_penalty_mos)
                 for sc in (cfg.scenario, default.scenario)] == \
             [("roaming", G729, 3, 2, 20, 40.0, 0.3)] * 2
+
+    def test_scenario_keys_are_the_factory_parameters(self):
+        # Each [scenario] key besides `kind` sets the factory parameter of
+        # its name; an unset one keeps the factory's default.
+        def parameters(factory):
+            return inspect.signature(factory).parameters.keys()
+
+        assert harness._SCENARIO_KEYS.keys() == parameters(netsim.roaming_scenario)
+        assert harness._SCENARIO_KEYS.keys() - harness._ROAMING_ONLY_KEYS == \
+            parameters(netsim.congestion_scenario)
+
+    @pytest.mark.parametrize("kind,factory", [
+        ("roaming", netsim.roaming_scenario),
+        ("wlan_congestion", netsim.congestion_scenario),
+    ])
+    def test_unset_settings_keep_the_factory_defaults(self, tmp_path, kind, factory):
+        # A config file that names only the kind, the default harness and a
+        # `simulate` without flags all build the factory-default scenario.
+        def settings(sc):
+            return [getattr(sc, f.name) for f in dataclasses.fields(sc)
+                    if f.name != "channels"] + [ch.label for ch in sc.channels]
+
+        path = tmp_path / "kind.ini"
+        path.write_text(f"[scenario]\nkind = {kind}\n")
+        args = cli.build_parser().parse_args(
+            ["simulate", "--scenario", kind, "--out", str(tmp_path)])
+        built = [load_config(path).scenario, cli._scenario_from_args(args)]
+        if kind == "roaming":
+            built.append(default_roaming_harness().scenario)
+        for scenario in built:
+            assert settings(scenario) == settings(factory())

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qoehandoff.errors import DomainError, ZeroProbabilityError
 from qoehandoff.hmm import (GaussianEmission, HmmModel, forward_filter,
                             predict_belief, predict_next_bands,
-                            predict_next_state, predict_next_states)
+                            predict_next_state)
 from qoehandoff.hmm import _kernels_py
 from qoehandoff.hmm.em import _Pool, _e_step
 from qoehandoff.hmm.model import VARIANCE_FLOOR
@@ -311,14 +311,15 @@ class TestPrediction:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_block_equals_per_belief_calls(self, n):
+        # Under the identity table each state is its own band.
         rng = np.random.default_rng(n)
         model = random_model(rng, n)
         beliefs = rng.dirichlet(np.ones(n), size=(4, 7))
-        states = predict_next_states(model, beliefs)
+        states = predict_next_bands(model, beliefs, np.eye(n))
         assert states.shape == (4, 7)
         expected = [[predict_next_state(model, b)[0] for b in row] for row in beliefs]
         assert states.tolist() == expected
-        assert predict_next_states(model, beliefs[0, 0]) == expected[0][0]
+        assert predict_next_bands(model, beliefs[0, 0], np.eye(n)) == expected[0][0]
 
     @pytest.mark.parametrize("tm", [
         [[0.7, 0.3], [0.3, 0.7]],
@@ -332,7 +333,7 @@ class TestPrediction:
                          tuple(GaussianEmission(float(n - i), 0.01)
                                for i in range(n)))
         uniform = np.full((3, 5, n), 1.0 / n)
-        assert (predict_next_states(model, uniform) == 1).all()
+        assert (predict_next_bands(model, uniform, np.eye(n)) == 1).all()
         assert predict_next_state(model, uniform[0, 0])[0] == 1
 
     @pytest.mark.parametrize("bad", [
@@ -344,8 +345,6 @@ class TestPrediction:
     ])
     def test_block_rejects_invalid_beliefs(self, bad):
         model = random_model(np.random.default_rng(2), 2)
-        with pytest.raises(DomainError):
-            predict_next_states(model, bad)
         with pytest.raises(DomainError):
             predict_next_bands(model, bad, np.eye(2))
 
@@ -377,8 +376,9 @@ class TestBandPrediction:
         beliefs = rng.dirichlet(np.ones(n), size=(4, 7))
         order = rng.permutation(n)
         bands = predict_next_bands(model, beliefs, np.eye(n)[order])
-        assert bands.tolist() == (order[predict_next_states(model, beliefs) - 1]
-                                  + 1).tolist()
+        states = np.array([[predict_next_state(model, b)[0] for b in row]
+                           for row in beliefs])
+        assert bands.tolist() == (order[states - 1] + 1).tolist()
 
     def test_band_mass_adds_over_states(self):
         # States 2 and 3 share band 2: together they outweigh state 1, the

@@ -115,19 +115,20 @@ class TestGenerateRuns:
     @pytest.mark.parametrize("indices", [[3], list(range(16)), list(range(17)),
                                          [5, 0, 20_000]])
     def test_rows_equal_stepwise_draws(self, make, indices):
+        # A block holds no QoE bands; the one-run view quantizes its MOS.
         cfg = make(seed=2, runs=1, duration_epochs=30)
         block = generate_runs(cfg, indices)
         n_if = len(cfg.channels)
         assert block.delays_s.shape == (len(indices), n_if, 30)
-        assert block.mos.shape == block.states.shape == block.delays_s.shape
+        assert block.mos.shape == block.delays_s.shape
         assert block.run_indices == tuple(indices)
         for b, r in enumerate(indices):
+            alone = generate_run(cfg, r)
             for i, (delay, mos, state) in enumerate(reference_run(cfg, r)):
                 assert block.delays_s[b, i].tolist() == delay
                 assert block.mos[b, i].tolist() == mos
-                assert block.states[b, i].tolist() == state
-            alone = generate_run(cfg, r)
-            for name in ("delays_s", "mos", "states"):
+                assert alone.states[i].tolist() == state
+            for name in ("delays_s", "mos"):
                 assert getattr(block, name)[b].tolist() == getattr(alone, name).tolist()
 
     @pytest.mark.parametrize("make", [roaming_scenario, congestion_scenario])
@@ -135,7 +136,7 @@ class TestGenerateRuns:
         cfg = make(duration_epochs=12)
         block = generate_runs(cfg, [])
         assert block.run_indices == ()
-        for array in (block.delays_s, block.mos, block.states):
+        for array in (block.delays_s, block.mos):
             assert array.shape == (0, len(cfg.channels), 12)
 
 
@@ -146,7 +147,8 @@ class TestStepEnvironment:
 
     def test_stay_returns_true_mos(self):
         run = self.make_run()
-        step = step_environment(run, 3, current=0, action=0)
+        step = step_environment(run, 3, current=0, action=0,
+                                handoff_penalty_mos=0.3)
         assert not step.handoff_occurred
         assert step.realized_mos == float(run.mos[0][3])
         assert step.handoff_penalty_mos == 0.0
@@ -189,9 +191,9 @@ class TestStepEnvironment:
     def test_bounds_checked(self):
         run = self.make_run()
         with pytest.raises(DomainError):
-            step_environment(run, run.duration, 0, 0)
+            step_environment(run, run.duration, 0, 0, 0.3)
         with pytest.raises(DomainError):
-            step_environment(run, 0, 0, 5)
+            step_environment(run, 0, 0, 5, 0.3)
 
 
 class TestScenarioValidation:
