@@ -4,14 +4,41 @@ Both kernels take per-frame emission log-densities for a batch of
 equal-length sequences, shape (B, T, N), and step over time once for all
 rows. `forward` filters every row under one model: a prior (N,) and a
 row-stochastic transition matrix (N, N). `forward_backward` takes a prior
-(B, N) and a transition matrix (B, N, N) per row. The recursions are
-scaled per step so that traces of arbitrary length cannot underflow, and
-each row's log-evidence is accumulated from its scaling factors. A row
-whose predicted mass vanishes at some frame gets NaN posteriors from that
-frame on and a non-finite log-evidence; callers check the evidence.
+(B, N) and a transition matrix (B, N, N) per row. Every recursion step is
+scaled by its own sum so that traces of arbitrary length cannot
+underflow, and each row's log-evidence is accumulated from its forward
+scaling factors. A row whose predicted mass vanishes at some frame gets
+NaN posteriors from that frame on and a non-finite log-evidence; callers
+check the evidence.
 
-Internally the arrays are time-major, (T, B, N), so that each step reads
-and writes one contiguous (B, N) slab.
+`forward` works time-major, (T, B, N), so that each step reads and writes
+one contiguous (B, N) slab.
+
+`forward_backward` runs both recursions in one loop of T steps over a
+state-major slab (T, N, 2B). Step t works on the contiguous (N, 2B) slab
+`slab[t]` in four NumPy calls: multiply by the emission densities, sum
+over states, divide by the sum, push through the transition matrices.
+- Columns :B run the scaled forward recursion on frame t, with the float
+  operations of the separate forward loop this kernel replaced, so the
+  filtered posteriors alpha and the log-evidence are bit-identical to it.
+- Columns B: run the backward recursion on frame T-1-t, time-reversed and
+  pushed through each row's transposed transition matrix. Each step is
+  normalized by its own sum, not by the forward scales (those of frame
+  T-1-t are not known yet), so `slab[T-1-t, :, B:]` ends up holding w[t],
+  frame t's densities times its backward message, summing to one.
+Each step's products overwrite that frame's densities, so after the loop
+the slab holds alpha and w and nothing else is kept per frame. Then
+beta[t] = tm @ w[t + 1] is rebuilt in one `einsum`, and
+z[t] = alpha[t] . beta[t] normalizes both gamma = alpha * beta and the
+pairwise posteriors alpha[t] (x) w[t + 1] * tm, whose sum over time is
+one matrix product. Gamma and the transition counts differ from those of
+the forward-scaled backward pass by rounding only (about 1e-15 relative).
+
+Normalized by their own sums, the backward messages can put their mass
+on states the forward pass rules out, until the products of the states
+that matter underflow. The transitions into each state then no longer add
+up to its smoothed occupancy; a row where they miss by more than rounding
+is smoothed again with both recursions in log space.
 """
 
 from __future__ import annotations
@@ -21,35 +48,22 @@ import numpy as np
 BACKEND = "python"
 
 
-def _forward_pass(frame_logprob, prior, push):
-    """Scaled forward recursion; `push` maps filtered beliefs (B, N) to the
-    next step's predicted ones.
-
-    Returns, time-major, the filtered posteriors (T, B, N), the per-step
-    normalizers (T, B, 1) and the densities relative to each frame's
-    maximum (T, B, N), plus each row's log-evidence (B,).
-    """
-    m = frame_logprob.max(axis=2)
-    b = np.exp(frame_logprob - m[..., None]).transpose(1, 0, 2).copy()
-    T, B, N = b.shape
-    alpha = np.empty((T, B, N))
-    scale = np.empty((T, B, 1))
-    pred = prior
-    for t in range(T):
-        a = pred * b[t]
-        np.add.reduce(a, axis=1, keepdims=True, out=scale[t])
-        np.divide(a, scale[t], out=alpha[t])
-        pred = push(alpha[t])
-    loglik = np.log(scale[:, :, 0]).sum(axis=0) + m.sum(axis=1)
-    return alpha, scale, b, loglik
-
-
 def forward(frame_logprob: np.ndarray, prior: np.ndarray,
             tm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Filtered state posteriors (B, T, N) plus each row's log-evidence (B,)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha, _, _, loglik = _forward_pass(frame_logprob, prior,
-                                            lambda belief: belief @ tm)
+        m = frame_logprob.max(axis=2)
+        b = np.exp(frame_logprob - m[..., None]).transpose(1, 0, 2).copy()
+        T, B, N = b.shape
+        alpha = np.empty((T, B, N))
+        scale = np.empty((T, B, 1))
+        pred = prior
+        for t in range(T):
+            a = pred * b[t]
+            np.add.reduce(a, axis=1, keepdims=True, out=scale[t])
+            np.divide(a, scale[t], out=alpha[t])
+            pred = alpha[t] @ tm
+        loglik = np.log(scale[:, :, 0]).sum(axis=0) + m.sum(axis=1)
     return alpha.transpose(1, 0, 2), loglik
 
 
@@ -62,21 +76,84 @@ def forward_backward(frame_logprob: np.ndarray, prior: np.ndarray,
     its whole sequence, and xi_sum[r, i, j] the expected number of i->j
     transitions in row r.
     """
-    alpha, scale, b, loglik = _forward_pass(
-        frame_logprob, prior, lambda belief: np.einsum("bi,bij->bj", belief, tm))
+    B, T, N = frame_logprob.shape
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = frame_logprob.max(axis=2)
+        loglik = m.sum(axis=1)
+        # Frame t's densities in columns :B, frame T-1-t's in columns B:,
+        # each relative to the frame's maximum; `scale` holds those maxima
+        # until the loop overwrites it with each step's sums.
+        slab = np.empty((T, N, 2 * B))
+        slab[:, :, :B] = frame_logprob.transpose(1, 2, 0)
+        slab[:, :, B:] = frame_logprob[:, ::-1].transpose(1, 2, 0)
+        scale = np.empty((T, 2 * B))
+        scale[:, :B] = m.T
+        scale[:, B:] = m[:, ::-1].T
+        del m
+        np.subtract(slab, scale[:, None], out=slab)
+        np.exp(slab, out=slab)
+        # push[i, j] carries state i's mass to state j: tm in the forward
+        # columns, tm transposed in the backward ones.
+        push = np.empty((N, N, 2 * B))
+        push[:, :, :B] = tm.transpose(1, 2, 0)
+        push[:, :, B:] = tm.transpose(2, 1, 0)
+        msg = np.empty((N, 2 * B))
+        msg[:, :B] = prior.T
+        msg[:, B:] = 1.0
+        for t in range(T):
+            a = slab[t]
+            np.multiply(msg, a, out=a)
+            np.add.reduce(a, axis=0, out=scale[t])
+            np.divide(a, scale[t], out=a)
+            np.einsum("ib,ijb->jb", a, push, out=msg)
+        loglik += np.log(scale[:, :B]).sum(axis=0)
 
-    # w[t] = b[t] * beta[t] / scale[t] is the backward message entering
-    # frame t - 1; beta and the xi sum both use it.
-    T = alpha.shape[0]
-    b /= scale
-    beta = np.empty_like(alpha)
-    w = np.empty_like(alpha)
-    beta[T - 1] = 1.0
-    for t in range(T - 1, 0, -1):
-        np.multiply(b[t], beta[t], out=w[t])
-        np.einsum("bij,bj->bi", tm, w[t], out=beta[t - 1])
-    xi_sum = np.einsum("tbi,tbj->bij", alpha[:-1], w[1:]) * tm
+        alpha = slab[:, :, :B]
+        w = slab[::-1, :, B:]
+        # gamma holds beta until alpha / z scales it into the posteriors.
+        gamma = np.empty((T, N, B))
+        gamma[-1] = 1.0
+        np.einsum("ijb,tjb->tib", push[:, :, :B], w[1:], out=gamma[:-1])
+        inv_z = np.einsum("tib,tib->tb", alpha, gamma)
+        np.divide(1.0, inv_z, out=inv_z)
+        np.einsum("tib,tb->tib", alpha, inv_z, out=alpha)
+        xi_sum = np.matmul(alpha[:-1].transpose(2, 1, 0), w[1:].transpose(2, 0, 1)) * tm
+        gamma *= alpha
 
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=2, keepdims=True)
-    return gamma.transpose(1, 0, 2), xi_sum, loglik
+        # Transitions into each state against its occupancy of frames
+        # 1..T-1; rounding alone stays far inside this bound.
+        drift = np.abs(xi_sum.sum(axis=1) - gamma[1:].sum(axis=0).T).max(axis=1)
+        lost = np.flatnonzero(np.isfinite(loglik) & ~(drift <= 1e-13 + 1e-15 * T * T))
+        if lost.size:
+            gamma[:, :, lost], xi_sum[lost] = _log_smooth(
+                frame_logprob[lost], prior[lost], tm[lost])
+    return gamma.transpose(2, 0, 1), xi_sum, loglik
+
+
+def _log_smooth(frame_logprob, prior, tm):
+    """Gamma (T, N, B) and xi_sum (B, N, N) with both recursions in log
+    space: a Python step per frame and direction, but nothing underflows."""
+    flp = frame_logprob.transpose(1, 2, 0)
+    log_tm = np.log(tm).transpose(1, 2, 0)
+    log_alpha = np.empty_like(flp)
+    log_alpha[0] = np.log(prior.T) + flp[0]
+    log_beta = np.zeros_like(flp)
+    T = flp.shape[0]
+    for t in range(1, T):
+        log_alpha[t] = _log_sum_exp(log_alpha[t - 1][:, None] + log_tm, axis=0) + flp[t]
+        log_beta[T - 1 - t] = _log_sum_exp(log_tm + flp[T - t] + log_beta[T - t], axis=1)
+    gamma = _normalized_exp(log_alpha + log_beta, axis=(1,))
+    xi = _normalized_exp(log_alpha[:-1, :, None] + log_tm
+                         + (flp[1:] + log_beta[1:])[:, None], axis=(1, 2))
+    return gamma, xi.sum(axis=0).transpose(2, 0, 1)
+
+
+def _log_sum_exp(x, axis):
+    top = x.max(axis=axis)
+    top[np.isinf(top)] = 0.0
+    return np.log(np.exp(x - np.expand_dims(top, axis)).sum(axis=axis)) + top
+
+
+def _normalized_exp(log_p, axis):
+    p = np.exp(log_p - log_p.max(axis=axis, keepdims=True))
+    return p / p.sum(axis=axis, keepdims=True)

@@ -2,6 +2,7 @@
 a per-sequence reference, and one-step prediction."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,17 @@ def sparse_filter_cases(draw):
     return model, obs
 
 
+def consistent_posteriors(gamma, xi_sum, tol=1e-12):
+    """Whether gamma (T, N) holds probability vectors and xi_sum (N, N)
+    the transition counts they imply: its row sums are gamma summed over
+    frames 0..T-2 and its column sums gamma summed over frames 1..T-1."""
+    return bool(np.isfinite(gamma).all() and np.isfinite(xi_sum).all()
+                and (gamma >= 0).all() and (xi_sum >= 0).all()
+                and np.abs(gamma.sum(axis=1) - 1.0).max() <= tol
+                and np.abs(xi_sum.sum(axis=1) - gamma[:-1].sum(axis=0)).max() <= tol
+                and np.abs(xi_sum.sum(axis=0) - gamma[1:].sum(axis=0)).max() <= tol)
+
+
 class TestSparseModels:
     @settings(max_examples=200, deadline=None)
     @given(sparse_filter_cases())
@@ -274,6 +286,117 @@ class TestSparseModels:
         assert (beliefs >= 0).all()
         assert np.abs(beliefs.sum(axis=-1) - 1.0).max() <= 1e-9
         assert np.isfinite(logev).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_filter_cases())
+    def test_smoother_rows_match_reference_or_lose_evidence(self, case):
+        # Each row's forward and backward halves run in columns of one slab,
+        # so a row computed in a block equals the row computed alone, and a
+        # row that loses all mass does not disturb its neighbours. A row
+        # with evidence gets consistent posteriors, equal to the
+        # reference's wherever the reference's own are consistent: on these
+        # models its backward pass, scaled by the forward sums, can
+        # underflow to NaN or lose digits.
+        model, obs = case
+        obs = np.atleast_2d(obs)
+        flp = np.stack([model.frame_log_likelihood(x) for x in obs])
+        rows = obs.shape[0]
+        prior = np.tile(model.prior, (rows, 1))
+        tm = np.tile(model.transitions, (rows, 1, 1))
+        gamma, xi_sum, loglik = _kernels_py.forward_backward(flp, prior, tm)
+        for r in range(rows):
+            alone = _kernels_py.forward_backward(flp[r:r + 1], prior[:1], tm[:1])
+            assert np.array_equal(gamma[r], alone[0][0], equal_nan=True)
+            assert np.array_equal(xi_sum[r], alone[1][0], equal_nan=True)
+            if not np.isfinite(loglik[r]):
+                assert not np.isfinite(alone[2][0])
+                continue
+            # The per-step log normalizers are summed in a different order
+            # for a block than for one row.
+            assert loglik[r] == pytest.approx(alone[2][0], rel=1e-13)
+            assert consistent_posteriors(gamma[r], xi_sum[r])
+            with np.errstate(all="ignore"):
+                ref_gamma, ref_xi, ref_loglik = reference_forward_backward(
+                    flp[r], model.prior, model.transitions)
+            close(loglik[r], ref_loglik)
+            if consistent_posteriors(ref_gamma, ref_xi):
+                close(gamma[r], ref_gamma)
+                close(xi_sum[r], ref_xi)
+
+    def test_underflowed_backward_row_is_smoothed_in_log_space(self, monkeypatch):
+        # State 1 can never be entered, but it fits most observations far
+        # better than state 2. Normalized by their own sums, the backward
+        # messages then keep their mass on state 1 until state 2's share
+        # underflows.
+        model = HmmModel(prior=np.array([0.0, 1.0]),
+                         transitions=np.array([[0.0, 1.0], [0.0, 1.0]]),
+                         emissions=(GaussianEmission(0.748, 1e-4),
+                                    GaussianEmission(0.833, 1e-4)))
+        obs = np.array([0.822, 0.833, 0.748, 0.748, 0.977, 0.484, 0.009, 0.833,
+                        0.475, 0.008, 0.296, 0.192, 0.748, 1.011, 0.151, 0.833])
+        flp = np.stack([model.frame_log_likelihood(obs)] * 2)
+        prior, tm = np.tile(model.prior, (2, 1)), np.tile(model.transitions, (2, 1, 1))
+        flp[1, 6] = -np.inf  # row 1 loses all mass at frame 6
+        rescued = []
+        log_smooth = _kernels_py._log_smooth
+
+        def counted(frame_logprob, prior, tm):
+            rescued.append(frame_logprob.shape[0])
+            return log_smooth(frame_logprob, prior, tm)
+
+        monkeypatch.setattr(_kernels_py, "_log_smooth", counted)
+        gamma, xi_sum, loglik = _kernels_py.forward_backward(flp, prior, tm)
+        assert rescued == [1] and np.isfinite(loglik[0]) and not np.isfinite(loglik[1])
+        ref_gamma, ref_xi, ref_loglik = reference_forward_backward(
+            flp[0], model.prior, model.transitions)
+        close(gamma[0], ref_gamma)
+        close(xi_sum[0], ref_xi)
+        close(loglik[0], ref_loglik)
+
+
+def halves_of_permutations(rng, n):
+    """Transition matrix (P + Q) / 2 for random permutation matrices P and
+    Q: every column has at most two non-zero entries, each a power of two."""
+    eye = np.eye(n)
+    return (eye[rng.permutation(n)] + eye[rng.permutation(n)]) / 2
+
+
+class TestSharedLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(batches)
+    def test_forward_half_is_the_filter(self, batch):
+        # `forward` pushes beliefs through one matrix product and
+        # `forward_backward` through a per-row einsum, which may round
+        # differently. Under these transitions each push sums at most two
+        # exact products, so both round alike, and the forward half must
+        # reproduce the filter's log-evidence to the bit.
+        seed, rows, length, n = batch
+        flp, prior, _ = random_batch(seed, rows, length, n)
+        tm = halves_of_permutations(np.random.default_rng(seed), n)
+        _, logev = _kernels_py.forward(flp, prior[0], tm)
+        _, _, loglik = _kernels_py.forward_backward(
+            flp, np.tile(prior[0], (rows, 1)), np.tile(tm, (rows, 1, 1)))
+        assert np.array_equal(loglik, logev)
+
+
+class TestSmootherMemory:
+    # Peak bytes traced during one `forward_backward` call (T = 101,
+    # N = 3) by the kernel with separate forward and backward loops that
+    # this one replaced, under NumPy 2.4.
+    SEPARATE_LOOPS_PEAK = {30: 482_280, 100: 1_449_400}
+
+    @pytest.mark.parametrize("rows", sorted(SEPARATE_LOOPS_PEAK))
+    def test_peak_no_higher_than_separate_loops(self, rows):
+        flp, prior, tm = random_batch(1, rows, 101, 3)
+        _kernels_py.forward_backward(flp, prior, tm)  # warm NumPy's caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = _kernels_py.forward_backward(flp, prior, tm)  # noqa: F841
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.SEPARATE_LOOPS_PEAK[rows]
 
 
 class TestPrediction:
