@@ -5,26 +5,32 @@ row; the mos cell may be empty. Values are written with 9 significant
 digits and reading back a written file restores them at that precision.
 
 A trace is held as columns, and files are read and written in
-whole-column passes: cells are converted with Python's own `int` and
-`float` (so their syntax and error messages are Python's), a slice of
-`SLICE_ROWS` rows at a time; each trace's rows are written as one block.
+whole-column passes, a slice of `SLICE_ROWS` lines at a time; each
+trace's rows are written as one block. A slice with no `"`, no carriage
+return but in a "\r\n" line end, no ASCII information separator and no
+line over csv's field limit is one row per line, and NumPy's text reader
+converts it in one call. Any other slice, or one that NumPy refuses (an
+empty mos cell, say), is split by csv and its cells converted with
+Python's own `int` and `float`. NumPy accepts a subset of what those
+accept and converts it to the same values, so the syntax, values and
+error messages are csv's and Python's.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, islice
-from operator import itemgetter, ne, or_
+from itertools import chain, compress, islice
 
 import numpy as np
 
 from .errors import TraceParseError, TraceValidationError
 
 HEADER = ["run_id", "interface", "epoch", "rtt_s", "mos"]
-# Rows converted per column pass: bounds the row strings held at once.
+# Lines converted per column pass: bounds the row strings held at once.
 SLICE_ROWS = 512
 
 
@@ -97,10 +103,18 @@ def _check_row(row, line_number) -> None:
         raise TraceParseError(f"epoch {int(row[2])} out of range", line_number) from None
 
 
-def _segments(chunk, first_line):
+def _split(run_ids, interfaces, columns):
     """((run_id, interface), [epochs, rtts, mos]) for each run of rows with
-    one key in a slice of rows, the first on line `first_line`; blank rows
-    are skipped."""
+    one key, the keys as object arrays and the columns as arrays."""
+    changes = (run_ids[1:] != run_ids[:-1]) | (interfaces[1:] != interfaces[:-1])
+    bounds = [0, *(changes.nonzero()[0] + 1).tolist(), len(run_ids)]
+    return [((run_ids[a], interfaces[a]), [c[a:b] for c in columns])
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _segments(chunk, first_line):
+    """`_split` of a slice of csv rows, the first on line `first_line`;
+    blank rows are skipped."""
     rows = list(filter(None, chunk))
     if not rows:
         return []
@@ -114,17 +128,62 @@ def _segments(chunk, first_line):
             if row:
                 _check_row(row, line_number)
         raise TraceParseError(str(exc), first_line) from None
-    changes = map(or_, map(ne, run_ids[1:], run_ids), map(ne, interfaces[1:], interfaces))
-    bounds = [0, *compress(range(1, len(rows)), changes), len(rows)]
-    return [((run_ids[a], interfaces[a]), [c[a:b] for c in columns])
-            for a, b in zip(bounds, bounds[1:])]
+    return _split(np.array(run_ids, object), np.array(interfaces, object), columns)
+
+
+def _csv_rows(lines, rest, first_line):
+    """The csv rows of a slice of lines, the first on line `first_line`; a
+    quoted cell open at the slice's end takes its next lines from `rest`."""
+    reader = csv.reader(chain(lines, rest))
+    rows = []
+    try:
+        while reader.line_num < len(lines):
+            rows.append(next(reader))
+    except csv.Error as exc:
+        _segments(rows, first_line)  # a malformed row before it is named first
+        raise TraceParseError(str(exc), first_line + len(rows)) from None
+    return rows
+
+
+_ROW_DTYPE = np.dtype([("run_id", object), ("interface", object), ("epoch", np.int64),
+                       ("rtt_s", float), ("mos", float)])
+
+
+def _loadtxt_segments(lines):
+    """`_split` of a slice of lines converted by NumPy's text reader, or
+    None where that reader might not read it as csv, `int` and `float` do."""
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    # No quoting, and "\r" only in "\r\n" line ends, so each line is one
+    # row (NumPy 2.4 also refuses a newline character inside a line; older
+    # releases are not known to). No line can hold a cell over csv's limit,
+    # and no cell an information separator, which NumPy strips around a
+    # number as whitespace but Python's `int` and `float` do not.
+    if (any(map(text.__contains__, '"\x1c\x1d\x1e\x1f'))
+            or ("\r" in text and text.count("\r") != text.count("\r\n"))
+            or (len(text) > limit and max(map(len, lines)) > limit)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # A warning marks input csv reads otherwise: no rows at all, or
+            # (NumPy < 2.0) an integer read through a float.
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, _ROW_DTYPE, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    # Copies: views would keep each slice's table, and its keys, alive.
+    mos = table["mos"].copy()
+    mos[np.isnan(mos)] = np.inf  # a literal nan: every mos cell here is set
+    return _split(table["run_id"], table["interface"],
+                  [table["epoch"].copy(), table["rtt_s"].copy(), mos])
 
 
 def read_traces(source) -> list[DelayTrace]:
     """Parse traces, grouped by (run, interface), from a text stream (a file
     opened with ``newline="", encoding="utf-8"``) or a string.
 
-    A stream is parsed as it is read, `SLICE_ROWS` rows at a time, so the
+    A stream is parsed as it is read, `SLICE_ROWS` lines at a time, so the
     file's text is never held whole. A file that is not UTF-8 raises
     TraceParseError without a line number: the stream is decoded ahead of
     the parser, so the record holding the bad byte is not known.
@@ -132,25 +191,27 @@ def read_traces(source) -> list[DelayTrace]:
     if isinstance(source, str):
         # Line ends are left to csv, as in a file opened with newline="".
         source = io.StringIO(source, newline="")
-    # Rows take record numbers (header = 1) as read: after a row csv cannot
-    # split, next(numbers) is its record, not `line_num`'s physical line.
-    numbers = count(1)
-    reader = map(itemgetter(0), zip(csv.reader(source), numbers))
+    lines = iter(source)
     try:
-        header = next(reader, None)
+        try:
+            header = next(csv.reader(lines), None)
+        except csv.Error as exc:
+            raise TraceParseError(str(exc), 1) from None
         if header is None:
             raise TraceParseError("empty input, expected header row")
         if header != HEADER:
             raise TraceParseError(f"expected header {','.join(HEADER)}", line_number=1)
 
         segments: dict[tuple[str, str], list] = {}
-        line_number = 2
-        while chunk := list(islice(reader, SLICE_ROWS)):
-            for key, columns in _segments(chunk, line_number):
+        line_number = 2  # records, not physical lines: the header is 1
+        while chunk := list(islice(lines, SLICE_ROWS)):
+            converted, records = _loadtxt_segments(chunk), len(chunk)
+            if converted is None:
+                rows = _csv_rows(chunk, lines, line_number)
+                converted, records = _segments(rows, line_number), len(rows)
+            for key, columns in converted:
                 segments.setdefault(key, []).append(columns)
-            line_number += len(chunk)
-    except csv.Error as exc:
-        raise TraceParseError(str(exc), next(numbers)) from None
+            line_number += records
     except UnicodeDecodeError as exc:
         raise TraceParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: "
                               f"{exc.reason}") from None

@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qoehandoff import trace_io
+from qoehandoff.cli import main
 from qoehandoff.errors import TraceParseError, TraceValidationError
 from qoehandoff.netsim import generate_run, roaming_scenario
 from qoehandoff.trace_io import (HEADER, DelayTrace, read_traces,
@@ -318,11 +322,23 @@ class TestColumns:
 # as the reference they must match. A trace is (run_id, interface,
 # samples), a sample (epoch, rtt_s, mos or None).
 
+def numbered_rows(reader):
+    """(record number, row) of each row of `reader` after the header; a row
+    csv cannot split raises TraceParseError naming its record."""
+    line_number = 2
+    try:
+        for row in reader:
+            yield line_number, row
+            line_number += 1
+    except csv.Error as exc:
+        raise TraceParseError(str(exc), line_number) from None
+
+
 def reference_read(text):
     reader = csv.reader(io.StringIO(text))
     assert next(reader) == HEADER
     groups = {}
-    for line_number, row in enumerate(reader, start=2):
+    for line_number, row in numbered_rows(reader):
         if not row:
             continue
         if len(row) != len(HEADER):
@@ -480,3 +496,121 @@ class TestMatchesRowByRowReference:
         text = "".join(map(csv_line, rows))
         with mock.patch.object(trace_io, "SLICE_ROWS", slice_rows):
             assert outcome(columnar_read, text) == outcome(reference_read, text)
+
+
+# Slices of plain lines are converted by NumPy's text reader, all others
+# by csv, `int` and `float`; the cases below sit where the two could part.
+
+def streamed_read(text):
+    """`columnar_read` of `text` from a stream that splits lines at "\\n"
+    only, as `reference_read`'s does."""
+    return [(t.run_id, t.interface_label, t.samples) for t in read_traces(io.StringIO(text))]
+
+
+def _between_plain_rows(body):
+    """A header, three plain rows of another trace, `body`, three more."""
+    return (",".join(HEADER) + "\n" + "".join(f"q,WLAN,{t},0.1,4.2\n" for t in range(3))
+            + body + "".join(f"q,WLAN,{t},0.1,4.2\n" for t in range(3, 6)))
+
+
+EDGE_BODIES = {
+    "underscore epoch": "r,W,1_0,0.1,4.2\n",
+    "underscore rtt": "r,W,1,0.1_5,4.2\n",
+    "arabic-indic digits": "r,W,١٢,٠.٥,٤\n",
+    "non-ascii spaces": "r,W,\u20031\u2003,\xa00.1,4.2\x85\n",
+    "ascii padding": "r,W, 1 ,\t0.1\t,\x0b4.2\x0c\n",
+    "information separator": "r,W,1\x1c,0.1,4.2\n",
+    "separator in a label": "r\x1f,W\x1c,1,0.1,4.2\n",
+    "blank mos": "r,W,1,0.1,\n",
+    "whitespace mos": "r,W,1,0.1, \t\n",
+    "nan mos": "r,W,1,0.1,nan\n",
+    "padded nan mos": "r,W,1,0.1, NaN \n",
+    "stray carriage return": "r,W\rLAN,1,0.1,4.2\n",
+    "carriage returns ending a line": "r,W,1,0.1,4.2\r\r\n",
+    "long unquoted label": "r," + "W" * 200_000 + ",1,0.1,4.2\n",
+    "quoted numbers": 'r,W,"1",0.1,"4.2"\n',
+    "quoted record over lines": 'r,"W\nLAN",0,0.1,4.2\n"r\n\n",W,1,0.2,3\nr,W,2,0.3,\n',
+    "quoted record then a bad row": 'r,"W\nLAN",0,0.1,4.2\nr,W,x,0.1,4\n',
+    "bad row then a stray carriage return": "r,W,x,0.1,4\nr,W\rLAN,1,0.1,4.2\n",
+    "hash in a label": "r#1,#W,1,0.1,4.2\nr#1,#W,2,0.1,4.2 # note\n",
+    "blank lines": "\n\n\n\nr,W,1,0.1,4.2\n\n\n\nr,W,x,0.1,4\n",
+    "float epoch": "r,W,1.0,0.1,4.2\n",
+    "trailing comma": "r,W,1,0.1,4.2,\n",
+}
+
+
+class TestNumpySlicesMatchTheReference:
+    @pytest.mark.parametrize("slice_rows", [1, 2, 3, trace_io.SLICE_ROWS])
+    @pytest.mark.parametrize("body", EDGE_BODIES.values(), ids=EDGE_BODIES.keys())
+    def test_edge_rows_read_as_the_reference_reads_them(self, body, slice_rows):
+        text = _between_plain_rows(body)
+        with mock.patch.object(trace_io, "SLICE_ROWS", slice_rows):
+            assert outcome(streamed_read, text) == outcome(reference_read, text)
+
+    def test_long_label_still_hits_the_field_limit(self):
+        text = _between_plain_rows(EDGE_BODIES["long unquoted label"])
+        with pytest.raises(TraceParseError) as exc:
+            streamed_read(text)
+        assert str(exc.value) == "line 5: field larger than field limit (131072)"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(list("0123456789.+-_eanfW, #\t\"\r\n\x00\x1c\x85"
+                                                  "١\u2003")), max_size=12),
+                    max_size=12),
+           SLICES)
+    def test_any_lines_read_as_the_reference_reads_them(self, lines, slice_rows):
+        text = _between_plain_rows("".join(line + "\n" for line in lines))
+        with mock.patch.object(trace_io, "SLICE_ROWS", slice_rows):
+            assert outcome(streamed_read, text) == outcome(reference_read, text)
+
+
+class TestNumpyPath:
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_simulated_file_is_read_without_csv(self, tmp_path, capsys, ending):
+        assert main(["simulate", "--runs", "240", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "traces.csv"
+        text = path.read_text(encoding="utf-8").replace("\n", ending)
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(trace_io, "_csv_rows", side_effect=AssertionError), \
+                open(path, newline="", encoding="utf-8") as fh:
+            traces = read_traces(fh)
+        assert len(traces) == 480
+        assert [(t.run_id, t.interface_label, t.samples) for t in traces] == \
+            reference_read(text.replace("\r\n", "\n"))
+
+
+class TestReadMemory:
+    # The tracemalloc peak of `read_traces` over the file below when every
+    # slice was split by csv and converted by `int` and `float` (Python
+    # 3.11.7, NumPy 2.4.6). Views of each slice's NumPy table, kept in place
+    # of copies, would hold every row's keys and raise it by megabytes.
+    CSV_READER_PEAK_BYTES = 16_497_665
+    # Run in a fresh interpreter: how much CPython allocates for an object
+    # depends on what the process did before (free lists, the layout of a
+    # class's attribute dicts) by tens of KB. Objects taken from the free
+    # lists are not traced, and a full collection empties those lists, so
+    # one is made before the read and none during it.
+    MEASURE = """if True:
+        import gc, sys, tracemalloc
+        from qoehandoff.trace_io import read_traces
+
+        def read():
+            with open(sys.argv[1], newline="", encoding="utf-8") as fh:
+                return read_traces(fh)
+
+        read()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        traces = read()
+        print(len(traces), tracemalloc.get_traced_memory()[1])
+    """
+
+    def test_peak_is_no_higher_than_the_csv_readers(self, tmp_path, capsys):
+        assert main(["simulate", "--runs", "2400", "--out", str(tmp_path)]) == 0
+        done = subprocess.run([sys.executable, "-c", self.MEASURE, str(tmp_path / "traces.csv")],
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                              capture_output=True, text=True, check=True)
+        count, peak = map(int, done.stdout.split())
+        assert count == 4800
+        assert peak <= self.CSV_READER_PEAK_BYTES
