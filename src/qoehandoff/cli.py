@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -71,8 +72,8 @@ def cmd_simulate(args) -> int:
     # on the write order.
     run_mos_sums = np.empty((scenario.runs, len(labels)))
     trace_path = out_dir / "traces.csv"
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(trace_io.HEADER) + "\n")
+    with open(trace_path, "wb") as fh:
+        fh.write(",".join(trace_io.HEADER).encode() + b"\n")
         for block in netsim.run_blocks(scenario,
                                        sorted(range(scenario.runs), key=_run_id)):
             run_mos_sums[list(block.run_indices)] = block.mos.sum(axis=2)
@@ -177,10 +178,10 @@ def _chunks(traces, budget: int):
         yield chunk
 
 
-def _prediction_rows(model, traces) -> str:
-    """The predictions.csv rows of `traces`, in their order; each group of
-    equal-length traces is filtered in one `forward_filter` call. A model
-    file carries no band table, so each state is its own band (identity)."""
+def _prediction_rows(model, traces):
+    """The predictions.csv rows of `traces`, in their order, in chunks of
+    bytes; each group of equal-length traces is filtered in one `forward_filter`
+    call. A model file carries no band table, so each state is its own band."""
     states = [None] * len(traces)
     for ids, block in length_blocks([trace.rtt_s for trace in traces]):
         try:
@@ -193,11 +194,12 @@ def _prediction_rows(model, traces) -> str:
                 f"{exc.observation} (epoch {epoch}) has zero predicted probability "
                 "under the model") from None
         bands = predict_next_bands(model, beliefs[:, :-1], np.eye(model.n_states))
-        for i, row in zip(ids, bands.tolist()):
+        for i, row in zip(ids, bands):
             states[i] = row
-    return "".join(trace_io.format_rows([trace.run_id, trace.interface_label], "%d,%d",
-                                        (trace.epochs[1:].tolist(), predicted))
-                   for trace, predicted in zip(traces, states))
+    return trace_io.trace_rows([(trace.run_id, trace.interface_label) for trace in traces],
+                               [trace.epochs.size - 1 for trace in traces],
+                               np.concatenate([trace.epochs[1:] for trace in traces]),
+                               np.concatenate(states))
 
 
 def cmd_predict(args) -> int:
@@ -208,12 +210,12 @@ def cmd_predict(args) -> int:
     out_path = out_dir / "predictions.csv"
     # Each chunk's rows are written before the next chunk is filtered, so
     # a failure can come after earlier rows are on disk: remove them.
-    fh = open(out_path, "w", newline="", encoding="utf-8")
+    fh = open(out_path, "wb")
     try:
         with fh:
-            fh.write("run_id,interface,epoch,predicted_state\n")
+            fh.write(b"run_id,interface,epoch,predicted_state\n")
             for chunk in _chunks(traces, PREDICT_CHUNK_SAMPLES):
-                fh.write(_prediction_rows(model, chunk))
+                fh.writelines(_prediction_rows(model, chunk))
     except BaseException:
         out_path.unlink(missing_ok=True)
         raise
@@ -252,20 +254,21 @@ def _write_timelines(cfg, report, path) -> None:
     """Plot-ready per-epoch rows for each policy over the evaluation runs
     whose MOS the report kept, one block of rows per (policy, run)."""
     labels = [ch.label for ch in cfg.scenario.channels]
-    # mos_cells[r][t]: run r's MOS columns at epoch t, formatted once.
-    mos_cells = [[",".join(format(m, ".9g") for m in epoch) for epoch in run.T.tolist()]
-                 for run in report.mos]
-    epochs = range(report.mos.shape[2])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
-            ["policy", "run", "epoch"] + [f"mos_{l}" for l in labels]
-            + ["chosen_interface", "cumulative_handoffs"])
+    runs, _, epochs = report.mos.shape
+    # One MOS column per interface, its rows (run, epoch) in order.
+    mos_columns = report.mos.transpose(1, 0, 2).reshape(len(labels), -1)
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(
+        ["policy", "run", "epoch"] + [f"mos_{l}" for l in labels]
+        + ["chosen_interface", "cumulative_handoffs"])
+    with open(path, "wb") as fh:
+        fh.write(header.getvalue().encode())
         for name, result in report.policies.items():
             paths = result.paths
             handoffs = np.cumsum(np.diff(paths, axis=1, prepend=paths[:, :1]) != 0, axis=1)
-            for r, (chosen, cum) in enumerate(zip(paths.tolist(), handoffs.tolist())):
-                fh.write(trace_io.format_rows([name, r], "%d,%s,%d,%d",
-                                              (epochs, mos_cells[r], chosen, cum)))
+            fh.writelines(trace_io.trace_rows(
+                [(name, r) for r in range(runs)], epochs, np.tile(np.arange(epochs), runs),
+                *mos_columns, paths.ravel(), handoffs.ravel()))
 
 
 def _report_row(path) -> dict:

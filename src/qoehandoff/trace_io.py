@@ -5,15 +5,20 @@ row; the mos cell may be empty. Values are written with 9 significant
 digits and reading back a written file restores them at that precision.
 
 A trace is held as columns, and files are read and written in
-whole-column passes, a slice of `SLICE_ROWS` lines at a time; each
-trace's rows are written as one block. A slice with no `"`, no carriage
-return but in a "\r\n" line end, no ASCII information separator and no
-line over csv's field limit is one row per line, and NumPy's text reader
-converts it in one call. Any other slice, or one that NumPy refuses (an
-empty mos cell, say), is split by csv and its cells converted with
-Python's own `int` and `float`. NumPy accepts a subset of what those
-accept and converts it to the same values, so the syntax, values and
-error messages are csv's and Python's.
+whole-column passes. Reading takes a slice of `SLICE_ROWS` lines at a
+time. A slice with no `"`, no carriage return but in a "\r\n" line end,
+no ASCII information separator, no empty or blank cell after a comma and
+no line over csv's field limit is one row per line, and NumPy's text
+reader converts it in one call. Any other slice, or one that NumPy
+refuses, is split by csv and its cells converted with Python's own `int`
+and `float`. NumPy accepts a subset of what those accept and converts it
+to the same values, so the syntax, values and error messages are csv's
+and Python's.
+
+Writing renders `RENDER_ROWS` rows at a time as NumPy byte strings: each
+key's cells are csv-quoted once, and `csv_cells` renders each number
+column as `"%d"` or `"%.9g"` does, from a table of 3-digit pieces; the
+few values it cannot render exactly go to Python one at a time.
 """
 
 from __future__ import annotations
@@ -132,13 +137,12 @@ def _segments(chunk, first_line):
 
 
 def _csv_rows(lines, rest, first_line):
-    """The csv rows of a slice of lines, the first on line `first_line`; a
-    quoted cell open at the slice's end takes its next lines from `rest`."""
-    reader = csv.reader(chain(lines, rest))
+    """The csv rows of as many records as a slice has lines, the first on
+    line `first_line`; a quoted cell open at the slice's end, or a record
+    past it, takes its lines from `rest`."""
     rows = []
     try:
-        while reader.line_num < len(lines):
-            rows.append(next(reader))
+        rows.extend(islice(csv.reader(chain(lines, rest)), len(lines)))
     except csv.Error as exc:
         _segments(rows, first_line)  # a malformed row before it is named first
         raise TraceParseError(str(exc), first_line + len(rows)) from None
@@ -162,6 +166,12 @@ def _loadtxt_segments(lines):
     if (any(map(text.__contains__, '"\x1c\x1d\x1e\x1f'))
             or ("\r" in text and text.count("\r") != text.count("\r\n"))
             or (len(text) > limit and max(map(len, lines)) > limit)):
+        return None
+    # A comma before a line end, a space or a control character starts an
+    # empty or blank cell, which NumPy refuses only on reaching it, after
+    # parsing the rows before: such a slice goes to csv at once.
+    data = np.frombuffer(text.encode(), np.uint8)
+    if ((data[:-1] == 44) & (data[1:] <= 32)).any() or text.endswith(","):
         return None
     try:
         with warnings.catch_warnings():
@@ -223,45 +233,126 @@ def read_traces(source) -> list[DelayTrace]:
     return traces
 
 
-def format_rows(keys, row_format: str, columns) -> str:
-    """CSV rows, one per row of `columns`: the cells `keys`, csv-quoted
-    once, then `row_format % values` (cells that need no quoting)."""
+# Three-byte cell pieces: a 3-digit group g zero-padded ("050") at g or
+# without trailing zeros ("05"; "" for 0) at _DROPPED + g, "%d" of g at
+# _PLAIN + g, and a float's comma and leading digit d at _LEAD + d, with
+# "." at _LEAD + 10 + d. The S dtype drops trailing NULs, so pieces join.
+_DROPPED, _PLAIN, _LEAD = 1000, 2000, 3000
+_PIECES = np.array([b"%03d" % g for g in range(1000)]
+                   + [(b"%03d" % g).rstrip(b"0") for g in range(1000)]
+                   + [b"%d" % g for g in range(1000)] + [b",%d" % d for d in range(10)]
+                   + [b",%d." % d for d in range(10)], "S3")
+_POWERS = np.array([float(10 ** k) for k in range(14)])  # exact doubles
+RENDER_ROWS = 2048  # rows rendered per pass: bounds the cells held at once
+
+
+def _float_cells(x):
+    """`",%.9g" % v` of each value of float64 column `x`; "," for NaN."""
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(x))  # or one off; 10^(8-e) is exact for e in [-5, 1]
+        power = _POWERS.take((8.0 - e).astype(np.intp), mode="clip")
+        q = x * power
+        m = np.rint(q)
+        # q < 2^30 lies within 2^-24 of x 10^(8-e), so m is the correctly
+        # rounded 9-digit mantissa unless q is near a half-integer. Python
+        # renders those, and any q outside [1e8, 1e9] (NaN, inf, zero,
+        # negatives, a wrong e) or exponent after rounding outside [-4, 0].
+        fast = (np.abs(q - m) < 0.5 - 2.0 ** -22) & (q >= 1e8) & (q <= 1e9)
+        e += m == 1e9  # a carry
+        fast &= (e >= -4) & (e <= 0)
+        # The 12 fraction digits, m 10^(4+e): an exact integer below 10^13
+        # (on a carry from e = -5, 10^9 times 0.1 rounds to 10^8).
+        n = np.where(fast, m * np.divide(1e12, power, out=power), 0.0)
+    # Exact float floor-divisions split n into a digit and 3-digit groups;
+    # a group drops its trailing zeros when every group after it is zero.
+    pieces = np.empty((5, len(x)), np.intp)
+    for i, unit in enumerate((1e12, 1e9, 1e6, 1e3)):
+        np.floor(n / unit, out=pieces[i], casting="unsafe")
+        n -= pieces[i] * unit
+    np.add(n, _DROPPED, out=pieces[4], casting="unsafe")
+    for i in (3, 2, 1):
+        np.add(pieces[i], _DROPPED, out=pieces[i], where=pieces[i + 1] == _DROPPED)
+    pieces[0] += _LEAD + 10  # the piece with "." unless no digit follows
+    np.subtract(pieces[0], 10, out=pieces[0], where=pieces[1] == _DROPPED)
+    cells = _PIECES.take(pieces.T).view("S15").ravel()
+    return _python_cells(cells, x, ~fast, lambda v: b"," if v != v else b",%.9g" % v)
+
+
+def _int_cells(values):
+    """`"%d" % v` of each value of an int64 column."""
+    slow = (values < 0) | (values >= 1000)
+    return _python_cells(_PIECES.take(np.where(slow, 0, values) + _PLAIN), values, slow,
+                         b"%d".__mod__)
+
+
+def _python_cells(cells, values, slow, render):
+    """`cells`, with those of the values where `slow` is set rendered by
+    Python's `render` one at a time."""
+    texts = list(map(render, values[slow].tolist()))
+    if texts:
+        cells = cells.astype(f"S{max(cells.itemsize, *map(len, texts))}")
+        cells[slow] = texts
+    return cells
+
+
+def csv_cells(column) -> np.ndarray:
+    """The CSV cell of each value of an int or float column, after its
+    comma, as an S array: `",%d"` or `",%.9g"`, or "," alone for NaN."""
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return _float_cells(column.astype(float, copy=False))
+    return np.add(b",", _int_cells(column.astype(np.int64, copy=False)))
+
+
+def _key_prefixes(keys) -> np.ndarray:
+    """The cells of each tuple in `keys`, csv-quoted (also a cell holding
+    "\r" or "\n") and UTF-8 encoded, then ","; the comma keeps the S dtype
+    from dropping a NUL that ends a key."""
     buf = io.StringIO()
-    # Quotes a cell holding either newline character; the rows end in "\n".
-    csv.writer(buf, lineterminator="\r\n").writerow(keys)
-    template = buf.getvalue()[:-2].replace("%", "%%") + "," + row_format + "\n"
-    return (template * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+    writer, ends = csv.writer(buf, lineterminator="\r\n"), [0]
+    for key in keys:
+        writer.writerow(key)
+        ends.append(buf.tell())
+    text = buf.getvalue()
+    return np.array([(text[a:b - 2] + ",").encode() for a, b in zip(ends, ends[1:])], "S")
+
+
+def trace_rows(keys, counts, first, *rest):
+    """CSV rows as bytes, `RENDER_ROWS` at a time: `counts[k]` rows of each
+    key tuple `keys[k]` in turn, row i holding the key's cells, "%d" of int
+    `first[i]` and the `csv_cells` of each column of `rest` at i."""
+    prefixes = np.repeat(_key_prefixes(keys), counts)
+    for a in range(0, len(prefixes), RENDER_ROWS):
+        part = slice(a, a + RENDER_ROWS)
+        rows = np.add(prefixes[part], _int_cells(np.asarray(first[part], np.int64)))
+        for column in rest:
+            rows = np.add(rows, csv_cells(column[part]))
+        rows = rows.tolist()  # a list: the array is dropped before the join
+        rows.append(b"")
+        yield b"\n".join(rows)
 
 
 def write_traces(traces) -> str:
     """Render traces as canonical CSV text, ordered by (run, interface, epoch)."""
-    blocks = [",".join(HEADER) + "\n"]
-    for trace in sorted(traces, key=lambda t: (t.run_id, t.interface_label)):
-        mos, mos_format = trace.mos.tolist(), "%.9g"
-        if np.isnan(trace.mos).any():  # write empty mos cells as ""
-            mos, mos_format = ["" if m != m else "%.9g" % m for m in mos], "%s"
-        blocks.append(format_rows([trace.run_id, trace.interface_label],
-                                  "%d,%.9g," + mos_format,
-                                  (trace.epochs.tolist(), trace.rtts(), mos)))
-    return "".join(blocks)
+    traces = sorted(traces, key=lambda t: (t.run_id, t.interface_label))
+    rows = trace_rows([(t.run_id, t.interface_label) for t in traces],
+                      [t.epochs.size for t in traces],
+                      *(np.concatenate([getattr(t, name) for t in traces] or [[]])
+                        for name in ("epochs", "rtt_s", "mos")))
+    return ",".join(HEADER) + "\n" + b"".join(rows).decode()
 
 
-def block_rows(run_ids, labels, delays_s, mos) -> str:
-    """The rows `write_traces` renders for a block of simulated runs, with
-    delays and MOS on axes (run, interface, epoch) as a `RunBlock` holds
-    them; row b is run `run_ids[b]`. The runs are rendered in the order
-    given, which must be the canonical one, and each run's interfaces in
-    label order. Every MOS is set: there are no empty cells."""
-    epochs = range(delays_s.shape[2])
+def block_rows(run_ids, labels, delays_s, mos) -> bytes:
+    """The rows `write_traces` renders for a block of simulated runs, as
+    UTF-8, with delays and MOS on axes (run, interface, epoch) as a
+    `RunBlock` holds them; row b is run `run_ids[b]`. The runs are rendered
+    in the order given, which must be the canonical one, and each run's
+    interfaces in label order."""
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    # Values become Python floats a run at a time: the whole block's at
-    # once raised the peak RSS of `simulate` by about 0.3 MB.
-    tolist = np.ndarray.tolist
-    return "".join(format_rows([run_id, labels[i]], "%d,%.9g,%.9g",
-                               (epochs, run_delays[i], run_mos[i]))
-                   for run_id, run_delays, run_mos in zip(run_ids, map(tolist, delays_s),
-                                                          map(tolist, mos))
-                   for i in order)
+    epochs = delays_s.shape[2]
+    return b"".join(trace_rows([(run_id, labels[i]) for run_id in run_ids for i in order],
+                               epochs, np.tile(np.arange(epochs), len(run_ids) * len(order)),
+                               delays_s[:, order].ravel(), mos[:, order].ravel()))
 
 
 def traces_from_run(delays_s, mos, labels, run_id: str) -> list[DelayTrace]:

@@ -1,11 +1,13 @@
 """Plain-Python references the tests check the package against: the
 per-sample MOS chain, per-run stepwise generation, per-sequence scaled
 filtering and forward-backward, one-start EM, the pure load update,
-brute-force minimal handoffs and the per-run oracle loop. Nothing the
-commands run lives here."""
+brute-force minimal handoffs, the per-run oracle loop and a trace writer
+that formats value by value. Nothing the commands run lives here."""
 
 import bisect
 import copy
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -14,6 +16,7 @@ from qoehandoff.hmm.em import _lockstep_em
 from qoehandoff.hmm.inference import predict_belief
 from qoehandoff.netsim import MIN_DELAY_S, ROAMING
 from qoehandoff.qoe_model import DELAY_KNEE_S, MOS_MAX, MOS_MIN, R0
+from qoehandoff.trace_io import HEADER
 
 
 def reference_mos(owd_s, loss_fraction, codec):
@@ -195,3 +198,23 @@ def reference_oracle(per_interface_states, start=None):
     for t in range(horizon - 1, 0, -1):
         path.append(choice[t][path[-1]])
     return path[::-1]
+
+
+def _reference_rows(keys, row_format, columns):
+    """CSV rows, one per row of `columns`: the cells `keys`, quoted by
+    csv.writer, then `row_format % values`."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(keys)
+    template = buf.getvalue()[:-2].replace("%", "%%") + "," + row_format + "\n"
+    return (template * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
+def reference_write_traces(traces):
+    """`trace_io.write_traces` with each value formatted by Python: "%d"
+    epochs, "%.9g" delays and MOS, and an empty cell for a NaN MOS."""
+    blocks = [",".join(HEADER) + "\n"]
+    for trace in sorted(traces, key=lambda t: (t.run_id, t.interface_label)):
+        mos = ["" if m != m else "%.9g" % m for m in trace.mos.tolist()]
+        blocks.append(_reference_rows([trace.run_id, trace.interface_label], "%d,%.9g,%s",
+                                      (trace.epochs.tolist(), trace.rtts(), mos)))
+    return "".join(blocks)

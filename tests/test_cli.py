@@ -22,7 +22,7 @@ from qoehandoff.policies import RewardConfig
 from qoehandoff.qoe_model import ROAMING_SCHEME
 from qoehandoff.trace_io import (DelayTrace, read_traces, traces_from_run,
                                  write_traces)
-from references import count_handoffs, reference_run
+from references import count_handoffs, reference_run, reference_write_traces
 
 FAST_CONFIG = """
 [scenario]
@@ -141,7 +141,7 @@ class TestSimulate:
             traces += traces_from_run(delays, mos, labels, f"run{r:03d}")
             for i in range(len(labels)):
                 mos_sums[i] += np.sum(mos[i])
-        assert (out / "traces.csv").read_bytes() == write_traces(traces).encode()
+        assert (out / "traces.csv").read_bytes() == reference_write_traces(traces).encode()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mean_mos_per_interface"] == \
             {label: mos_sums[i] / (runs * duration) for i, label in enumerate(labels)}
@@ -401,6 +401,22 @@ class TestPredictMemory:
         # never holds the slices and the joined columns all together.
         kept, peak = parsed[1]
         assert peak <= 1.5 * kept
+
+
+class TestSimulateMemory:
+    # Growth allowed from 240 to 2,400 runs: the per-run bookkeeping (each
+    # run's sort key and MOS sums, about 64 B a run, 138 KB here) and no
+    # more. Rows are rendered a block of runs at a time.
+    SLACK_BYTES = 256 * 1024
+
+    def test_peak_does_not_grow_with_the_runs(self, tmp_path, capsys):
+        # One run first, so that what the first call sets up once is not
+        # counted against the 240-run call.
+        assert main(["simulate", "--runs", "1", "--out", str(tmp_path / "warm")]) == 0
+        peaks = [traced_allocation(lambda: main(
+            ["simulate", "--runs", str(runs), "--out", str(tmp_path / f"sim{runs}")]))[1]
+            for runs in (240, 2400)]
+        assert peaks[1] - peaks[0] <= self.SLACK_BYTES
 
 
 class TestComparePolicies:

@@ -18,6 +18,7 @@ from qoehandoff.errors import TraceParseError, TraceValidationError
 from qoehandoff.netsim import generate_run, roaming_scenario
 from qoehandoff.trace_io import (HEADER, DelayTrace, read_traces,
                                  traces_from_run, write_traces)
+from references import reference_write_traces
 
 SAMPLE = """run_id,interface,epoch,rtt_s,mos
 run000,WLAN,0,0.1,4.2
@@ -427,21 +428,74 @@ def _block(shape):
 BLOCKS = st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 6)).flatmap(_block)
 
 
+def _near_halfway(k, e):
+    """The double nearest a 9-digit halfway point k.5 x 10^(e-8), or one of
+    its two neighbours."""
+    half = (k + 0.5) / 10.0 ** (8 - e)
+    return st.sampled_from([half, math.nextafter(half, 0), math.nextafter(half, math.inf)])
+
+
+def _near_power(k):
+    return st.sampled_from([10.0 ** k, math.nextafter(10.0 ** k, 0),
+                            math.nextafter(10.0 ** k, math.inf)])
+
+
+FLOAT_CELLS = st.lists(
+    st.floats() | st.floats(1e-7, 1e12) | st.floats(0.01, 10.0)
+    | st.tuples(st.integers(10 ** 8, 10 ** 9 - 1), st.integers(-6, 2)).flatmap(
+        lambda ke: _near_halfway(*ke))
+    | st.integers(-8, 12).flatmap(_near_power), max_size=40)
+
+
+class TestCsvCells:
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+             -1.5, 9.9999999995, 9.99999999949999, 9.9999999994999999e-5, 1e-4,
+             0.1, 1.001953125, 123456789.5, 1e9, 1e12, 0.5 + 2 ** -30]
+
+    @settings(max_examples=300, deadline=None)
+    @given(FLOAT_CELLS)
+    @example(EDGES)
+    def test_floats_match_python_formatting(self, values):
+        expected = [b"," if v != v else b",%.9g" % v for v in values]
+        assert trace_io.csv_cells(np.array(values, float)).tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(-5, 2000), max_size=40))
+    def test_ints_match_python_formatting(self, values):
+        assert trace_io.csv_cells(np.array(values, np.int64)).tolist() == \
+            [b",%d" % v for v in values]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.tuples(LABELS, LABELS | st.integers(-5, 5)),
+                              st.integers(0, 3)), max_size=6))
+    @example([(("r,1", 'W"LAN'), 2), (("a\rb%", "é\n"), 1), (("%d", "x\x00"), 3)])
+    def test_rows_quote_keys_as_csv_writer(self, traces):
+        counts = [count for _, count in traces]
+        keys = [key for key, count in traces for _ in range(count)]
+        epochs = np.arange(len(keys)) * 300 - 3  # negative and above 999 too
+        values = np.linspace(1e-3, 4.5, len(keys))
+        rows = [csv_line([*key, epoch, "%.9g" % value])
+                for key, epoch, value in zip(keys, epochs.tolist(), values.tolist())]
+        assert b"".join(trace_io.trace_rows([key for key, _ in traces], counts, epochs,
+                                            values)) == "".join(rows).encode()
+
+
 class TestBlockRows:
     @settings(max_examples=100, deadline=None)
     @given(BLOCKS)
     @example((["r%d", "r,1"], ["W,LAN", 'C"DMA', "a\rb%"],
               [0.1, 0.2, 0.3, 1e-3, 2.5, 0.7], [1.0, 5.0, 3.25] * 2))
     def test_rows_equal_the_trace_writer(self, block):
-        # A block's rows are what `write_traces` renders for the traces of
-        # its runs, after the header.
+        # A block's rows are what a value-by-value writer renders for the
+        # traces of its runs, after the header.
         run_ids, labels, delays, mos = block
         shape = (len(run_ids), len(labels), -1)
         delays, mos = np.reshape(delays, shape), np.reshape(mos, shape)
         traces = [trace for run_id, d, m in zip(run_ids, delays, mos)
                   for trace in traces_from_run(d, m, labels, run_id)]
-        assert write_traces([]) + trace_io.block_rows(run_ids, labels, delays, mos) \
-            == write_traces(traces)
+        assert (",".join(HEADER) + "\n").encode() \
+            + trace_io.block_rows(run_ids, labels, delays, mos) \
+            == reference_write_traces(traces).encode()
 
 
 class TestMatchesRowByRowReference:
@@ -578,6 +632,19 @@ class TestNumpyPath:
         assert [(t.run_id, t.interface_label, t.samples) for t in traces] == \
             reference_read(text.replace("\r\n", "\n"))
 
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    @pytest.mark.parametrize("cell", ["", " ", "\t"])
+    def test_slice_with_a_blank_last_cell_skips_numpy(self, ending, cell):
+        # NumPy's reader refuses such a cell only after parsing the rows
+        # before it, so the slice goes to csv without that parse.
+        rows = [f"r,WLAN,{t},0.1,{cell if t % 7 == 6 else 4.2}" for t in range(21)]
+        text = ending.join([",".join(HEADER), *rows, ""])
+        with mock.patch.object(trace_io.np, "loadtxt", side_effect=AssertionError), \
+                mock.patch.object(trace_io, "SLICE_ROWS", 7):
+            traces = read_traces(io.StringIO(text, newline=""))
+        assert [(t.run_id, t.interface_label, t.samples) for t in traces] == \
+            reference_read(text.replace("\r\n", "\n"))
 
 class TestReadMemory:
     # The tracemalloc peak of `read_traces` over the file below when every
