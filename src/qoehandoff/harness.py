@@ -295,7 +295,7 @@ def _baseline_paths(cfg: HarnessConfig, kind: str, block) -> np.ndarray:
         current, last = paths[:, t - 1], delays[:, :, t - 1]
         if kind == "naive":
             # Delay-only weighted-QoS scoring on the latest measurements.
-            paths[:, t] = naive_policy_step(last / 2.0, current)
+            paths[:, t] = naive_policy_step(last, current)
         else:
             load.update(last)
             # m4 stays put while its estimators warm up.

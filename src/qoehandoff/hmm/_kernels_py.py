@@ -132,8 +132,11 @@ def forward_backward(frame_logprob: np.ndarray, prior: np.ndarray,
 
 def _log_smooth(frame_logprob, prior, tm):
     """Gamma (T, N, B) and xi_sum (B, N, N) with both recursions in log
-    space: a Python step per frame and direction, but nothing underflows."""
+    space: a Python step per frame and direction, but nothing underflows.
+    Frames are shifted by their largest log-density, so the messages keep
+    their digits however far below zero the log-evidence goes."""
     flp = frame_logprob.transpose(1, 2, 0)
+    flp = flp - flp.max(axis=1, keepdims=True)
     log_tm = np.log(tm).transpose(1, 2, 0)
     log_alpha = np.empty_like(flp)
     log_alpha[0] = np.log(prior.T) + flp[0]

@@ -40,7 +40,7 @@ from .model import VARIANCE_FLOOR, GaussianEmission, HmmModel, gaussian_log_dens
 # than this fraction of the previous one.
 REL_TOL = 1e-6
 # Every restart starts with this self-transition probability, the rest of
-# each row spread evenly over the other states.
+# each row spread evenly over the other states (a lone state keeps it all).
 SELF_TRANSITION_INIT = 0.8
 
 
@@ -211,7 +211,7 @@ def _restart_starts(seqs, k: int, config: EmConfig) -> list:
     all_obs = np.concatenate(seqs)
     prior0 = np.full(k, 1.0 / k)
     tm0 = np.full((k, k), (1.0 - SELF_TRANSITION_INIT) / max(k - 1, 1))
-    np.fill_diagonal(tm0, SELF_TRANSITION_INIT)
+    np.fill_diagonal(tm0, SELF_TRANSITION_INIT if k > 1 else 1.0)
     var0 = max(float(all_obs.var()) / (k * k), VARIANCE_FLOOR)
     rng = np.random.default_rng(config.seed)
     return [(_restart_means(all_obs, k, restart, rng), np.full(k, var0), prior0, tm0)
@@ -238,17 +238,6 @@ def _canonical_winner(runs) -> tuple[HmmModel, TrainingReport]:
     return model, report
 
 
-def _fit_single_state(seqs) -> tuple[HmmModel, TrainingReport]:
-    """Closed form: single-state chain with population-moment emission."""
-    all_obs = np.concatenate(seqs)
-    mean = float(all_obs.mean())
-    var = max(float(all_obs.var()), VARIANCE_FLOOR)
-    model = HmmModel(prior=np.ones(1), transitions=np.ones((1, 1)),
-                     emissions=(GaussianEmission(mean, var),))
-    ll = sum(forward_filter(model, s)[1] for s in seqs)
-    return model, TrainingReport([ll], iterations=1, converged=True)
-
-
 def _fit_all(observation_sets, k: int,
              config: EmConfig) -> list[tuple[HmmModel, TrainingReport]]:
     """Fit one k-state model per observation set, every restart of every
@@ -261,9 +250,6 @@ def _fit_all(observation_sets, k: int,
         if distinct < k:
             raise DegenerateModelError(
                 f"{k} states requested but only {distinct} distinct values")
-    if k == 1:
-        return [_fit_single_state(seqs) for seqs in fits]
-
     pool, starts, spans = [], [], []
     for fit, seqs in enumerate(fits):
         ids = range(len(pool), len(pool) + len(seqs))

@@ -175,8 +175,7 @@ def _loadtxt_segments(lines):
         return None
     try:
         with warnings.catch_warnings():
-            # A warning marks input csv reads otherwise: no rows at all, or
-            # (NumPy < 2.0) an integer read through a float.
+            # A warning marks input csv reads otherwise: no rows at all.
             warnings.simplefilter("error")
             table = np.loadtxt(lines, _ROW_DTYPE, delimiter=",", quotechar='"',
                                comments=None, ndmin=1)

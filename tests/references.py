@@ -1,8 +1,9 @@
 """Plain-Python references the tests check the package against: the
 per-sample MOS chain, per-run stepwise generation, per-sequence scaled
-filtering and forward-backward, one-start EM, the pure load update,
-brute-force minimal handoffs, the per-run oracle loop and a trace writer
-that formats value by value. Nothing the commands run lives here."""
+filtering, per-sequence log-space filtering and forward-backward,
+one-start EM, the pure load update, brute-force minimal handoffs, the
+per-run oracle loop and a trace writer that formats value by value.
+Nothing the commands run lives here."""
 
 import bisect
 import copy
@@ -107,28 +108,48 @@ def filter_step(model, belief, observation):
     return reference_forward(flp, pred, model.transitions)[0][0]
 
 
-def reference_forward_backward(flp, prior, tm):
-    """Per-sequence forward-backward with a per-step outer-product xi sum."""
-    T, n = flp.shape
+def reference_log_forward(flp, prior, tm):
+    """Per-sequence forward recursion in log space, one frame at a time with
+    `np.logaddexp`. Each frame's densities are taken relative to its
+    largest and each step is normalized by its own log-sum-exp, so no log
+    value grows with the sequence. Returns the log filtered posteriors
+    (T, N) and the log-evidence."""
     m = flp.max(axis=1)
-    b = np.exp(flp - m[:, None])
-    alpha = np.empty((T, n))
-    scale = np.empty(T)
-    pred = prior
-    for t in range(T):
-        a = pred * b[t]
-        scale[t] = a.sum()
-        alpha[t] = a / scale[t]
-        pred = alpha[t] @ tm
-    beta = np.ones((T, n))
-    xi_sum = np.zeros((n, n))
-    for t in range(T - 2, -1, -1):
-        w = b[t + 1] * beta[t + 1]
-        beta[t] = (tm @ w) / scale[t + 1]
-        xi_sum += np.outer(alpha[t], w) * tm / scale[t + 1]
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    return gamma, xi_sum, np.log(scale).sum() + m.sum()
+    flp = flp - m[:, None]
+    with np.errstate(divide="ignore"):
+        pred, log_tm = np.log(prior), np.log(tm)
+    log_alpha = np.empty(flp.shape)
+    loglik = m.sum()
+    for t in range(flp.shape[0]):
+        a = pred + flp[t]
+        scale = np.logaddexp.reduce(a)
+        loglik += scale
+        log_alpha[t] = a - scale
+        pred = np.logaddexp.reduce(log_alpha[t][:, None] + log_tm, axis=0)
+    return log_alpha, loglik
+
+
+def reference_log_forward_backward(flp, prior, tm):
+    """`reference_log_forward`, then the backward recursion the same way;
+    each frame's gamma and each step's xi are normalized by their own
+    log-sum-exp too. Returns (gamma (T, N), xi_sum (N, N), log-evidence)."""
+    log_alpha, loglik = reference_log_forward(flp, prior, tm)
+    flp = flp - flp.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        log_tm = np.log(tm)
+    log_beta = np.zeros(flp.shape)
+    for t in range(flp.shape[0] - 2, -1, -1):
+        b = np.logaddexp.reduce(log_tm + flp[t + 1] + log_beta[t + 1], axis=1)
+        log_beta[t] = b - np.logaddexp.reduce(b)
+    gamma = _normalized_exp(log_alpha + log_beta, axis=1)
+    xi = _normalized_exp(log_alpha[:-1, :, None] + log_tm
+                         + (flp[1:] + log_beta[1:])[:, None], axis=(1, 2))
+    return gamma, xi.sum(axis=0), loglik
+
+
+def _normalized_exp(log_p, axis):
+    """exp(log_p), each slice along `axis` divided by its own sum."""
+    return np.exp(log_p - np.logaddexp.reduce(log_p, axis=axis, keepdims=True))
 
 
 def run_em(seqs, means, variances, prior, tm, cfg):

@@ -250,7 +250,7 @@ def reference_baseline_path(cfg, run, kind):
         if kind == "best":
             action = oracle[t]
         elif kind == "naive":
-            action = int(naive_policy_step([rtt / 2.0 for rtt in last], current))
+            action = int(naive_policy_step(last, current))
         elif all(e.initialized for e in estimators):
             action = int(m4_policy_step([e.rnl for e in estimators], current,
                                         cfg.m4_margin_s))

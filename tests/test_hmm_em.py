@@ -11,7 +11,7 @@ from qoehandoff.hmm.em import (REL_TOL, SCREEN_ITERATIONS, _lockstep_em,
                                _restart_starts, state_band_map)
 from qoehandoff.hmm.model import VARIANCE_FLOOR
 from qoehandoff.qoe_model import CONGESTION_SCHEME, ROAMING_SCHEME, quantize_mos
-from references import reference_forward_backward, sample_chain
+from references import reference_log_forward_backward, sample_chain
 
 
 def well_separated_model():
@@ -99,8 +99,9 @@ class TestEmTrain:
 
     def test_one_iteration_and_one_restart_fit(self):
         obs = np.array([0.1, 0.2, 0.15, 0.3, 0.12])
-        _, report = em_train([obs], 2, EmConfig(max_iterations=1))
-        assert report.iterations == 1
+        for k in (1, 2):
+            _, report = em_train([obs], k, EmConfig(max_iterations=1))
+            assert report.iterations == 1
         _, report = em_train([obs], 2, EmConfig(restarts=1))
         assert report.restart_index == 0
 
@@ -113,7 +114,7 @@ class TestEmTrain:
 
 
 def reference_em(seqs, means, variances, prior, tm, cfg):
-    """EM one sequence at a time through a per-sequence forward-backward.
+    """EM one sequence at a time through a per-sequence log-space smoother.
     Returns (ll_history, best, converged, iterations) as `run_em` does."""
     k = means.size
     history, best, prev = [], None, -np.inf
@@ -123,7 +124,7 @@ def reference_em(seqs, means, variances, prior, tm, cfg):
         for s in seqs:
             diff = s[:, None] - means[None, :]
             flp = -0.5 * (diff * diff / variances + np.log(2.0 * np.pi * variances))
-            gamma, xi_sum, seq_ll = reference_forward_backward(flp, prior, tm)
+            gamma, xi_sum, seq_ll = reference_log_forward_backward(flp, prior, tm)
             ll += seq_ll
             for total, part in zip(acc, (gamma[0], xi_sum, gamma.sum(axis=0),
                                          gamma.T @ s, gamma.T @ (s * s))):
@@ -186,16 +187,16 @@ class TestLockStep:
                                                     (15, 2)],
                              ids=["before", "at", "after", "later-restart"])
     def test_em_train_runs_the_screened_leader(self, data_seed, em_seed):
-        # Brute force of the screening rule: run each restart alone for
-        # SCREEN_ITERATIONS iterations, take the best-so-far leader (ties to
-        # the lowest restart) and run it alone to the end.
+        # Brute force of the screening rule: run each restart alone to the
+        # end, take the leader by the best likelihood of its first
+        # SCREEN_ITERATIONS iterations (ties to the lowest restart), and
+        # expect its full run.
         seqs = self.ragged(seed=data_seed)
         cfg = EmConfig(seed=em_seed)
         starts = _restart_starts(seqs, 3, cfg)
-        short = EmConfig(seed=em_seed, max_iterations=SCREEN_ITERATIONS)
-        screened = [reference_em(seqs, *s, short) for s in starts]
-        leader = max(range(len(starts)), key=lambda r: (screened[r][1][0], -r))
         full = [reference_em(seqs, *s, cfg) for s in starts]
+        leader = max(range(len(starts)),
+                     key=lambda r: (max(full[r][0][:SCREEN_ITERATIONS]), -r))
         assert leader != max(range(len(starts)), key=lambda r: (full[r][1][0], -r))
         model, report = em_train(seqs, 3, cfg)
         history, (_, means, variances, prior, tm), converged, iters = full[leader]

@@ -378,13 +378,11 @@ def csv_line(row):
     return out.getvalue()[:-2] + "\n"
 
 
-def reference_write(traces):
-    lines = [csv_line(HEADER)]
-    for run_id, interface, samples in sorted(traces, key=lambda t: t[:2]):
-        for epoch, rtt, mos in samples:
-            lines.append(csv_line([run_id, interface, epoch, format(rtt, ".9g"),
-                                   "" if mos is None else format(mos, ".9g")]))
-    return "".join(lines)
+def delay_traces(traces):
+    """(run_id, label, samples) tuples as DelayTraces, a None MOS as NaN."""
+    return [DelayTrace(run_id, label, [s[0] for s in samples], [s[1] for s in samples],
+                       [np.nan if s[2] is None else s[2] for s in samples])
+            for run_id, label, samples in traces]
 
 
 def outcome(read, text):
@@ -516,16 +514,13 @@ class TestMatchesRowByRowReference:
     @settings(max_examples=100, deadline=None)
     @given(TRACES)
     def test_writer_emits_the_same_bytes(self, traces):
-        columnar = [DelayTrace(run_id, label, [s[0] for s in samples],
-                               [s[1] for s in samples],
-                               [np.nan if s[2] is None else s[2] for s in samples])
-                    for run_id, label, samples in traces]
-        assert write_traces(columnar) == reference_write(traces)
+        columnar = delay_traces(traces)
+        assert write_traces(columnar) == reference_write_traces(columnar)
 
     @settings(max_examples=100, deadline=None)
     @given(TRACES, SLICES)
     def test_reader_returns_the_same_values(self, traces, slice_rows):
-        text = reference_write(traces)
+        text = reference_write_traces(delay_traces(traces))
         with mock.patch.object(trace_io, "SLICE_ROWS", slice_rows):
             assert columnar_read(text) == reference_read(text)
 
@@ -535,7 +530,7 @@ class TestMatchesRowByRowReference:
                                                           data):
         # One row edited or added: a cell replaced, dropped or added, or a
         # blank row or a copy of the row put before it.
-        rows = list(csv.reader(io.StringIO(reference_write(traces))))
+        rows = list(csv.reader(io.StringIO(reference_write_traces(delay_traces(traces)))))
         i = data.draw(st.integers(1, len(rows)))
         row = rows[i] if i < len(rows) else ["r", "W", "0", "1", ""]
         edit = data.draw(st.sampled_from(["cell", "drop", "add", "blank", "copy"]))
