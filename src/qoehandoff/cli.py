@@ -255,8 +255,12 @@ def _write_timelines(cfg, report, path) -> None:
     whose MOS the report kept, one block of rows per (policy, run)."""
     labels = [ch.label for ch in cfg.scenario.channels]
     runs, _, epochs = report.mos.shape
-    # One MOS column per interface, its rows (run, epoch) in order.
-    mos_columns = report.mos.transpose(1, 0, 2).reshape(len(labels), -1)
+    # One MOS column's cells per interface, its rows (run, epoch) in order,
+    # rendered once for all policies, RENDER_ROWS values at a time.
+    step = trace_io.RENDER_ROWS
+    mos_cells = [np.concatenate([trace_io.csv_cells(column[a:a + step])
+                                 for a in range(0, len(column), step)])
+                 for column in report.mos.transpose(1, 0, 2).reshape(len(labels), -1)]
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(
         ["policy", "run", "epoch"] + [f"mos_{l}" for l in labels]
@@ -268,7 +272,7 @@ def _write_timelines(cfg, report, path) -> None:
             handoffs = np.cumsum(np.diff(paths, axis=1, prepend=paths[:, :1]) != 0, axis=1)
             fh.writelines(trace_io.trace_rows(
                 [(name, r) for r in range(runs)], epochs, np.tile(np.arange(epochs), runs),
-                *mos_columns, paths.ravel(), handoffs.ravel()))
+                *mos_cells, paths.ravel(), handoffs.ravel()))
 
 
 def _report_row(path) -> dict:

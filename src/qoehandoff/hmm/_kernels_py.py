@@ -12,10 +12,15 @@ NaN posteriors from that frame on and a non-finite log-evidence; callers
 check the evidence.
 
 `forward` works time-major, (T, B, N), so that each step reads and writes
-one contiguous (B, N) slab.
+one contiguous (B, N) slab. The loops step over per-frame views, pass
+outputs positionally and skip np.einsum's Python wrapper, so a step does
+only its NumPy work. A frame's largest log-density is taken over states
+off the innermost axis, where NumPy reduces about ten times slower.
 
 `forward_backward` runs both recursions in one loop of T steps over a
-state-major slab (T, N, 2B). Step t works on the contiguous (N, 2B) slab
+state-major slab (T, N, 2B). Each frame's densities, relative to its
+largest, are exponentiated once, into columns :B, and columns B: take
+them mirrored in time. Step t works on the contiguous (N, 2B) slab
 `slab[t]` in four NumPy calls: multiply by the emission densities, sum
 over states, divide by the sum, push through the transition matrices.
 - Columns :B run the scaled forward recursion on frame t, with the float
@@ -45,6 +50,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# np.einsum's C core, a private NumPy name that every NumPy 2.x has: the
+# Python wrapper costs as much as a loop step's call.
+from numpy._core.multiarray import c_einsum as _einsum
+
 BACKEND = "python"
 
 
@@ -52,17 +61,19 @@ def forward(frame_logprob: np.ndarray, prior: np.ndarray,
             tm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Filtered state posteriors (B, T, N) plus each row's log-evidence (B,)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = frame_logprob.max(axis=2)
+        m = frame_logprob[:, :, 0].copy()
+        for column in frame_logprob.transpose(2, 0, 1)[1:]:
+            np.maximum(m, column, out=m)
         b = np.exp(frame_logprob - m[..., None]).transpose(1, 0, 2).copy()
         T, B, N = b.shape
         alpha = np.empty((T, B, N))
         scale = np.empty((T, B, 1))
         pred = prior
-        for t in range(T):
-            a = pred * b[t]
-            np.add.reduce(a, axis=1, keepdims=True, out=scale[t])
-            np.divide(a, scale[t], out=alpha[t])
-            pred = alpha[t] @ tm
+        for bt, st, at in zip(b, scale, alpha):
+            np.multiply(pred, bt, at)
+            np.add.reduce(at, 1, None, st, True)
+            np.divide(at, st, at)
+            pred = at @ tm
         loglik = np.log(scale[:, :, 0]).sum(axis=0) + m.sum(axis=1)
     return alpha.transpose(1, 0, 2), loglik
 
@@ -78,20 +89,17 @@ def forward_backward(frame_logprob: np.ndarray, prior: np.ndarray,
     """
     B, T, N = frame_logprob.shape
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m = frame_logprob.max(axis=2)
-        loglik = m.sum(axis=1)
-        # Frame t's densities in columns :B, frame T-1-t's in columns B:,
-        # each relative to the frame's maximum; `scale` holds those maxima
-        # until the loop overwrites it with each step's sums.
+        # Frame t's densities in columns :B, each relative to the frame's
+        # maximum, and frame T-1-t's, copied from them, in columns B:.
         slab = np.empty((T, N, 2 * B))
-        slab[:, :, :B] = frame_logprob.transpose(1, 2, 0)
-        slab[:, :, B:] = frame_logprob[:, ::-1].transpose(1, 2, 0)
-        scale = np.empty((T, 2 * B))
-        scale[:, :B] = m.T
-        scale[:, B:] = m[:, ::-1].T
+        ahead = slab[:, :, :B]
+        ahead[...] = frame_logprob.transpose(1, 2, 0)
+        m = ahead.max(axis=1)
+        loglik = np.ascontiguousarray(m.T).sum(axis=1)  # as (B, T) sums it
+        np.subtract(ahead, m[:, None], ahead)
+        np.exp(ahead, ahead)
+        slab[:, :, B:] = ahead[::-1]
         del m
-        np.subtract(slab, scale[:, None], out=slab)
-        np.exp(slab, out=slab)
         # push[i, j] carries state i's mass to state j: tm in the forward
         # columns, tm transposed in the backward ones.
         push = np.empty((N, N, 2 * B))
@@ -100,12 +108,12 @@ def forward_backward(frame_logprob: np.ndarray, prior: np.ndarray,
         msg = np.empty((N, 2 * B))
         msg[:, :B] = prior.T
         msg[:, B:] = 1.0
-        for t in range(T):
-            a = slab[t]
-            np.multiply(msg, a, out=a)
-            np.add.reduce(a, axis=0, out=scale[t])
-            np.divide(a, scale[t], out=a)
-            np.einsum("ib,ijb->jb", a, push, out=msg)
+        scale = np.empty((T, 2 * B))
+        for a, s in zip(slab, scale):
+            np.multiply(msg, a, a)
+            np.add.reduce(a, 0, None, s)
+            np.divide(a, s, a)
+            _einsum("ib,ijb->jb", a, push, out=msg)
         loglik += np.log(scale[:, :B]).sum(axis=0)
 
         alpha = slab[:, :, :B]

@@ -78,20 +78,6 @@ def _validate_sequences(observations) -> list[np.ndarray]:
     return seqs
 
 
-def _restart_means(all_obs: np.ndarray, k: int, restart: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Starting means for one restart: evenly spaced quantiles first, then
-    quantile grids skewed low/high, then random data points."""
-    base = (np.arange(k) + 0.5) / k
-    if restart == 0:
-        return np.quantile(all_obs, base)
-    if restart == 1:
-        return np.quantile(all_obs, base ** 2)
-    if restart == 2:
-        return np.quantile(all_obs, np.sqrt(base))
-    return np.sort(rng.choice(all_obs, size=k, replace=False))
-
-
 # Lock-step iterations after which each fit runs only its leading start.
 SCREEN_ITERATIONS = 20
 
@@ -153,69 +139,83 @@ def _lockstep_em(seqs, starts, cfg: EmConfig):
     pool = _Pool([np.asarray(s, dtype=float) for s in seqs])
     fit = [start[0] for start in starts]
     seq_ids = [np.asarray(start[1], dtype=int) for start in starts]
-    means, variances, prior, tm = (
-        np.array([start[i] for start in starts], dtype=float) for i in range(2, 6))
-    n, k = means.shape
-    histories: list[list[float]] = [[] for _ in range(n)]
-    best = [None] * n
+    n, k = len(starts), len(starts[0][2])
+    # Row j holds start j's means, variances, prior and transition rows;
+    # `best` holds them at its best-likelihood iteration so far.
+    params = np.array([np.vstack(start[2:]) for start in starts], dtype=float)
+    means, variances, prior, tm = params[:, 0], params[:, 1], params[:, 2], params[:, 3:]
+    best = np.empty_like(params)
+    best_ll = np.empty(n)
+    trail = []  # each iteration's log-likelihood of every start
     prev_ll = np.full(n, -np.inf)
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     active = np.arange(n)
+    changed = True
     for iteration in range(1, cfg.max_iterations + 1):
         if active.size == 0:
             break
         iterations[active] += 1
         # E-step over all rows of the running starts; rows of one start are
         # contiguous, so reduceat sums them in sequence order.
-        counts = np.array([seq_ids[j].size for j in active])
-        row_start = np.repeat(active, counts)
-        row_seq = np.concatenate([seq_ids[j] for j in active])
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        if changed:
+            counts = np.array([seq_ids[j].size for j in active])
+            row_start = np.repeat(active, counts)
+            row_seq = np.concatenate([seq_ids[j] for j in active])
+            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         ll, prior_acc, xi_acc, w_acc, wx_acc, wxx_acc = (
             np.add.reduceat(a, offsets, axis=0)
             for a in _e_step(pool, row_start, row_seq, means, variances, prior, tm))
-        for j, ll_j in zip(active, ll.tolist()):
-            histories[j].append(ll_j)
-            if best[j] is None or ll_j > best[j][0]:
-                best[j] = (ll_j, means[j].copy(), variances[j].copy(),
-                           prior[j].copy(), tm[j].copy())
+        trail.append(np.empty(n))
+        trail[-1][active] = ll
+        better = active[(iteration == 1) | (ll > best_ll[active])]
+        best_ll[better] = trail[-1][better]
+        best[better] = params[better]
         prev = prev_ll[active]
         done = np.isfinite(prev) & (ll - prev < REL_TOL * np.abs(prev))
         converged[active[done]] = True
         prev_ll[active] = ll
         go = ~done
         if iteration == SCREEN_ITERATIONS:
-            leaders = {}
+            leaders, lls = {}, best_ll.tolist()
             for j in range(n):
-                if fit[j] not in leaders or best[j][0] > best[leaders[fit[j]]][0]:
+                if fit[j] not in leaders or lls[j] > lls[leaders[fit[j]]]:
                     leaders[fit[j]] = j
             go &= np.isin(active, list(leaders.values()))
         # M-step for the starts that go on.
-        active = active[go]
-        prior_acc, xi_acc = prior_acc[go], xi_acc[go]
-        w_acc, wx_acc, wxx_acc = w_acc[go], wx_acc[go], wxx_acc[go]
+        changed = not go.all()
+        if changed:
+            active = active[go]
+            prior_acc, xi_acc = prior_acc[go], xi_acc[go]
+            w_acc, wx_acc, wxx_acc = w_acc[go], wx_acc[go], wxx_acc[go]
         prior[active] = prior_acc / prior_acc.sum(axis=1, keepdims=True)
         row = xi_acc.sum(axis=2, keepdims=True)
         tm[active] = np.where(row > 0, xi_acc / np.where(row > 0, row, 1.0), 1.0 / k)
-        means[active] = wx_acc / w_acc
-        variances[active] = np.maximum(
-            wxx_acc / w_acc - means[active] * means[active], VARIANCE_FLOOR)
-    return [(histories[j], best[j], bool(converged[j]), int(iterations[j]))
-            for j in range(n)]
+        mu = wx_acc / w_acc
+        means[active] = mu
+        variances[active] = np.maximum(wxx_acc / w_acc - mu * mu, VARIANCE_FLOOR)
+    histories = np.array(trail).T.tolist()
+    return [(histories[j][:iterations[j]], (ll_j, *best[j, :3], best[j, 3:]),
+             bool(converged[j]), int(iterations[j]))
+            for j, ll_j in enumerate(best_ll.tolist())]
 
 
 def _restart_starts(seqs, k: int, config: EmConfig) -> list:
-    """Starting (means, variances, prior, tm) of every restart of one fit,
-    drawn in restart order from a generator seeded with `config.seed`."""
+    """Starting (means, variances, prior, tm) of every restart of one fit.
+    The means are evenly spaced quantiles first, then quantile grids skewed
+    low and high (all three from one quantile call), then random data
+    points drawn in restart order from a generator seeded with
+    `config.seed`."""
     all_obs = np.concatenate(seqs)
     prior0 = np.full(k, 1.0 / k)
     tm0 = np.full((k, k), (1.0 - SELF_TRANSITION_INIT) / max(k - 1, 1))
     np.fill_diagonal(tm0, SELF_TRANSITION_INIT if k > 1 else 1.0)
     var0 = max(float(all_obs.var()) / (k * k), VARIANCE_FLOOR)
+    base = (np.arange(k) + 0.5) / k
+    grids = np.quantile(all_obs, np.stack([base, base ** 2, np.sqrt(base)]))
     rng = np.random.default_rng(config.seed)
-    return [(_restart_means(all_obs, k, restart, rng), np.full(k, var0), prior0, tm0)
-            for restart in range(config.restarts)]
+    return [(grids[r] if r < 3 else np.sort(rng.choice(all_obs, size=k, replace=False)),
+             np.full(k, var0), prior0, tm0) for r in range(config.restarts)]
 
 
 def _canonical_winner(runs) -> tuple[HmmModel, TrainingReport]:

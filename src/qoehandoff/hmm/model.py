@@ -15,9 +15,13 @@ VARIANCE_FLOOR = 1e-8
 
 def gaussian_log_density(x, mean, variance):
     """Gaussian log-density of `x` under (`mean`, `variance`), broadcast
-    element-wise; the one emission density of fitting and filtering."""
-    diff = x - mean
-    return -0.5 * (diff * diff / variance + np.log(2.0 * np.pi * variance))
+    element-wise, each step into one array of the full broadcast shape;
+    the one emission density of fitting and filtering."""
+    d = np.subtract(x, mean, np.empty(np.broadcast(x, mean, variance).shape))
+    np.multiply(d, d, d)
+    np.divide(d, variance, d)
+    np.add(d, np.log(2.0 * np.pi * variance), d)
+    return np.multiply(d, -0.5, d)
 
 
 def _json_numbers(doc: dict, key: str, ndim: int):

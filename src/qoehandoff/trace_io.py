@@ -296,8 +296,11 @@ def _python_cells(cells, values, slow, render):
 
 def csv_cells(column) -> np.ndarray:
     """The CSV cell of each value of an int or float column, after its
-    comma, as an S array: `",%d"` or `",%.9g"`, or "," alone for NaN."""
+    comma, as an S array: `",%d"` or `",%.9g"`, or "," alone for NaN. An
+    S column holds such cells already and is returned as it is."""
     column = np.asarray(column)
+    if column.dtype.kind == "S":
+        return column
     if column.dtype.kind == "f":
         return _float_cells(column.astype(float, copy=False))
     return np.add(b",", _int_cells(column.astype(np.int64, copy=False)))

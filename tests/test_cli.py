@@ -456,6 +456,19 @@ class TestComparePolicies:
                                     + [path[t], count_handoffs(path[:t + 1])])
         assert (out / "timeline.csv").read_text() == expected.getvalue()
 
+    def test_timeline_rendered_in_slices_is_unchanged(self, tmp_path, monkeypatch):
+        # The MOS columns (80 cells each) are rendered RENDER_ROWS cells at
+        # a time; 7 splits them unevenly.
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text(FAST_CONFIG)
+        main(["compare-policies", "--config", str(cfg), "--timeline",
+              "--out", str(tmp_path / "whole")])
+        monkeypatch.setattr(trace_io, "RENDER_ROWS", 7)
+        main(["compare-policies", "--config", str(cfg), "--timeline",
+              "--out", str(tmp_path / "sliced")])
+        assert (tmp_path / "sliced" / "timeline.csv").read_bytes() == \
+            (tmp_path / "whole" / "timeline.csv").read_bytes()
+
     @pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--runs", "3"),
                                             ("--duration", "40")])
     def test_scenario_flag_with_config_is_usage_error(self, tmp_path, capsys,

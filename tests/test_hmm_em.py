@@ -97,6 +97,19 @@ class TestEmTrain:
         with pytest.raises(DomainError, match=f"^{field} must be >= 1$"):
             EmConfig(**{field: value})
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_restart_means_are_quantile_grids_then_random_points(self, k):
+        seqs = [np.random.default_rng(k).gamma(2.0, 0.05, n) for n in (40, 61)]
+        all_obs = np.concatenate(seqs)
+        cfg = EmConfig(restarts=6, seed=4)
+        base = (np.arange(k) + 0.5) / k
+        rng = np.random.default_rng(cfg.seed)
+        expected = [np.quantile(all_obs, grid)
+                    for grid in (base, base ** 2, np.sqrt(base))] + \
+            [np.sort(rng.choice(all_obs, size=k, replace=False)) for _ in range(3)]
+        for (means, *_), want in zip(_restart_starts(seqs, k, cfg), expected, strict=True):
+            assert np.array_equal(means, want)
+
     def test_one_iteration_and_one_restart_fit(self):
         obs = np.array([0.1, 0.2, 0.15, 0.3, 0.12])
         for k in (1, 2):

@@ -7,6 +7,7 @@ import pytest
 
 from qoehandoff.errors import DocumentError, DomainError
 from qoehandoff.hmm import GaussianEmission, HmmModel, load_model, save_model
+from qoehandoff.hmm.model import gaussian_log_density
 
 
 def two_state_model(**overrides):
@@ -44,6 +45,41 @@ class TestValidation:
     def test_variance_floor(self):
         with pytest.raises(DomainError):
             GaussianEmission(0.5, 0.0)
+
+
+class TestGaussianLogDensity:
+    """The one emission density against its formula, bit for bit, over the
+    broadcasts its callers make and some they do not."""
+
+    @staticmethod
+    def expression(x, mean, variance):
+        """The Gaussian log-density written out, each step a new array."""
+        d = x - mean
+        return -0.5 * (d * d / variance + np.log(2.0 * np.pi * variance))
+
+    @pytest.mark.parametrize("x_shape, mean_shape, var_shape", [
+        ((), (), ()),                      # 0-d
+        ((7, 1), (3,), (3,)),              # frame_log_likelihood
+        ((4, 9, 1), (4, 1, 3), (4, 1, 3)),  # the E-step
+        ((5,), (), (2, 5)),                # x - mean narrower than variance
+        ((6, 1), (1,), (6, 4)),
+        ((), (3,), (2, 3)),
+    ])
+    def test_matches_the_expression_bit_for_bit(self, x_shape, mean_shape, var_shape):
+        rng = np.random.default_rng(sum(x_shape + mean_shape + var_shape))
+        x = rng.uniform(-0.2, 1.2, x_shape)
+        mean = rng.uniform(0.0, 1.0, mean_shape)
+        variance = rng.choice([1e-8, 1e-4, 0.01, 0.3], var_shape)
+        got = gaussian_log_density(x, mean, variance)
+        want = self.expression(x, mean, variance)
+        assert np.shape(got) == np.broadcast(x, mean, variance).shape
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+    def test_python_floats(self):
+        got = gaussian_log_density(0.45, 0.5, 0.01)
+        assert np.shape(got) == () and got.dtype == np.float64
+        assert got == self.expression(0.45, 0.5, 0.01)
 
 
 class TestFrameLogLikelihood:

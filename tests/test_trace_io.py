@@ -463,6 +463,10 @@ class TestCsvCells:
         assert trace_io.csv_cells(np.array(values, np.int64)).tolist() == \
             [b",%d" % v for v in values]
 
+    def test_an_s_column_is_taken_as_rendered_cells(self):
+        cells = trace_io.csv_cells(np.array([1.5, 2.25]))
+        assert trace_io.csv_cells(cells) is cells
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.tuples(LABELS, LABELS | st.integers(-5, 5)),
                               st.integers(0, 3)), max_size=6))
