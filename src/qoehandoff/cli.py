@@ -189,7 +189,7 @@ def _prediction_rows(model, traces):
         except ZeroProbabilityError as exc:
             trace = traces[ids[exc.row]]
             epoch = trace.epochs[exc.observation]
-            raise DomainError(
+            raise TraceValidationError(
                 f"run {trace.run_id}/{trace.interface_label} observation "
                 f"{exc.observation} (epoch {epoch}) has zero predicted probability "
                 "under the model") from None

@@ -1,39 +1,36 @@
 """Batched NumPy forward / forward-backward kernels.
 
 Both kernels take per-frame emission log-densities for a batch of
-equal-length sequences, shape (B, T, N), and step over time once for all
-rows. `forward` filters every row under one model: a prior (N,) and a
-row-stochastic transition matrix (N, N). `forward_backward` takes a prior
-(B, N) and a transition matrix (B, N, N) per row. Every recursion step is
-scaled by its own sum so that traces of arbitrary length cannot
-underflow, and each row's log-evidence is accumulated from its forward
-scaling factors. A row whose predicted mass vanishes at some frame gets
-NaN posteriors from that frame on and a non-finite log-evidence; callers
-check the evidence.
+equal-length sequences, shape (B, T, N), with a prior (B, N) and a
+row-stochastic transition matrix (B, N, N) per row, and both run one loop
+of T steps over all rows (`_scan`). Every recursion step is scaled by its
+own sum so that traces of arbitrary length cannot underflow, and each
+row's log-evidence is accumulated from its forward scaling factors. A row
+whose predicted mass vanishes at some frame gets NaN posteriors from that
+frame on and a non-finite log-evidence; callers check the evidence.
 
-`forward` works time-major, (T, B, N), so that each step reads and writes
-one contiguous (B, N) slab. The loops step over per-frame views, pass
-outputs positionally and skip np.einsum's Python wrapper, so a step does
-only its NumPy work. A frame's largest log-density is taken over states
-off the innermost axis, where NumPy reduces about ten times slower.
-
-`forward_backward` runs both recursions in one loop of T steps over a
-state-major slab (T, N, 2B). Each frame's densities, relative to its
-largest, are exponentiated once, into columns :B, and columns B: take
-them mirrored in time. Step t works on the contiguous (N, 2B) slab
+The loop works on a state-major slab (T, N, B). Each frame's densities,
+relative to its largest, are exponentiated once, into the slab; the
+largest is taken over states off the innermost axis, where NumPy reduces
+about ten times slower. Step t works on the contiguous (N, B) slab
 `slab[t]` in four NumPy calls: multiply by the emission densities, sum
 over states, divide by the sum, push through the transition matrices.
+The loop steps over per-frame views, passes outputs positionally and
+skips np.einsum's Python wrapper, so a step does only its NumPy work.
+Each step's products overwrite that frame's densities, so after the loop
+the slab holds the filtered posteriors alpha, which `forward` returns.
+
+`forward_backward` runs the loop on a slab (T, N, 2B) whose columns B:
+take the densities mirrored in time, so both recursions share its steps.
 - Columns :B run the scaled forward recursion on frame t, with the float
-  operations of the separate forward loop this kernel replaced, so the
-  filtered posteriors alpha and the log-evidence are bit-identical to it.
+  operations of `forward`, so alpha and the log-evidence are
+  bit-identical to the filter's.
 - Columns B: run the backward recursion on frame T-1-t, time-reversed and
   pushed through each row's transposed transition matrix. Each step is
   normalized by its own sum, not by the forward scales (those of frame
   T-1-t are not known yet), so `slab[T-1-t, :, B:]` ends up holding w[t],
   frame t's densities times its backward message, summing to one.
-Each step's products overwrite that frame's densities, so after the loop
-the slab holds alpha and w and nothing else is kept per frame. Then
-beta[t] = tm @ w[t + 1] is rebuilt in one `einsum`, and
+Then beta[t] = tm @ w[t + 1] is rebuilt in one `einsum`, and
 z[t] = alpha[t] . beta[t] normalizes both gamma = alpha * beta and the
 pairwise posteriors alpha[t] (x) w[t + 1] * tm, whose sum over time is
 one matrix product. Gamma and the transition counts differ from those of
@@ -61,21 +58,8 @@ def forward(frame_logprob: np.ndarray, prior: np.ndarray,
             tm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Filtered state posteriors (B, T, N) plus each row's log-evidence (B,)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = frame_logprob[:, :, 0].copy()
-        for column in frame_logprob.transpose(2, 0, 1)[1:]:
-            np.maximum(m, column, out=m)
-        b = np.exp(frame_logprob - m[..., None]).transpose(1, 0, 2).copy()
-        T, B, N = b.shape
-        alpha = np.empty((T, B, N))
-        scale = np.empty((T, B, 1))
-        pred = prior
-        for bt, st, at in zip(b, scale, alpha):
-            np.multiply(pred, bt, at)
-            np.add.reduce(at, 1, None, st, True)
-            np.divide(at, st, at)
-            pred = at @ tm
-        loglik = np.log(scale[:, :, 0]).sum(axis=0) + m.sum(axis=1)
-    return alpha.transpose(1, 0, 2), loglik
+        alpha, _, loglik = _scan(frame_logprob, prior, tm, mirror=False)
+    return alpha.transpose(2, 0, 1), loglik
 
 
 def forward_backward(frame_logprob: np.ndarray, prior: np.ndarray,
@@ -89,33 +73,7 @@ def forward_backward(frame_logprob: np.ndarray, prior: np.ndarray,
     """
     B, T, N = frame_logprob.shape
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Frame t's densities in columns :B, each relative to the frame's
-        # maximum, and frame T-1-t's, copied from them, in columns B:.
-        slab = np.empty((T, N, 2 * B))
-        ahead = slab[:, :, :B]
-        ahead[...] = frame_logprob.transpose(1, 2, 0)
-        m = ahead.max(axis=1)
-        loglik = np.ascontiguousarray(m.T).sum(axis=1)  # as (B, T) sums it
-        np.subtract(ahead, m[:, None], ahead)
-        np.exp(ahead, ahead)
-        slab[:, :, B:] = ahead[::-1]
-        del m
-        # push[i, j] carries state i's mass to state j: tm in the forward
-        # columns, tm transposed in the backward ones.
-        push = np.empty((N, N, 2 * B))
-        push[:, :, :B] = tm.transpose(1, 2, 0)
-        push[:, :, B:] = tm.transpose(2, 1, 0)
-        msg = np.empty((N, 2 * B))
-        msg[:, :B] = prior.T
-        msg[:, B:] = 1.0
-        scale = np.empty((T, 2 * B))
-        for a, s in zip(slab, scale):
-            np.multiply(msg, a, a)
-            np.add.reduce(a, 0, None, s)
-            np.divide(a, s, a)
-            _einsum("ib,ijb->jb", a, push, out=msg)
-        loglik += np.log(scale[:, :B]).sum(axis=0)
-
+        slab, push, loglik = _scan(frame_logprob, prior, tm, mirror=True)
         alpha = slab[:, :, :B]
         w = slab[::-1, :, B:]
         # gamma holds beta until alpha / z scales it into the posteriors.
@@ -136,6 +94,42 @@ def forward_backward(frame_logprob: np.ndarray, prior: np.ndarray,
             gamma[:, :, lost], xi_sum[lost] = _log_smooth(
                 frame_logprob[lost], prior[lost], tm[lost])
     return gamma.transpose(2, 0, 1), xi_sum, loglik
+
+
+def _scan(frame_logprob, prior, tm, mirror):
+    """The loop both kernels run, over a slab (T, N, B), or (T, N, 2B)
+    with `mirror`: returns the slab, the matrices (N, N, B or 2B) its
+    columns were pushed through and each row's log-evidence (B,)."""
+    B, T, N = frame_logprob.shape
+    width = 2 * B if mirror else B
+    # Frame t's densities in columns :B, each relative to the frame's
+    # maximum, and frame T-1-t's, copied from them, in columns B:.
+    slab = np.empty((T, N, width))
+    ahead = slab[:, :, :B]
+    ahead[...] = frame_logprob.transpose(1, 2, 0)
+    m = ahead.max(axis=1)
+    loglik = np.ascontiguousarray(m.T).sum(axis=1)  # as (B, T) sums it
+    np.subtract(ahead, m[:, None], ahead)
+    np.exp(ahead, ahead)
+    del m
+    # push[i, j] carries state i's mass to state j: tm in the forward
+    # columns, tm transposed in the backward ones.
+    push = np.empty((N, N, width))
+    push[:, :, :B] = tm.transpose(1, 2, 0)
+    msg = np.empty((N, width))
+    msg[:, :B] = prior.T
+    if mirror:
+        slab[:, :, B:] = ahead[::-1]
+        push[:, :, B:] = tm.transpose(2, 1, 0)
+        msg[:, B:] = 1.0
+    scale = np.empty((T, width))
+    for a, s in zip(slab, scale):
+        np.multiply(msg, a, a)
+        np.add.reduce(a, 0, None, s)
+        np.divide(a, s, a)
+        _einsum("ib,ijb->jb", a, push, out=msg)
+    loglik += np.log(scale[:, :B]).sum(axis=0)
+    return slab, push, loglik
 
 
 def _log_smooth(frame_logprob, prior, tm):

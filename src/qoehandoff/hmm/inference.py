@@ -26,10 +26,11 @@ def forward_filter(model: HmmModel,
     if obs.ndim not in (1, 2):
         raise DomainError("observations must be a sequence (T,) or a block (B, T)")
     block = obs if obs.ndim == 2 else obs[None]
+    rows, n = block.shape[0], model.n_states
     frame_logprob = model.frame_log_likelihood(block.reshape(-1))
     beliefs, loglik = _kernels_py.forward(
-        frame_logprob.reshape(*block.shape, model.n_states), model.prior,
-        model.transitions)
+        frame_logprob.reshape(*block.shape, n), np.broadcast_to(model.prior, (rows, n)),
+        np.broadcast_to(model.transitions, (rows, n, n)))
     bad = np.flatnonzero(~np.isfinite(loglik))
     if bad.size:
         row = int(bad[0])
