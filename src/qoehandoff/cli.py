@@ -27,8 +27,8 @@ from . import harness, netsim, trace_io
 from .errors import (DocumentError, DomainError, TraceParseError,
                      TraceValidationError, ZeroProbabilityError, parse_document,
                      read_document_text)
-from .hmm import (EmConfig, cross_validate_folds, forward_filter, load_model,
-                  predict_next_bands, save_model)
+from .hmm import (EmConfig, cross_validate_folds, forward_filter, inference,
+                  load_model, predict_next_bands, save_model)
 from .hmm.inference import length_blocks
 # Unused here; kept bound because perfbench/tracer.py patches these names.
 from .hmm import em_train  # noqa: F401
@@ -39,12 +39,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 SCHEMES = {"congestion": CONGESTION_SCHEME, "roaming": ROAMING_SCHEME}
-
-# Samples `predict` filters per chunk of traces, so that its working set
-# does not grow with the trace file. A chunk's filter, prediction and row
-# text take about 105 B per sample at N = 3 states (tracemalloc peak), so
-# 1.7 MB here; smaller chunks cost time in the per-step filter loop.
-PREDICT_CHUNK_SAMPLES = 16_384
 
 
 def _scenario_from_args(args) -> netsim.ScenarioConfig:
@@ -214,7 +208,7 @@ def cmd_predict(args) -> int:
     try:
         with fh:
             fh.write(b"run_id,interface,epoch,predicted_state\n")
-            for chunk in _chunks(traces, PREDICT_CHUNK_SAMPLES):
+            for chunk in _chunks(traces, inference.FILTER_CHUNK_SAMPLES):
                 fh.writelines(_prediction_rows(model, chunk))
     except BaseException:
         out_path.unlink(missing_ok=True)

@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import DomainError, ZeroProbabilityError
 from .hmm import (EmConfig, cross_validate_folds, em_train, forward_filter,
-                  predict_next_bands, state_band_map)
-from .netsim import (ROAMING, ScenarioConfig, generate_runs, run_blocks,
+                  inference, predict_next_bands, state_band_map)
+from . import netsim
+from .netsim import (ROAMING, RunBlock, ScenarioConfig, generate_runs, run_blocks,
                      scenario_factory)
 from .policies import (QTable, RewardConfig, exploit_action, m4_policy_step,
                        naive_policy_step, oracle_policy, q_iteration, reward)
@@ -236,10 +237,40 @@ def account(cfg: HarnessConfig, mos: np.ndarray, paths) -> PolicyResult:
                         reward_sum=reward_sum, paths=paths)
 
 
+def _episode_chunks(scenario: ScenarioConfig, run_indices):
+    """The runs of `run_blocks(scenario, run_indices)`, in order, copied
+    into chunks of at most `inference.FILTER_CHUNK_SAMPLES` samples per
+    interface, and at least one run: each chunk is a `RunBlock` for one
+    `forward_filter` call per interface. The chunks share one buffer, so a
+    chunk holds its runs only until the next is drawn."""
+    indices = tuple(run_indices)
+    size = min(len(indices),
+               max(1, inference.FILTER_CHUNK_SAMPLES // scenario.duration_epochs))
+    delays = np.empty((size, len(scenario.channels), scenario.duration_epochs))
+    mos = np.empty_like(delays)
+    first, held = 0, 0  # the chunk's first run in `indices`, and its runs so far
+    for block in run_blocks(scenario, indices):
+        taken = 0  # runs of this block copied so far
+        while taken < len(block.run_indices):
+            n = min(len(block.run_indices) - taken, size - held)
+            delays[held:held + n] = block.delays_s[taken:taken + n]
+            mos[held:held + n] = block.mos[taken:taken + n]
+            taken, held = taken + n, held + n
+            if held == size or first + held == len(indices):
+                yield RunBlock(indices[first:first + held], delays[:held], mos[:held])
+                first, held = first + held, 0
+
+
 def fit_q_table(cfg: HarnessConfig, models, band_tables) -> QTable:
     """The table that Q-learning converges to replaying every transition of
     the training episodes (README, "How compare-policies runs"); a pair
-    never seen keeps Q = 0."""
+    never seen keeps Q = 0.
+
+    The episodes are generated `netsim.BLOCK_RUNS` runs at a time and
+    filtered a chunk at a time (`_episode_chunks`); their transitions are
+    counted, and their rewards added in episode order, one BLOCK_RUNS-run
+    slice at a time. So the table depends on neither size, and no array
+    spans every episode."""
     scenario = cfg.scenario
     n_if = len(scenario.channels)
     qtable = QTable(scenario.scheme.state_count, n_if)
@@ -248,18 +279,20 @@ def fit_q_table(cfg: HarnessConfig, models, band_tables) -> QTable:
     reward_sums = np.zeros(n_rows * n_if)
     attached, action = np.arange(n_if)[:, None], np.arange(n_if)
     episodes = range(_TRAIN_RUN_OFFSET, _TRAIN_RUN_OFFSET + cfg.training_episodes)
-    for block in run_blocks(scenario, episodes):
-        # Axes (run, epoch t - 1, attachment c, action a).
-        base = joint_rows(cfg, block, models, band_tables)[:, :, None, None]
-        pairs = (base[:, :-1] + attached) * n_if + action
-        moves += np.bincount((pairs * n_rows + base[:, 1:] + action).ravel(),
-                             minlength=moves.size).reshape(moves.shape)
-        # Interface a's MOS at epoch t; the rewards are added one by one in
-        # episode order, so the sums do not depend on the block size.
-        mos = block.mos[:, None, :, 1:].transpose(0, 3, 1, 2)
-        np.add.at(reward_sums, pairs.ravel(),
-                  price_epochs(cfg, mos, attached != action)[1].ravel())
-        del block, base, pairs, mos  # hold one block's arrays at a time
+    for chunk in _episode_chunks(scenario, episodes):
+        rows = joint_rows(cfg, chunk, models, band_tables)
+        for first in range(0, len(rows), netsim.BLOCK_RUNS):
+            # Axes (run, epoch t - 1, attachment c, action a).
+            base = rows[first:first + netsim.BLOCK_RUNS, :, None, None]
+            pairs = (base[:, :-1] + attached) * n_if + action
+            moves += np.bincount((pairs * n_rows + base[:, 1:] + action).ravel(),
+                                 minlength=moves.size).reshape(moves.shape)
+            # Interface a's MOS at epoch t; the rewards are added one by one
+            # in episode order, so the sums do not depend on the slicing.
+            mos = chunk.mos[first:first + netsim.BLOCK_RUNS, None, :, 1:]
+            np.add.at(reward_sums, pairs.ravel(),
+                      price_epochs(cfg, mos.transpose(0, 3, 1, 2),
+                                   attached != action)[1].ravel())
     visits = np.maximum(moves.sum(axis=2), 1)
     qtable.values = q_iteration(reward_sums.reshape(n_rows, n_if) / visits,
                                 moves / visits[..., None], cfg.gamma, _Q_TOL)

@@ -8,6 +8,15 @@ from ..errors import DomainError, ZeroProbabilityError
 from . import _kernels_py
 from .model import HmmModel
 
+# Samples that one batched `forward_filter` call is given at most, so that
+# a caller's working set does not grow with its input: `predict` filters
+# a trace file, and `harness.fit_q_table` its training episodes, in chunks
+# of at most this many samples per model. A `predict` chunk's filter,
+# prediction and row text take about 105 B per sample at N = 3 states
+# (tracemalloc peak), so 1.7 MB here; a filter call costs about one Python
+# step per epoch whatever its width, so smaller chunks cost time.
+FILTER_CHUNK_SAMPLES = 16_384
+
 
 def forward_filter(model: HmmModel,
                    observations) -> tuple[np.ndarray, np.ndarray | float]:

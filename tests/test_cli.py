@@ -13,7 +13,7 @@ import pytest
 from qoehandoff import cli, harness, netsim, trace_io
 from qoehandoff.cli import EXIT_DATA, EXIT_USAGE, _load_dataset, main
 from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, em_train,
-                            forward_filter, load_model, save_model)
+                            forward_filter, inference, load_model, save_model)
 from qoehandoff.netsim import (ScenarioConfig, congestion_scenario,
                                generate_runs, roaming_cdma_g729_model,
                                roaming_scenario)
@@ -244,7 +244,7 @@ def predict_by_budget(monkeypatch, tmp_path, model_path, traces, budgets=CHUNK_B
         with monkeypatch.context() as m:
             m.setattr(cli, "forward_filter", spy)
             if budget is not None:
-                m.setattr(cli, "PREDICT_CHUNK_SAMPLES", budget)
+                m.setattr(inference, "FILTER_CHUNK_SAMPLES", budget)
             codes.append(main(["predict", "--model", str(model_path), "--traces",
                                str(traces), "--out", str(tmp_path / f"pred{budget}")]))
     return codes, blocks
@@ -317,8 +317,8 @@ class TestPredictBlocks:
             # Every trace is filtered once, and a block holds more than the
             # budget only when it is one trace.
             assert sum(n for n, _ in budget_blocks) == 20
-            assert all(n * length <= (budget or cli.PREDICT_CHUNK_SAMPLES) or n == 1
-                       for n, length in budget_blocks)
+            limit = budget or inference.FILTER_CHUNK_SAMPLES
+            assert all(n * length <= limit or n == 1 for n, length in budget_blocks)
         assert len(blocks[-1]) == 4  # the whole file: one block per length
 
     def test_quoted_labels_match_per_trace_reference(self, tmp_path, monkeypatch):
@@ -401,7 +401,7 @@ class TestPredictMemory:
     SLACK_BYTES = 512 * 1024
 
     def test_peak_grows_no_faster_than_the_parsed_traces(self, tmp_path, capsys):
-        assert 64 * self.LENGTH > cli.PREDICT_CHUNK_SAMPLES
+        assert 64 * self.LENGTH > inference.FILTER_CHUNK_SAMPLES
         save_model(roaming_cdma_g729_model(), tmp_path / "model.json")
         rng = np.random.default_rng(6)
         parsed, predicted = [], []

@@ -3,18 +3,20 @@
 import dataclasses
 import inspect
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from qoehandoff import cli, harness, netsim
-from qoehandoff.errors import DomainError
+from qoehandoff.errors import DomainError, ZeroProbabilityError
 from qoehandoff.harness import (ALL_POLICIES, EvaluationReport, HarnessConfig,
                                 PolicyResult, default_roaming_harness,
-                                joint_rows, load_config,
+                                joint_rows, load_config, price_epochs,
                                 run_comparison, train_interface_models)
-from qoehandoff.hmm import EmConfig, predict_belief, state_band_map
+from qoehandoff.hmm import (EmConfig, GaussianEmission, HmmModel, forward_filter,
+                            inference, predict_belief, state_band_map)
 from qoehandoff.netsim import (CONGESTION_LOSS_PER_STATE, generate_run,
                                generate_runs, step_environment)
 from qoehandoff.policies import (JointState, QLearningConfig, QTable,
@@ -262,6 +264,21 @@ def reference_baseline_path(cfg, run, kind):
     return path, totals
 
 
+def filter_widths(monkeypatch, cfg, models, tables):
+    """The rows of each `forward_filter` call that `fit_q_table` makes, in
+    call order."""
+    widths = []
+
+    def spy(model, observations):
+        widths.append(len(observations))
+        return forward_filter(model, observations)
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "forward_filter", spy)
+        harness.fit_q_table(cfg, models, tables)
+    return widths
+
+
 def penalising_harness():
     """`small_harness` with a non-default handoff penalty, QoE clamp range
     and cost blend, so that handoff epochs differ in both reward terms."""
@@ -325,6 +342,65 @@ class TestBlockFeatures:
             table = harness.fit_q_table(cfg, models, tables)
             assert np.array_equal(table.values, expected.values)
 
+    # Filter budgets in samples at `small_harness`'s 40 epochs: below one
+    # episode (a chunk still holds one), one episode, three, and more than
+    # all 8 episodes.
+    BUDGETS = (1, 40, 3 * 40, 1000 * 40)
+
+    @pytest.mark.parametrize("block", [3, 16])
+    def test_q_table_and_report_independent_of_filter_budget(self, monkeypatch,
+                                                             block):
+        # Chunks of 3 episodes straddle blocks of 16, and blocks of 3
+        # straddle chunks of 1 or 8.
+        cfg = small_harness()
+        models, tables = flipped_inputs(cfg)
+        expected = harness.fit_q_table(cfg, models, tables)
+        report = run_comparison(cfg).to_json()
+        monkeypatch.setattr(netsim, "BLOCK_RUNS", block)
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(inference, "FILTER_CHUNK_SAMPLES", budget)
+            table = harness.fit_q_table(cfg, models, tables)
+            assert np.array_equal(table.values, expected.values)
+            assert run_comparison(cfg).to_json() == report
+
+    @pytest.mark.parametrize("budget, chunks", [
+        (None, [8]), (1, [1] * 8), (3 * 40, [3, 3, 2]), (3 * 40 + 39, [3, 3, 2])])
+    def test_one_filter_call_per_interface_and_chunk(self, monkeypatch, budget,
+                                                     chunks):
+        cfg = small_harness()
+        models, tables = flipped_inputs(cfg)
+        if budget is not None:
+            monkeypatch.setattr(inference, "FILTER_CHUNK_SAMPLES", budget)
+        assert filter_widths(monkeypatch, cfg, models, tables) == \
+            [rows for rows in chunks for _ in models]
+
+    @pytest.mark.parametrize("budget", [None, 1, 3 * 40])
+    def test_accounted_one_block_slice_at_a_time(self, monkeypatch, budget):
+        cfg = small_harness()
+        models, tables = flipped_inputs(cfg)
+        monkeypatch.setattr(netsim, "BLOCK_RUNS", 3)
+        if budget is not None:
+            monkeypatch.setattr(inference, "FILTER_CHUNK_SAMPLES", budget)
+        runs = []
+
+        def spy(cfg, mos, handoff):
+            runs.append(len(mos))
+            return price_epochs(cfg, mos, handoff)
+
+        monkeypatch.setattr(harness, "price_epochs", spy)
+        harness.fit_q_table(cfg, models, tables)
+        assert sum(runs) == cfg.training_episodes and max(runs) <= 3
+
+    def test_default_training_set_is_one_filter_call_per_interface(self,
+                                                                   monkeypatch):
+        # 150 episodes x 101 epochs fit in the default budget.
+        cfg = default_roaming_harness(seed=0)
+        assert cfg.training_episodes * cfg.scenario.duration_epochs \
+            <= inference.FILTER_CHUNK_SAMPLES
+        models = [ch.generator for ch in cfg.scenario.channels]
+        assert filter_widths(monkeypatch, cfg, models, band_tables(cfg, models)) == \
+            [cfg.training_episodes] * len(models)
+
 
 class TestFitQTable:
     """The table is the fixed point that Q-learning over every transition
@@ -360,12 +436,79 @@ class TestFitQTable:
                 q_update(replay, s, a, r, s_next, step)
         assert np.abs(replay.values - table.values).max() <= 0.05
 
-    def test_no_training_episodes_give_the_zero_table(self):
+    def test_no_training_episodes_give_the_zero_table(self, monkeypatch):
         cfg = dataclasses.replace(small_harness(), training_episodes=0)
+        inputs = flipped_inputs(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = harness.fit_q_table(cfg, *flipped_inputs(cfg))
+            # No empty block is filtered.
+            assert filter_widths(monkeypatch, cfg, *inputs) == []
+            table = harness.fit_q_table(cfg, *inputs)
         assert not table.values.any()
+
+    @pytest.mark.parametrize("budget", [None, 20, 4 * 20, 16 * 20])
+    def test_zero_probability_names_the_episode_whatever_the_budget(
+            self, monkeypatch, budget):
+        # The WLAN model stays in a narrow state around the in-coverage
+        # delays, beside a broad one, so that an outage delay (about 1 s)
+        # has zero density relative to the frame's best. The first episode
+        # with an outage lies inside a chunk of 4 and of 16 episodes.
+        cfg = dataclasses.replace(
+            default_roaming_harness(seed=0, runs=2, duration_epochs=20),
+            training_episodes=16)
+        wlan = HmmModel(prior=np.array([0.0, 1.0]), transitions=np.eye(2),
+                        emissions=(GaussianEmission(0.05, 1.0),
+                                   GaussianEmission(0.05, 2.4e-4)))
+        models = [wlan, cfg.scenario.channels[1].generator]
+        tables = [np.eye(3)[[0, 2]], np.eye(3)]
+        block = generate_runs(cfg.scenario, range(
+            harness._TRAIN_RUN_OFFSET, harness._TRAIN_RUN_OFFSET + 16))
+        # Reference: each episode filtered alone.
+        failures = []
+        for episode, delays in enumerate(block.delays_s[:, 0]):
+            try:
+                forward_filter(wlan, delays)
+            except ZeroProbabilityError as exc:
+                failures.append((episode, exc.observation))
+        episode, epoch = failures[0]
+        assert episode % 4 != 0
+        if budget is not None:
+            monkeypatch.setattr(inference, "FILTER_CHUNK_SAMPLES", budget)
+        with pytest.raises(DomainError) as info:
+            harness.fit_q_table(cfg, models, tables)
+        assert str(info.value) == \
+            f"WLAN delay of training episode {episode}, epoch {epoch}, has zero " \
+            "predicted probability under its fitted model"
+
+
+class TestFitQTableMemory:
+    # Growth allowed from 32 to 128 training episodes of 20 epochs, in
+    # chunks of 3: the per-episode bookkeeping (the run indices that
+    # `_episode_chunks` and `run_blocks` hold, about 50 B an episode, 5 KB
+    # here) and no more. Filtering or accounting all episodes at once grows
+    # it by about 270 KB.
+    SLACK_BYTES = 16 * 1024
+
+    def test_peak_does_not_grow_with_the_episodes(self, monkeypatch):
+        cfg = default_roaming_harness(seed=0, duration_epochs=20)
+        models = [ch.generator for ch in cfg.scenario.channels]
+        tables = [np.eye(3)[[0, 2]], np.eye(3)]
+        monkeypatch.setattr(inference, "FILTER_CHUNK_SAMPLES", 3 * 20)
+        # A short fit first, so that what the first call sets up once is
+        # not counted against the 32-episode fit.
+        harness.fit_q_table(dataclasses.replace(cfg, training_episodes=4),
+                            models, tables)
+        peaks = []
+        for episodes in (32, 128):
+            fit = dataclasses.replace(cfg, training_episodes=episodes)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                harness.fit_q_table(fit, models, tables)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= self.SLACK_BYTES
 
 
 class TestPolicyLoopsMatchPerEpochReference:
