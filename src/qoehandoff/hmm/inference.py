@@ -14,7 +14,11 @@ from .model import HmmModel
 # of at most this many samples per model. A `predict` chunk's filter,
 # prediction and row text take about 105 B per sample at N = 3 states
 # (tracemalloc peak), so 1.7 MB here; a filter call costs about one Python
-# step per epoch whatever its width, so smaller chunks cost time.
+# step per epoch whatever its width, so smaller chunks cost time. The same
+# budget sizes `netsim.run_blocks`' plans: it seeds the streams and samples
+# the hidden chains of as many whole blocks of runs as fit this many
+# samples per channel (at least one block) in one pass, since that pass
+# also costs about one Python step per epoch whatever its width.
 FILTER_CHUNK_SAMPLES = 16_384
 
 

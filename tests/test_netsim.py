@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from qoehandoff import netsim
 from qoehandoff.errors import DomainError
+from qoehandoff.hmm import inference
 from qoehandoff.netsim import (MIN_DELAY_S, ChannelModel,
-                               ScenarioConfig, _sample_chains,
+                               ScenarioConfig, _sample_chains, _stream_seeds,
                                congestion_scenario, congestion_wlan_g711_model,
                                generate_run, generate_runs,
                                roaming_cdma_g729_model, roaming_scenario,
-                               roaming_wlan_g729_model, step_environment)
+                               roaming_wlan_g729_model, run_blocks,
+                               step_environment)
 from qoehandoff.probing import RnlEstimator
 from qoehandoff.qoe_model import quantize_mos
 from references import reference_run
@@ -138,6 +141,118 @@ class TestGenerateRuns:
         assert block.run_indices == ()
         for array in (block.delays_s, block.mos):
             assert array.shape == (0, len(cfg.channels), 12)
+
+
+class TestStreamSeeds:
+    """The streams are seeded as `np.random.default_rng([seed, run, tag])`
+    seeds them: NumPy's SeedSequence hash and PCG64 seeding, recomputed
+    for many streams at once. A NumPy release that changes either fails
+    here instead of changing every generated run."""
+
+    RUNS = (0, 15, 10_149, 20_000, 2**32 + 1)
+    TAGS = (0, 1, 0xFF)
+
+    @staticmethod
+    def default_rng_seed(seed, run, tag):
+        state = np.random.default_rng([seed, run, tag]).bit_generator.state
+        assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+        return state["state"]["state"], state["state"]["inc"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_equal_default_rng(self, seed):
+        # One call holds one- and two-word run indices, so entropy of three
+        # to six words.
+        seeds = _stream_seeds(seed, self.RUNS, self.TAGS)
+        assert len(seeds) == len(self.TAGS)
+        for tag, per_run in zip(self.TAGS, seeds):
+            assert per_run == [self.default_rng_seed(seed, r, tag) for r in self.RUNS]
+
+    def test_word_layouts_mixed_in_one_call(self):
+        # Run 2**32 + 1 is the words (1, 1), run 5 the word (5): entropy of
+        # different lengths, hashed apart and returned in run order.
+        runs = (5, 2**32 + 1, 7, 2**32)
+        seeds = _stream_seeds(3, runs, (0xFF,))
+        assert seeds == [[self.default_rng_seed(3, r, 0xFF) for r in runs]]
+        assert len(set(seeds[0])) == len(runs)
+
+    def test_negative_run_index_raises(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([1, -1, 0])
+        with pytest.raises(ValueError):
+            _stream_seeds(1, (3, -1), (0,))
+        with pytest.raises(ValueError):
+            generate_runs(roaming_scenario(duration_epochs=12), [0, -2])
+
+
+class TestPlans:
+    """`run_blocks` plans a chunk of runs at a time (seeds, uniforms and
+    chains), then draws each block's normals: at a seed of two words
+    (2**32 + 3), every run equals the stepwise reference whatever the
+    plan and block sizes."""
+
+    SEED = 2**32 + 3
+    EPOCHS = 30
+
+    # (BLOCK_RUNS, filter budget in samples, runs, expected plan sizes):
+    # plans of 1 run; one plan of exactly one block; one plan of several
+    # blocks, the last short; plans of two blocks, the last plan short;
+    # blocks of 1 and of 7 runs.
+    CASES = [
+        (1, 1, 5, [1] * 5),
+        (16, 16 * EPOCHS, 16, [16]),
+        (16, None, 40, [40]),
+        (16, 32 * EPOCHS + 5, 40, [32, 8]),
+        (1, None, 12, [12]),
+        (7, None, 40, [40]),
+        (7, 14 * EPOCHS, 40, [14, 14, 12]),
+    ]
+
+    @pytest.mark.parametrize("make", [roaming_scenario, congestion_scenario])
+    @pytest.mark.parametrize("block_runs, budget, runs, plans", CASES)
+    def test_blocks_equal_stepwise_draws(self, monkeypatch, make, block_runs,
+                                         budget, runs, plans):
+        monkeypatch.setattr(netsim, "BLOCK_RUNS", block_runs)
+        if budget is not None:
+            monkeypatch.setattr(inference, "FILTER_CHUNK_SAMPLES", budget)
+        planned, plan = [], netsim._plan
+
+        def spy(cfg, indices):
+            planned.append(len(indices))
+            return plan(cfg, indices)
+
+        monkeypatch.setattr(netsim, "_plan", spy)
+        cfg = make(seed=self.SEED, runs=runs, duration_epochs=self.EPOCHS)
+        blocks = list(run_blocks(cfg, range(runs)))
+        assert planned == plans
+        sizes = [len(block.run_indices) for block in blocks]
+        assert max(sizes) <= block_runs
+        assert sum(sizes) == runs
+        rows = [(r, block.delays_s[b], block.mos[b]) for block in blocks
+                for b, r in enumerate(block.run_indices)]
+        assert [r for r, _, _ in rows] == list(range(runs))
+        for r, delays, mos in rows:
+            for i, (delay, mos_ref, _) in enumerate(reference_run(cfg, r)):
+                assert delays[i].tolist() == delay
+                assert mos[i].tolist() == mos_ref
+
+    @pytest.mark.parametrize("make", [roaming_scenario, congestion_scenario])
+    def test_run_indices_of_two_words(self, make):
+        cfg = make(seed=self.SEED, duration_epochs=self.EPOCHS)
+        indices = [5, 2**32 + 1, 0, 2**32]
+        (block,) = run_blocks(cfg, indices)
+        assert block.run_indices == tuple(indices)
+        for b, r in enumerate(indices):
+            for i, (delay, mos, _) in enumerate(reference_run(cfg, r)):
+                assert block.delays_s[b, i].tolist() == delay
+                assert block.mos[b, i].tolist() == mos
+
+    @pytest.mark.parametrize("make", [roaming_scenario, congestion_scenario])
+    def test_no_runs(self, make):
+        cfg = make(seed=self.SEED, duration_epochs=self.EPOCHS)
+        assert list(run_blocks(cfg, [])) == []
+        block = generate_runs(cfg, [])
+        assert block.delays_s.shape == block.mos.shape == \
+            (0, len(cfg.channels), self.EPOCHS)
 
 
 class TestStepEnvironment:
